@@ -2,10 +2,10 @@
 
 Usage (from the repository root):
 
-    python3 bench/selfcheck.py [--seed N]
+    python3 bench/selfcheck.py
 
 For every workload in BENCHMARK.json it makes a short untraced run and two
-traced runs with one seed, and checks that:
+traced runs with one fixed seed, and checks that:
 
 - the untraced run reports every end-to-end metric, no failed operation;
 - each traced run reports every per-layer metric, no failed operation;
@@ -20,7 +20,6 @@ Exits 1 if any check fails.
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import subprocess
@@ -31,11 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # per-layer metrics that count work rather than time it
 DETERMINISTIC_UNITS = ("count", "B", "ratio")
 NOT_DETERMINISTIC = ("trace.overhead",)
+SEED = 1
 
 
-def _run(cwd: Path, spec: dict, workload: str, seed: int, trace: int):
+def _run(cwd: Path, spec: dict, workload: str, trace: int):
     proc = subprocess.run(
-        [*spec["command"], "--workload", workload, "--seed", str(seed),
+        [*spec["command"], "--workload", workload, "--seed", str(SEED),
          "--seconds", "1", "--trace", str(trace)],
         cwd=cwd, capture_output=True, text=True, timeout=600, check=False,
     )
@@ -48,8 +48,8 @@ def _summary(proc) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _record(workload: str, seed: int, trace: int) -> dict:
-    path = ROOT / ".bench_out" / "results" / f"{workload}_seed{seed}_trace{trace}.json"
+def _record(workload: str, trace: int) -> dict:
+    path = ROOT / ".bench_out" / "results" / f"{workload}_seed{SEED}_trace{trace}.json"
     return json.loads(path.read_text())
 
 
@@ -61,22 +61,19 @@ def _expect_metrics(summary: dict, wanted: list[dict], label: str, problems: lis
         problems.append(f"{label}: {summary['failed']} of {summary['attempted']} failed")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Check the optospring benchmark itself.")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     problems: list[str] = []
 
     for wl in spec["workloads"]:
         name = wl["name"]
-        summary = _summary(_run(ROOT, spec, name, args.seed, 0))
+        summary = _summary(_run(ROOT, spec, name, 0))
         _expect_metrics(summary, spec["end_to_end"], f"{name} untraced", problems)
         counts = []
         for attempt in (1, 2):
-            summary = _summary(_run(ROOT, spec, name, args.seed, 1))
+            summary = _summary(_run(ROOT, spec, name, 1))
             _expect_metrics(summary, spec["per_layer"], f"{name} traced #{attempt}", problems)
-            rec = _record(name, args.seed, 1)
+            rec = _record(name, 1)
             counts.append((
                 {k: v["value"] for k, v in summary["metrics"].items()
                  if v["unit"] in DETERMINISTIC_UNITS and k not in NOT_DETERMINISTIC},
@@ -95,7 +92,7 @@ def main(argv=None) -> int:
     for path in spec["paths"]:
         shutil.copytree(ROOT / path, bare / path, ignore=shutil.ignore_patterns("__pycache__"))
     first = spec["workloads"][0]["name"]
-    proc = _run(bare, spec, first, args.seed, 0)
+    proc = _run(bare, spec, first, 0)
     if proc.returncode == 0 or proc.stdout.strip():
         problems.append("the benchmark ran without the program's sources")
     shutil.rmtree(bare)

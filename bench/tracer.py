@@ -71,9 +71,8 @@ def _near(value: float, bound: float, span: float) -> bool:
 
 
 def detuning_at_bound(psi: float, spec) -> bool:
-    """Whether a detuning search stopped at its bracket (clipped to (-pi, pi])."""
+    """Whether a detuning search stopped at a bound of its bracket."""
     lo, hi = spec.psi_bounds
-    lo, hi = max(lo, -math.pi + 1e-9), min(hi, math.pi)
     return _near(psi, lo, hi - lo) or _near(psi, hi, hi - lo)
 
 
@@ -155,8 +154,7 @@ OBSERVERS = {
 class Tracer:
     """Wraps the layer functions while installed and records their spans."""
 
-    def __init__(self, package: str = "optospring"):
-        self.package = package
+    def __init__(self):
         self.names: list[str] = []
         self.span_name = array("i")
         self.span_parent = array("i")
@@ -174,7 +172,7 @@ class Tracer:
         """id(function) -> (function, "layer.name") for every traced function."""
         targets = {}
         for layer in LAYERS:
-            mod = importlib.import_module(f"{self.package}.{layer}")
+            mod = importlib.import_module(f"optospring.{layer}")
             for name, obj in vars(mod).items():
                 public = not name.startswith("_") or name in BOUNDARIES.get(layer, ())
                 if public and inspect.isfunction(obj) and obj.__module__ == mod.__name__:
@@ -184,9 +182,8 @@ class Tracer:
     def install(self) -> None:
         targets = self._targets()
         wrappers = {}
-        prefix = self.package + "."
         for mod_name, mod in list(sys.modules.items()):
-            if mod is None or not (mod_name == self.package or mod_name.startswith(prefix)):
+            if mod is None or not (mod_name == "optospring" or mod_name.startswith("optospring.")):
                 continue
             for attr, obj in list(vars(mod).items()):
                 hit = targets.get(id(obj))
@@ -253,16 +250,14 @@ class Tracer:
         layer_index = {layer: i for i, layer in enumerate(LAYERS)}
         return np.array([layer_index[n.split(".", 1)[0]] for n in self.names], dtype=np.int64)
 
-    def self_s_by(self, lo: int, hi: int, layer: bool = False, top: int | None = None):
-        """Self time of the spans with index in [lo, hi), per layer or per function."""
+    def self_s_by_layer(self, lo: int, hi: int) -> dict[str, float]:
+        """Self time per layer, and write_table's, of the spans with index in [lo, hi)."""
         name, _, _, self_s = self._arrays()
         name, self_s = name[lo:hi], self_s[lo:hi]
-        if layer:
-            totals = np.bincount(self._layer_of()[name], weights=self_s, minlength=len(LAYERS))
-            return {l: float(totals[i]) for i, l in enumerate(LAYERS)}
-        totals = np.bincount(name, weights=self_s, minlength=len(self.names))
-        order = np.argsort(totals)[::-1][:top]
-        return {self.names[i]: float(totals[i]) for i in order if totals[i] > 0}
+        totals = np.bincount(self._layer_of()[name], weights=self_s, minlength=len(LAYERS))
+        out = {l: float(totals[i]) for i, l in enumerate(LAYERS)}
+        out["cli.format_s"] = float(self_s[name == self.names.index("cli.write_table")].sum())
+        return out
 
     def metrics(self) -> dict[str, float]:
         """The per-layer metrics of everything traced so far (not the overhead)."""

@@ -357,16 +357,6 @@ def cli_datasets(seed: int, out: Path, src: Path) -> Workload:
 # -- cli_optimize -----------------------------------------------------------
 
 
-def _chi(osc, omega: float) -> complex:
-    return 1.0 / (osc.mass * complex(osc.resonance_freq**2 - omega**2, -osc.damping * omega))
-
-
-def _uql_detuning(osc, gamma: float, omega: float) -> float:
-    """Closed-form optimal detuning 2 gamma (-Re chi / |Im chi|)."""
-    chi = _chi(osc, omega)
-    return 2.0 * gamma * (-chi.real / abs(chi.imag))
-
-
 def _omega_inside(osc, gamma: float, psi: float) -> float:
     """The frequency whose closed-form optimal detuning is ``psi``."""
     g, om = osc.damping, osc.resonance_freq
@@ -377,18 +367,17 @@ def _omega_outside(rng: random.Random, osc, gamma: float) -> float:
     """A frequency of the sweep decade whose optimal detuning is past +-pi."""
     while True:
         omega = 0.3 * osc.resonance_freq * 10.0 ** rng.uniform(0.0, 1.0)
-        if abs(_uql_detuning(osc, gamma, omega)) > 1.1 * math.pi:
+        if abs(qs.ultimate_quantum_limit(osc, omega, gamma).detuning) > 1.1 * math.pi:
             return omega
 
 
 def _optimum_record(cfg, omega: float, level: float, psi: float, key: str) -> dict:
     """Check one joint optimum and describe it, at a bound or not."""
-    osc, gamma = cfg.oscillator, cfg.cavity.gamma
-    floor = cfg.constants.hbar * abs(_chi(osc, omega).imag)
+    uql = qs.ultimate_quantum_limit(cfg.oscillator, omega, cfg.cavity.gamma, cfg.constants)
+    floor, psi_cf = uql.level, uql.detuning
     _expect(level >= floor * (1.0 - FLOOR_SLACK), f"{key}: level {level!r} below UQL {floor!r}")
     lo, hi = SearchSpec().psi_bounds
-    psi_cf = _uql_detuning(osc, gamma, omega)
-    inside = max(lo, -math.pi) < psi_cf < min(hi, math.pi)
+    inside = lo < psi_cf < hi
     if inside:
         _expect(_rel(level, floor) <= UQL_REL, f"{key}: level {level!r} vs closed form {floor!r}")
     return {
