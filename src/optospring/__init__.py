@@ -8,12 +8,15 @@ ultimate quantum limits, stability domains, and optimal working points.
 """
 
 from .core import (
+    COHERENT,
     NORMALIZED,
     SI,
     Constants,
     DetuningBranch,
+    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
+    QuadratureTransfer,
     StabilityReport,
     SteadyState,
     WorkingPoint,
@@ -25,7 +28,10 @@ from .core import (
     kappa_for_coupling,
     loop_denominator,
     mech_susceptibility,
+    noise_power,
+    optical_spring,
     solve_self_consistent_detuning,
+    spring_response,
     stability,
     steady_state,
     wrap_phase,
@@ -43,7 +49,6 @@ from .errors import (
 from .finite_bandwidth import (
     DipReport,
     ForceTransfer,
-    FullTransfer,
     NoiseSpectrum,
     airy_slope,
     default_grid,
@@ -67,10 +72,7 @@ from .optimize import (
     static_coupling2_bound,
 )
 from .quasistatic import (
-    COHERENT,
-    InputNoiseModel,
     OptimumPoint,
-    QuadratureTransfer,
     SqlPoint,
     amplification_factor,
     coupling_optimum,

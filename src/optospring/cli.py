@@ -318,20 +318,6 @@ def cmd_stability(cfg: RunConfig, out_override: str | None = None) -> int:
     return 0
 
 
-def _figure_grid(figure: str, grid_flag: str | None):
-    if grid_flag is not None:
-        parts = grid_flag.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"--grid expects lo:hi:points-per-decade, got {grid_flag!r}")
-        try:
-            lo, hi, ppd = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"--grid: {exc}") from None
-    else:
-        lo, hi, ppd = FIGURE_GRIDS[figure]
-    return fb.log_grid(lo, hi, ppd)
-
-
 def cmd_figure(
     cfg: RunConfig,
     figure: str,
@@ -360,7 +346,10 @@ def cmd_figure(
     elif bandwidths:
         raise ConfigError("--bandwidths only applies to fig4")
 
-    grid = _figure_grid(figure, grid_flag)
+    if grid_flag is None:
+        grid = fb.log_grid(*FIGURE_GRIDS[figure])
+    else:  # the flag went through the config checks as grid.* overrides
+        grid = fb.log_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_points_per_decade)
     manifest: dict = {
         "schema": f"optospring.figure.{SCHEMA_VERSION}",
         "figure": figure,
@@ -518,7 +507,7 @@ def _config_overrides(args) -> dict[str, str]:
         overrides["units"] = "normalized"
     if getattr(args, "si", False):
         overrides["units"] = "si"
-    if args.grid and args.command != "figure":
+    if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--grid expects lo:hi:points-per-decade, got {args.grid!r}")

@@ -8,6 +8,7 @@ keys are rejected. Environment variables override the file
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -72,7 +73,6 @@ KNOWN_KEYS: dict[str, tuple] = {
     "cavity.gamma": (_parse_float, "0.01"),
     "cavity.round_trip": (_parse_float, "0.001"),
     "cavity.wavevector": (_parse_float, "1.0"),
-    "cavity.bare_detuning": (_parse_float, "0.0"),
     "points.detuning": (_parse_float_list, "0.0"),
     "points.coupling": (_parse_float_list, "0.7071067811865476"),
     "grid.lo": (_parse_float, "0.01"),
@@ -191,7 +191,6 @@ def build_run_config(
             gamma=parsed["cavity.gamma"],
             round_trip=parsed["cavity.round_trip"],
             wavevector=parsed["cavity.wavevector"],
-            bare_detuning=parsed["cavity.bare_detuning"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -213,8 +212,8 @@ def build_run_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    if not (0 < parsed["grid.lo"] < parsed["grid.hi"]):
-        raise ConfigError("grid bounds must satisfy 0 < lo < hi")
+    if not (0 < parsed["grid.lo"] < parsed["grid.hi"] < math.inf):
+        raise ConfigError("grid bounds must satisfy 0 < lo < hi < inf")
     if parsed["grid.points_per_decade"] < 1:
         raise ConfigError("grid.points_per_decade must be >= 1")
 

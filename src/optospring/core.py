@@ -99,14 +99,12 @@ class OpticalCavity:
     """Single-ended cavity: damping rate, round-trip time, wavevector.
 
     ``gamma`` is the (dimensionless) amplitude damping rate per round
-    trip, assumed small compared to 1. ``bare_detuning`` is the
-    round-trip phase offset without light, reduced to (-pi, pi].
+    trip, assumed small compared to 1.
     """
 
     gamma: float
     round_trip: float
     wavevector: float
-    bare_detuning: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
@@ -115,7 +113,6 @@ class OpticalCavity:
             raise ValueError(f"round_trip must be positive, got {self.round_trip!r}")
         if not self.wavevector > 0:
             raise ValueError(f"wavevector must be positive, got {self.wavevector!r}")
-        _check_phase("bare_detuning", self.bare_detuning)
 
     @property
     def bandwidth(self) -> float:
@@ -129,13 +126,17 @@ class WorkingPoint:
 
     The coupling parameter combines cavity finesse, detuning and input
     power into a single scalar that sets how strongly a length change
-    imprints on the output phase quadrature.
+    imprints on the output phase quadrature. Both are stored as Python
+    floats, so a numpy scalar input gives the same bits downstream (numpy
+    and Python divide complex numbers with different roundings).
     """
 
     detuning: float
     coupling: float
 
     def __post_init__(self):
+        object.__setattr__(self, "detuning", float(self.detuning))
+        object.__setattr__(self, "coupling", float(self.coupling))
         _check_phase("detuning", self.detuning)
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling!r}")
@@ -183,6 +184,44 @@ class StabilityReport:
     dynamic_margin: float
 
 
+@dataclass(frozen=True)
+class InputNoiseModel:
+    """Symmetrized spectra of the incident quadrature fluctuations.
+
+    Defaults are the coherent-state values: unit white noise in both
+    quadratures, no cross-correlation. Quadratures are defined relative
+    to the mean-field phase.
+    """
+
+    s_q: float = 1.0
+    s_p: float = 1.0
+    s_pq: float = 0.0
+
+    def __post_init__(self):
+        if self.s_q < 0 or self.s_p < 0:
+            raise ValueError("quadrature spectra must be >= 0")
+
+
+COHERENT = InputNoiseModel()
+
+
+@dataclass(frozen=True)
+class QuadratureTransfer:
+    """Coefficients of the measured output phase quadrature.
+
+    ``q_out = c_q * q_in + c_p * p_in + c_sig * X_sig``.
+    """
+
+    c_q: complex
+    c_p: complex
+    c_sig: complex
+
+
+def _scalar(x):
+    """A 0-d result as a Python complex; arrays pass through."""
+    return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
+
+
 def mech_susceptibility(osc: MechanicalOscillator, omega):
     """Free mechanical susceptibility of the mirror at ``omega``.
 
@@ -196,15 +235,68 @@ def mech_susceptibility(osc: MechanicalOscillator, omega):
         raise SingularPointError(
             f"undamped oscillator driven exactly on resonance (omega={float(bad)!r})"
         )
-    out = 1.0 / den
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(1.0 / den)
 
 
 def loop_denominator(cavity: OpticalCavity, detuning: float, omega):
     """Cavity loop denominator (gamma - i omega tau)^2 + detuning^2."""
     omega = np.asarray(omega, dtype=float)
-    out = (cavity.gamma - 1j * omega * cavity.round_trip) ** 2 + detuning**2
-    return complex(out) if out.ndim == 0 else out
+    return _scalar((cavity.gamma - 1j * omega * cavity.round_trip) ** 2 + detuning**2)
+
+
+def optical_spring(gamma, omtau, psi, xi, hbar):
+    """Optical-spring term of the inverse mirror susceptibility, with u^2 and Delta.
+
+    The static spring hbar xi^2 psi / gamma filtered by the cavity loop
+    u^2 / Delta, u^2 = gamma^2 + psi^2, Delta = (gamma - i omega tau)^2 + psi^2.
+    u^2 takes gamma * gamma, the real part of the complex square, so that
+    u^2 / Delta is exactly 1 at omega tau = 0.
+    """
+    u2 = gamma * gamma + psi**2
+    delta = (gamma - 1j * omtau) ** 2 + psi**2
+    return hbar * xi**2 * psi / gamma * (u2 / delta), u2, delta
+
+
+def spring_response(chi, gamma, omtau, psi, xi, hbar):
+    """The response kernel: ``(chi_eff, QuadratureTransfer)`` of the cavity.
+
+    Broadcasts over free susceptibility ``chi``, cavity damping ``gamma``,
+    phase lag ``omtau`` = omega * round_trip, detuning ``psi``, coupling
+    ``xi`` and ``hbar``; the quasi-static chain is omtau = 0. The mirror
+    coordinate is eliminated through chi_eff = 1 / (1/chi + spring) and
+    folded into the exact input-output relation for the phase quadrature.
+    Raises where 1/chi_eff vanishes, the signature of a stability boundary.
+    """
+    spring, u2, delta = optical_spring(gamma, omtau, psi, xi, hbar)
+    inv = np.asarray(1.0 / chi + spring)
+    zero = inv == 0
+    if zero.any():
+        at = f" at grid index {int(np.argmax(zero))}" if inv.ndim else ""
+        msg = f"effective susceptibility diverges{at} (stability boundary)"
+        raise SingularPointError(msg)
+    chi_eff = _scalar(1.0 / inv)
+    del inv, zero  # lowers the peak memory on long grids
+    gain = (u2 - 1j * gamma * omtau) / delta  # cavity-filtered transduction
+    a_q = (u2 + omtau**2 * (gamma**2 - psi**2) / u2) / delta
+    a_p = -(2.0 * omtau**2 * gamma * psi / u2) / delta
+    # mirror response to the force channels, folded into the output
+    c_p = 2.0 * hbar * xi**2 * chi_eff * gain**2 + a_p
+    c_q = a_q + 2.0 * xi * gain * chi_eff * (-1j * hbar * xi * psi * omtau / delta)
+    c_sig = 2.0 * xi * gain * chi_eff / chi
+    return chi_eff, QuadratureTransfer(_scalar(c_q), _scalar(c_p), _scalar(c_sig))
+
+
+def noise_power(t: QuadratureTransfer, noise: InputNoiseModel):
+    """Output noise power of the measured quadrature.
+
+    |c_q|^2 S_q + |c_p|^2 S_p + 2 Re(c_q c_p*) S_pq; divided by
+    |c_sig|^2 it is the equivalent-input noise.
+    """
+    return (
+        np.abs(t.c_q) ** 2 * noise.s_q
+        + np.abs(t.c_p) ** 2 * noise.s_p
+        + 2.0 * np.real(t.c_q * np.conj(t.c_p)) * noise.s_pq
+    )
 
 
 def steady_state(
@@ -314,27 +406,19 @@ def effective_susceptibility(
     """Mirror susceptibility including the optical-spring back-action.
 
     The radiation-pressure force proportional to the mirror position adds
-    2 hbar kappa^2 psi / Delta(omega) to the inverse susceptibility. For
-    a resonant cavity (detuning 0) the free susceptibility is returned
-    unchanged. Diverges (and raises) if the inverse vanishes at a real
-    frequency, which is the signature of a stability boundary.
+    2 hbar kappa^2 psi / Delta(omega) to the inverse susceptibility (see
+    :func:`optical_spring`). For a resonant cavity (detuning 0) the free
+    susceptibility is returned unchanged. Diverges (and raises) if the
+    inverse vanishes at a real frequency, which is the signature of a
+    stability boundary.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
+    g = cavity.gamma
+    xi = kappa * math.sqrt(2.0 * g / (g**2 + detuning**2))
+    omtau = np.asarray(omega, dtype=float) * cavity.round_trip
     chi = mech_susceptibility(osc, omega)
-    inv = 1.0 / chi + 2.0 * constants.hbar * kappa**2 * detuning / loop_denominator(
-        cavity, detuning, omega
-    )
-    inv = np.asarray(inv)
-    if np.any(inv == 0):
-        om = np.broadcast_to(np.asarray(omega, dtype=float), inv.shape)
-        bad = om if inv.ndim == 0 else om[np.nonzero(inv == 0)][0]
-        raise SingularPointError(
-            f"effective susceptibility diverges at omega={float(bad)!r} "
-            "(working point on a stability boundary)"
-        )
-    out = 1.0 / inv
-    return complex(out) if out.ndim == 0 else out
+    return spring_response(chi, g, omtau, detuning, xi, constants.hbar)[0]
 
 
 def effective_damping(

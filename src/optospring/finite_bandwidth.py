@@ -1,15 +1,17 @@
 """Exact frequency response of the detuned cavity, no bandwidth limit.
 
-Assembles the full linear-response system for signal frequencies of the
-order of (or beyond) the cavity bandwidth: the three radiation-pressure
-force channels, the output phase-quadrature transfer, the equivalent
-input noise spectrum, and the location and depth of the dual sensitivity
-dips that a detuned finite-bandwidth cavity develops.
+Covers signal frequencies of the order of (or beyond) the cavity
+bandwidth: the three radiation-pressure force channels, the output
+phase-quadrature transfer, the equivalent input noise spectrum, and the
+location and depth of the dual sensitivity dips that a detuned
+finite-bandwidth cavity develops.
 
-The transfer coefficients are assembled from the hand-eliminated closed
-form (the mirror coordinate is folded in through the effective
-susceptibility). A redundant per-frequency linear solve over the
-intracavity quadratures is kept as an independent validation oracle.
+The transfer coefficients come from the response kernel
+:func:`optospring.core.spring_response`, the same kernel that runs the
+quasi-static chain at omega * tau = 0; the mirror coordinate is folded
+in through the effective susceptibility. A redundant per-frequency
+linear solve over the intracavity quadratures is kept as an independent
+validation oracle.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    COHERENT,
     NORMALIZED,
     Constants,
+    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
+    QuadratureTransfer,
     WorkingPoint,
     kappa_for_coupling,
-    loop_denominator,
     mech_susceptibility,
+    noise_power,
+    optical_spring,
+    spring_response,
 )
 from .errors import NoDipFoundError, SingularPointError
-from .quasistatic import COHERENT, InputNoiseModel, sql_frequency
+from .quasistatic import sql_frequency
 
 DEFAULT_GRID_DECADES = (1e-2, 1e3)
 DEFAULT_POINTS_PER_DECADE = 400
@@ -56,19 +63,6 @@ class ForceTransfer:
     f_q: complex
     f_m: complex
     f_sig: complex
-
-
-@dataclass(frozen=True)
-class FullTransfer:
-    """Exact output phase-quadrature coefficients.
-
-    ``q_out = c_q * q_in + c_p * p_in + c_sig * X_sig``; reduces to the
-    quasi-static transfer as omega * round_trip -> 0.
-    """
-
-    c_q: complex
-    c_p: complex
-    c_sig: complex
 
 
 @dataclass(frozen=True)
@@ -152,21 +146,19 @@ def radiation_force_transfer(
 
     The incident-field channel carries both quadratures (the phase
     quadrature only enters when the cavity is detuned and the frequency
-    finite); the displacement and signal channels share the prefactor
-    -2 hbar kappa^2 detuning / Delta(omega).
+    finite); the displacement and signal channels are both minus the
+    optical spring, -2 hbar kappa^2 detuning / Delta(omega).
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    hbar = constants.hbar
     g = cavity.gamma
-    u2 = g**2 + detuning**2
     omtau = np.asarray(omega, dtype=float) * cavity.round_trip
-    delta = loop_denominator(cavity, detuning, omega)
-    front = hbar * kappa * math.sqrt(2.0 * g / u2)
+    xi = kappa * math.sqrt(2.0 * g / (g**2 + detuning**2))
+    spring, u2, delta = optical_spring(g, omtau, detuning, xi, constants.hbar)
+    front = constants.hbar * xi
     f_p = front * (u2 - 1j * g * omtau) / delta
     f_q = front * (-1j * detuning * omtau) / delta
-    f_m = -2.0 * hbar * kappa**2 * detuning / delta
-    return ForceTransfer(f_p=f_p, f_q=f_q, f_m=f_m, f_sig=f_m)
+    return ForceTransfer(f_p=f_p, f_q=f_q, f_m=-spring, f_sig=-spring)
 
 
 def full_transfer(
@@ -175,46 +167,17 @@ def full_transfer(
     wp: WorkingPoint,
     omega,
     constants: Constants = NORMALIZED,
-) -> FullTransfer:
+) -> QuadratureTransfer:
     """Exact output phase-quadrature coefficients at ``omega``.
 
-    The mirror coordinate is eliminated through the effective
-    susceptibility applied to the incident-field and signal force
-    channels; the result is substituted into the exact input-output
-    relation for the phase quadrature. Raises if the effective
+    The response kernel at omega * tau; reduces to the quasi-static
+    transfer as omega * round_trip -> 0. Raises if the effective
     susceptibility diverges at a real grid frequency.
     """
-    hbar = constants.hbar
-    g, tau = cavity.gamma, cavity.round_trip
-    psi, xi = wp.detuning, wp.coupling
-    u2 = g**2 + psi**2
     omega = np.asarray(omega, dtype=float)
-    omtau = omega * tau
-    delta = loop_denominator(cavity, psi, omega)
-
-    gain = (u2 - 1j * g * omtau) / delta  # cavity-filtered transduction
-    a_q = (u2 + omtau**2 * (g**2 - psi**2) / u2) / delta
-    a_p = -(2.0 * omtau**2 * g * psi / u2) / delta
-
-    chi = mech_susceptibility(osc, omega)
-    kappa = kappa_for_coupling(cavity, psi, xi)
-    inv_eff = 1.0 / chi + 2.0 * hbar * kappa**2 * psi / delta
-    inv_eff = np.asarray(inv_eff)
-    if np.any(inv_eff == 0):
-        om = np.broadcast_to(omega, inv_eff.shape)
-        bad = om if inv_eff.ndim == 0 else om[np.nonzero(inv_eff == 0)][0]
-        raise SingularPointError(
-            f"effective susceptibility diverges at omega={float(bad)!r}"
-        )
-    chi_eff = 1.0 / inv_eff
-
-    # mirror response to the force channels, folded into the output
-    c_p = 2.0 * hbar * xi**2 * chi_eff * gain**2 + a_p
-    c_q = a_q + 2.0 * xi * gain * chi_eff * (-1j * hbar * xi * psi * omtau / delta)
-    c_sig = 2.0 * xi * gain * chi_eff / chi
-    if np.asarray(c_sig).ndim == 0:
-        return FullTransfer(c_q=complex(c_q), c_p=complex(c_p), c_sig=complex(c_sig))
-    return FullTransfer(c_q=c_q, c_p=c_p, c_sig=c_sig)
+    chi, omtau = mech_susceptibility(osc, omega), omega * cavity.round_trip
+    psi, xi = wp.detuning, wp.coupling
+    return spring_response(chi, cavity.gamma, omtau, psi, xi, constants.hbar)[1]
 
 
 def full_transfer_by_solve(
@@ -223,7 +186,7 @@ def full_transfer_by_solve(
     wp: WorkingPoint,
     omega: float,
     constants: Constants = NORMALIZED,
-) -> FullTransfer:
+) -> QuadratureTransfer:
     """Validation oracle: solve the raw linear system per frequency.
 
     Unknowns are the intracavity quadratures and the mirror displacement;
@@ -265,7 +228,7 @@ def full_transfer_by_solve(
         v2 = -(cth * q_in - sth * p_in) + root2g * q_c
         coeffs.append(-sth * v1 + cth * v2)
     c_p, c_q, c_sig = coeffs
-    return FullTransfer(c_q=c_q, c_p=c_p, c_sig=c_sig)
+    return QuadratureTransfer(c_q=c_q, c_p=c_p, c_sig=c_sig)
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -304,11 +267,7 @@ def spectrum(
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
     t = full_transfer(osc, cavity, wp, grid, constants)
-    power = (
-        np.abs(t.c_q) ** 2 * noise.s_q
-        + np.abs(t.c_p) ** 2 * noise.s_p
-        + 2.0 * np.real(t.c_q * np.conj(t.c_p)) * noise.s_pq
-    )
+    power = noise_power(t, noise)
     sig2 = np.abs(t.c_sig) ** 2
     if np.any(sig2 == 0):
         bad = grid[np.nonzero(sig2 == 0)][0]

@@ -2,10 +2,13 @@
 
 Valid for signal frequencies well below the cavity bandwidth: the output
 phase quadrature carries the signal amplified by the mirror dynamics on
-top of the incident phase and radiation-pressure noises. This module
-provides the output-quadrature transfer, the equivalent-input noise
-spectrum, the standard quantum limit, closed-form optimal working points
-at low and high frequency, and the dissipation-set ultimate limit.
+top of the incident phase and radiation-pressure noises. The chain is
+the response kernel :func:`optospring.core.spring_response` at
+omega * tau = 0, where the optical spring is the static hbar xi^2 psi /
+gamma. This module provides the output-quadrature transfer, the
+equivalent-input noise spectrum, the standard quantum limit, closed-form
+optimal working points at low and high frequency, and the
+dissipation-set ultimate limit.
 """
 
 from __future__ import annotations
@@ -17,52 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COHERENT,
     NORMALIZED,
     Constants,
+    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
+    QuadratureTransfer,
     WorkingPoint,
     mech_susceptibility,
+    noise_power,
+    spring_response,
 )
 from .errors import (
     DegenerateDissipationError,
     NoMeasurementError,
-    SingularPointError,
     StabilityBoundaryError,
 )
-
-
-@dataclass(frozen=True)
-class InputNoiseModel:
-    """Symmetrized spectra of the incident quadrature fluctuations.
-
-    Defaults are the coherent-state values: unit white noise in both
-    quadratures, no cross-correlation. Quadratures are defined relative
-    to the mean-field phase.
-    """
-
-    s_q: float = 1.0
-    s_p: float = 1.0
-    s_pq: float = 0.0
-
-    def __post_init__(self):
-        if self.s_q < 0 or self.s_p < 0:
-            raise ValueError("quadrature spectra must be >= 0")
-
-
-COHERENT = InputNoiseModel()
-
-
-@dataclass(frozen=True)
-class QuadratureTransfer:
-    """Coefficients of the measured output phase quadrature.
-
-    ``q_out = c_q * q_in + c_p * p_in + c_sig * X_sig``.
-    """
-
-    c_q: complex
-    c_p: complex
-    c_sig: complex
 
 
 @dataclass(frozen=True)
@@ -94,19 +68,6 @@ class OptimumPoint:
     balanced_ratio: float | None = None
 
 
-def _chi_eff_quasistatic(osc, gamma, wp, omega, constants):
-    """Optical-spring susceptibility in the quasi-static limit."""
-    chi = mech_susceptibility(osc, omega)
-    inv = 1.0 / chi + constants.hbar * wp.coupling**2 * wp.detuning / gamma
-    inv = np.asarray(inv)
-    if np.any(inv == 0):
-        raise SingularPointError(
-            "effective susceptibility diverges (static stability boundary)"
-        )
-    out = 1.0 / inv
-    return (complex(out) if out.ndim == 0 else out), chi
-
-
 def quadrature_transfer(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -122,14 +83,8 @@ def quadrature_transfer(
     chi_eff / chi. Caller is responsible for omega << cavity bandwidth
     (see :mod:`optospring.finite_bandwidth` for the general case).
     """
-    chi_eff, chi = _chi_eff_quasistatic(osc, cavity.gamma, wp, omega, constants)
-    xi = wp.coupling
-    c_p = 2.0 * constants.hbar * xi**2 * chi_eff
-    c_sig = 2.0 * xi * chi_eff / chi
-    c_q = np.ones_like(np.asarray(c_sig))
-    if np.asarray(c_sig).ndim == 0:
-        return QuadratureTransfer(c_q=1.0 + 0.0j, c_p=c_p, c_sig=c_sig)
-    return QuadratureTransfer(c_q=c_q.astype(complex), c_p=c_p, c_sig=c_sig)
+    chi, psi, xi = mech_susceptibility(osc, omega), wp.detuning, wp.coupling
+    return spring_response(chi, cavity.gamma, 0.0, psi, xi, constants.hbar)[1]
 
 
 def equivalent_input_noise(
@@ -150,15 +105,7 @@ def equivalent_input_noise(
     if wp.coupling == 0:
         raise NoMeasurementError("coupling is zero: the output carries no signal")
     t = quadrature_transfer(osc, cavity, wp, omega, constants)
-    # the balanced-noise floor (zeta + 1/zeta)/2 >= 1 must hold pointwise
-    zeta = np.abs(t.c_p)
-    assert np.all(0.5 * (zeta + 1.0 / zeta) >= 1.0 - 1e-12)
-    power = (
-        np.abs(t.c_q) ** 2 * noise.s_q
-        + np.abs(t.c_p) ** 2 * noise.s_p
-        + 2.0 * np.real(t.c_q * np.conj(t.c_p)) * noise.s_pq
-    )
-    out = power / np.abs(t.c_sig) ** 2
+    out = noise_power(t, noise) / np.abs(t.c_sig) ** 2
     return float(out) if np.asarray(out).ndim == 0 else out
 
 
@@ -177,7 +124,8 @@ def equivalent_input_noise_closed_form(
     """
     if wp.coupling == 0:
         raise NoMeasurementError("coupling is zero: the output carries no signal")
-    chi_eff, chi = _chi_eff_quasistatic(osc, cavity.gamma, wp, omega, constants)
+    chi, psi, xi = mech_susceptibility(osc, omega), wp.detuning, wp.coupling
+    chi_eff = spring_response(chi, cavity.gamma, 0.0, psi, xi, constants.hbar)[0]
     zeta = 2.0 * constants.hbar * wp.coupling**2 * np.abs(chi_eff)
     out = (
         constants.hbar

@@ -305,3 +305,32 @@ class TestFigureCommand:
         assert (out1 / "fig2_curve_d.csv").read_bytes() == (
             out2 / "fig2_curve_d.csv"
         ).read_bytes()
+
+
+class TestGridFlag:
+    # 0.1..10 at 5 points per decade: 2 decades -> 11 points
+    GOOD = "0.1:10:5"
+    BAD = ("10:1:5", "1:1:5", "0:1:5", "-1:1:5", "1:10:0", "1:inf:5", "1:10", "a:b:c")
+
+    def test_spectrum_uses_grid(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--grid", self.GOOD, "--out", str(out)], tmp_path) == 0
+        params, _, rows = read_table(str(out))
+        assert len(rows) == 11
+        assert rows[0][0] == pytest.approx(0.1) and rows[-1][0] == pytest.approx(10.0)
+        assert "grid.points_per_decade = 5" in params
+
+    def test_figure_uses_grid(self, tmp_path):
+        out = tmp_path / "figs"
+        assert run(["figure", "fig3", "--grid", self.GOOD, "--out", str(out)], tmp_path) == 0
+        _, _, rows = read_table(str(out / "fig3_curve_b.csv"))
+        assert len(rows) == 11
+        assert rows[0][0] == pytest.approx(0.1) and rows[-1][0] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("spec", BAD)
+    @pytest.mark.parametrize("command", (["spectrum"], ["figure", "fig3"]))
+    def test_malformed_grid_exit_2(self, tmp_path, capsys, command, spec):
+        out = tmp_path / "out"
+        assert run(command + [f"--grid={spec}", "--out", str(out)], tmp_path) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()

@@ -32,8 +32,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             OpticalCavity(gamma=1.5, round_trip=1e-3, wavevector=1.0)
         with pytest.raises(ValueError):
-            OpticalCavity(gamma=0.01, round_trip=1e-3, wavevector=1.0, bare_detuning=4.0)
-        with pytest.raises(ValueError):
             WorkingPoint(detuning=0.0, coupling=-1.0)
         with pytest.raises(ValueError):
             WorkingPoint(detuning=-3.5, coupling=1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from optospring import (
@@ -80,25 +82,34 @@ class TestForceTransfer:
             assert np.allclose(b, np.conj(a), rtol=1e-13)
 
 
+def _uniform(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
 class TestFullTransfer:
-    def test_matches_linear_solve(self, rng):
-        # the hand-eliminated coefficients against the raw 3x3 solve
-        for _ in range(50):
-            osc = MechanicalOscillator(
-                1.0, 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-6, -2)
-            )
-            cavity = OpticalCavity(
-                gamma=rng.uniform(0.005, 0.05),
-                round_trip=10 ** rng.uniform(-4, -2),
-                wavevector=1.0,
-            )
-            wp = WorkingPoint(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-1, 1))
-            omega = 10 ** rng.uniform(-3, 2)
-            a = full_transfer(osc, cavity, wp, omega)
-            b = full_transfer_by_solve(osc, cavity, wp, omega)
-            assert a.c_q == pytest.approx(b.c_q, rel=1e-9)
-            assert a.c_p == pytest.approx(b.c_p, rel=1e-9)
-            assert a.c_sig == pytest.approx(b.c_sig, rel=1e-9)
+    @settings(derandomize=True, deadline=None)
+    @given(
+        log_resonance=_uniform(-4, 0),
+        log_damping=_uniform(-6, -2),
+        gamma=_uniform(0.005, 0.05),
+        log_round_trip=_uniform(-4, -2),
+        psi=_uniform(-0.5, 0.5),
+        log_xi=_uniform(-1, 1),
+        log_omega=_uniform(-3, 2),
+    )
+    def test_matches_linear_solve(
+        self, log_resonance, log_damping, gamma, log_round_trip, psi, log_xi, log_omega
+    ):
+        # the response kernel against the raw 3x3 solve
+        osc = MechanicalOscillator(1.0, 10**log_resonance, 10**log_damping)
+        cavity = OpticalCavity(gamma=gamma, round_trip=10**log_round_trip, wavevector=1.0)
+        wp = WorkingPoint(psi, 10**log_xi)
+        omega = 10**log_omega
+        a = full_transfer(osc, cavity, wp, omega)
+        b = full_transfer_by_solve(osc, cavity, wp, omega)
+        assert a.c_q == pytest.approx(b.c_q, rel=1e-9)
+        assert a.c_p == pytest.approx(b.c_p, rel=1e-9)
+        assert a.c_sig == pytest.approx(b.c_sig, rel=1e-9)
 
     def test_vacuum_unitarity_without_light(self, high_q_osc, rng):
         # a lossless cavity rotates vacuum noise but cannot create it

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from optospring import (
+    COHERENT,
     DegenerateDissipationError,
     InputNoiseModel,
     MechanicalOscillator,
     NoMeasurementError,
+    OpticalCavity,
     SingularPointError,
     StabilityBoundaryError,
     WorkingPoint,
@@ -18,7 +20,10 @@ from optospring import (
     highfreq_optimum,
     lowfreq_optimum,
     mech_susceptibility,
+    noise_power,
+    optical_spring,
     quadrature_transfer,
+    spring_response,
     sql_frequency,
     sql_point,
     ultimate_quantum_limit,
@@ -45,6 +50,41 @@ class TestQuadratureTransfer:
         xi = math.sqrt(0.5)
         t = quadrature_transfer(high_q_osc, cavity, WorkingPoint(-cavity.gamma, xi), 0.0)
         assert t.c_sig == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+
+
+class TestKernelAtZeroPhaseLag:
+    """The quasi-static chain is the response kernel at omega tau = 0, bit for bit."""
+
+    # 0.044379486491512826**2 != 0.044379486491512826 * 0.044379486491512826
+    GAMMAS = (0.01, 0.044379486491512826, 0.3)
+
+    def test_static_spring(self, rng):
+        for gamma in self.GAMMAS:
+            for _ in range(200):
+                psi, xi = rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-2, 2)
+                spring, _, _ = optical_spring(gamma, 0.0, psi, xi, 1.0)
+                assert spring == xi**2 * psi / gamma
+
+    def test_quasistatic_routes_equal_kernel(self, osc, rng):
+        for gamma in self.GAMMAS:
+            cavity = OpticalCavity(gamma=gamma, round_trip=1e-3, wavevector=1.0)
+            for _ in range(50):
+                wp = WorkingPoint(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-1.5, 1.5))
+                for omega in (rng.uniform(0.0, 3.0), np.geomspace(0.01, 3.0, 7)):
+                    chi = mech_susceptibility(osc, omega)
+                    chi_eff, k = spring_response(
+                        chi, gamma, 0.0, wp.detuning, wp.coupling, 1.0
+                    )
+                    t = quadrature_transfer(osc, cavity, wp, omega)
+                    for got, want in ((t.c_q, k.c_q), (t.c_p, k.c_p), (t.c_sig, k.c_sig)):
+                        assert np.array_equal(got, want)
+                    noise = noise_power(k, COHERENT) / np.abs(k.c_sig) ** 2
+                    got = equivalent_input_noise(osc, cavity, wp, omega)
+                    assert np.array_equal(got, noise)
+                    zeta = 2.0 * wp.coupling**2 * np.abs(chi_eff)
+                    closed = np.abs(chi) * np.abs(chi / chi_eff) * 0.5 * (zeta + 1.0 / zeta)
+                    got = equivalent_input_noise_closed_form(osc, cavity, wp, omega)
+                    assert np.array_equal(got, closed)
 
 
 class TestEquivalentInputNoise:
