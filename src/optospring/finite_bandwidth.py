@@ -353,19 +353,19 @@ def dip_analysis(
     pred_depth = 2.0 * (g / psi) ** 2 if psi != 0 else math.inf
     s_ref = constants.hbar / (osc.mass * omega_sql**2)
 
+    def distance(cand, pred):
+        return abs(math.log(cand[0] / pred))
+
     minus = plus = None
-    if len(found) >= 2 and pred_minus is not None:
+    if pred_minus is None:
+        # no spring dip expected: the loop dip is the one nearest its prediction
+        plus = min(found, key=lambda cand: distance(cand, pred_plus))
+    elif len(found) >= 2:
         minus, plus = found[0], found[-1]
+    elif distance(found[0], pred_plus) < distance(found[0], pred_minus):
+        plus = found[0]
     else:
-        # single dip (or no spring dip expected): assign by log proximity
-        for cand in found:
-            targets = [(abs(math.log(cand[0] / pred_plus)), "plus")]
-            if pred_minus is not None:
-                targets.append((abs(math.log(cand[0] / pred_minus)), "minus"))
-            if min(targets)[1] == "plus" and plus is None:
-                plus = cand
-            elif minus is None:
-                minus = cand
+        minus = found[0]
 
     def local_ratio(dip):
         chi = mech_susceptibility(osc, dip[0])

@@ -4,9 +4,14 @@ Serves two purposes: a user-facing optimum finder over the working-point
 parameters, and an independent numeric oracle for every closed-form
 optimum in :mod:`optospring.quasistatic`. Searches are deterministic
 (fixed seeding, no randomness): a coarse logarithmic pre-scan brackets
-the minimum, then a golden-section/parabolic (Brent) polish runs inside
-the bracket. The coupling is searched in log(coupling^2), where the
-objective spans decades but is nearly quadratic around its minimum.
+the minimum, then a golden-section/parabolic polish runs inside the
+bracket. The polish is Brent's bounded minimizer (Brent 1973,
+*Algorithms for Minimization without Derivatives*), implemented here
+step for step as SciPy's ``minimize_scalar(method="bounded")``, so the
+package needs only numpy. The coupling is searched in log(coupling^2),
+where the objective spans decades but is nearly quadratic around its
+minimum; the quasi-static coupling objective broadcasts, so its whole
+pre-scan is one array evaluation of the response kernel.
 """
 
 from __future__ import annotations
@@ -15,21 +20,32 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
+    COHERENT,
     NORMALIZED,
     Constants,
+    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
     WorkingPoint,
+    mech_susceptibility,
+    noise_power,
+    spring_response,
     stability,
 )
 from .errors import DegenerateDissipationError
-from .quasistatic import COHERENT, InputNoiseModel, equivalent_input_noise, sql_point
+from .quasistatic import sql_point
 
 # searches stop this far (relative) inside the static-stability margin
 STABILITY_CLAMP = 1e-6
+
+# an optimum this close to an end of its search range, relative to the
+# range width, is reported as stopped at a bound
+AT_BOUND_TOL = 1e-6
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -56,7 +72,12 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Outcome of one numeric search."""
+    """Outcome of one numeric search.
+
+    ``converged`` says the polish met its tolerance; ``at_bound`` says
+    the optimum sits at an end of the range searched, where the true
+    minimum may lie beyond it.
+    """
 
     coupling2: float
     detuning: float | None
@@ -65,6 +86,7 @@ class OptimResult:
     iterations: int
     converged: bool
     constraint_active: bool
+    at_bound: bool
 
 
 @dataclass(frozen=True)
@@ -98,19 +120,105 @@ def static_coupling2_bound(
     return gamma / (constants.hbar * chi0 * abs(detuning))
 
 
+def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
+    """Minimize a scalar function on [a, b] by Brent's bounded method.
+
+    Golden-section steps, accepted parabolic steps and the stopping rule
+    of Brent's FMIN, written step for step as SciPy's
+    ``_minimize_scalar_bounded``, so its iterates, tolerances and
+    evaluation count are those of ``minimize_scalar(method="bounded")``.
+    Returns ``(x, f(x), evaluations, converged)``; a run that reaches
+    ``maxiter`` evaluations or meets a NaN has not converged.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = f(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    stopped = False
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            stopped = True
+            break
+    ok = not (stopped or math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+    return xf, fx, num, ok
+
+
+def _at_bound(x: float, lo: float, hi: float) -> bool:
+    """Whether ``x`` lies within AT_BOUND_TOL of the width from an end of [lo, hi]."""
+    return min(x - lo, hi - x) <= AT_BOUND_TOL * (hi - lo)
+
+
 def minimize_over_xi(
     objective,
     spec: SearchSpec = SearchSpec(),
     xi2_max_stable: float | None = None,
+    *,
+    vectorized: bool = False,
 ) -> OptimResult:
     """Minimize a noise objective over the coupling.
 
     ``objective`` maps a coupling value to a noise level (quasi-static or
     full-bandwidth, at fixed frequency and detuning). The search runs on
     log(coupling^2): a deterministic seed scan brackets the minimum, then
-    a bounded Brent polish finishes. When ``xi2_max_stable`` is given the
-    upper bound is clamped just inside the static-stability margin and an
-    optimum pushed against it is flagged ``constraint_active``.
+    a bounded Brent polish finishes. With ``vectorized`` the objective
+    also maps an array of couplings elementwise, and the seed scan is one
+    call on all seed couplings; the polish always calls it on scalars.
+    When ``xi2_max_stable`` is given the upper bound is clamped just
+    inside the static-stability margin and an optimum pushed against it
+    is flagged ``constraint_active``. ``at_bound`` flags an optimum at
+    either end of the (clamped) log(coupling^2) range.
     """
     lo, hi = spec.xi2_bounds
     constrained = xi2_max_stable is not None and xi2_max_stable < hi
@@ -119,34 +227,61 @@ def minimize_over_xi(
         if hi <= lo:
             raise ValueError("stability bound leaves an empty coupling bracket")
     t = np.linspace(math.log(lo), math.log(hi), spec.seed_points)
-    seed_vals = np.array([objective(math.sqrt(math.exp(u))) for u in t])
+    seed_xi = [math.sqrt(math.exp(u)) for u in t]
+    if vectorized:
+        seed_vals = np.asarray(objective(np.array(seed_xi)), dtype=float)
+    else:
+        seed_vals = np.array([objective(xi) for xi in seed_xi])
     i = int(np.argmin(seed_vals))
     i = min(max(i, 1), len(t) - 2)
-    res = minimize_scalar(
+    u, level, nfev, ok = _bounded_brent(
         lambda u: objective(math.sqrt(math.exp(u))),
-        bounds=(t[i - 1], t[i + 1]),
-        method="bounded",
-        options={"xatol": spec.rel_tol, "maxiter": spec.max_iter},
+        t[i - 1], t[i + 1], spec.rel_tol, spec.max_iter,
     )
-    xi2, level = float(math.exp(res.x)), float(res.fun)
     j = int(np.argmin(seed_vals))
     if seed_vals[j] < level:  # polish must never lose to its own seed
-        xi2, level = float(math.exp(t[j])), float(seed_vals[j])
+        # report the scalar value: an array scan may round its last bits apart
+        u, level = t[j], objective(seed_xi[j])
+    xi2 = float(math.exp(u))
     active = constrained and (hi - xi2) / hi < 1e-5
     return OptimResult(
         coupling2=xi2,
         detuning=None,
-        level=level,
+        level=float(level),
         ratio_to_sql=None,
-        iterations=spec.seed_points + int(res.nfev),
-        converged=bool(res.success),
+        iterations=spec.seed_points + nfev,
+        converged=ok,
         constraint_active=active,
+        at_bound=_at_bound(u, t[0], t[-1]),
     )
 
 
-def _quasistatic_cavity(gamma: float) -> OpticalCavity:
-    # round_trip and wavevector never enter the quasi-static noise chain
-    return OpticalCavity(gamma=gamma, round_trip=1e-9, wavevector=1.0)
+def _quasistatic_objective(
+    osc: MechanicalOscillator,
+    gamma: float,
+    detuning: float,
+    omega: float,
+    noise: InputNoiseModel = COHERENT,
+    constants: Constants = NORMALIZED,
+):
+    """Quasi-static equivalent-input noise as a function of the coupling.
+
+    The response kernel at omega tau = 0 with chi computed once: for a
+    scalar coupling it gives the bits of
+    :func:`optospring.quasistatic.equivalent_input_noise`, and it maps an
+    array of couplings elementwise.
+    """
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
+    # a phase-checked Python float keeps the scalar complex rounding
+    psi = WorkingPoint(detuning, 0.0).detuning
+    chi = mech_susceptibility(osc, omega)
+
+    def objective(xi):
+        t = spring_response(chi, gamma, 0.0, psi, xi, constants.hbar)[1]
+        return noise_power(t, noise) / np.abs(t.c_sig) ** 2
+
+    return objective
 
 
 def minimize_xi_quasistatic(
@@ -159,18 +294,13 @@ def minimize_xi_quasistatic(
     constants: Constants = NORMALIZED,
 ) -> OptimResult:
     """Numeric coupling optimum of the quasi-static noise at one point."""
-    cavity = _quasistatic_cavity(gamma)
-
-    def objective(xi):
-        wp = WorkingPoint(detuning=detuning, coupling=xi)
-        return equivalent_input_noise(osc, cavity, wp, omega, noise, constants)
-
+    objective = _quasistatic_objective(osc, gamma, detuning, omega, noise, constants)
     bound = None
     if spec.stability_constrained:
         bound = static_coupling2_bound(osc, gamma, detuning, constants)
         if not math.isfinite(bound):
             bound = None
-    res = minimize_over_xi(objective, spec, xi2_max_stable=bound)
+    res = minimize_over_xi(objective, spec, xi2_max_stable=bound, vectorized=True)
     ref = sql_point(osc, omega, constants)
     return OptimResult(
         coupling2=res.coupling2,
@@ -180,6 +310,7 @@ def minimize_xi_quasistatic(
         iterations=res.iterations,
         converged=res.converged,
         constraint_active=res.constraint_active,
+        at_bound=res.at_bound,
     )
 
 
@@ -194,7 +325,8 @@ def minimize_over_detuning(
 
     Nested search: an outer scan-plus-Brent over the detuning, each step
     minimizing over the coupling. Requires mechanical dissipation, since
-    otherwise no finite optimum exists off resonance.
+    otherwise no finite optimum exists off resonance. ``at_bound`` flags
+    a detuning at either end of the searched detuning range.
     """
     if osc.damping == 0:
         raise DegenerateDissipationError(
@@ -215,16 +347,11 @@ def minimize_over_detuning(
     seed_vals = np.array([outer(pi).level for pi in p])
     i = int(np.argmin(seed_vals))
     i = min(max(i, 1), len(p) - 2)
-    res = minimize_scalar(
-        lambda q: outer(q).level,
-        bounds=(p[i - 1], p[i + 1]),
-        method="bounded",
-        options={"xatol": spec.rel_tol, "maxiter": spec.max_iter},
+    psi_opt, level, _, ok = _bounded_brent(
+        lambda q: outer(q).level, p[i - 1], p[i + 1], spec.rel_tol, spec.max_iter
     )
-    psi_opt = float(res.x)
     j = int(np.argmin(seed_vals))
-    if seed_vals[j] < res.fun:
-        psi_opt = float(p[j])
+    psi_opt = float(p[j] if seed_vals[j] < level else psi_opt)
     best = outer(psi_opt)
     return OptimResult(
         coupling2=best.coupling2,
@@ -232,8 +359,9 @@ def minimize_over_detuning(
         level=best.level,
         ratio_to_sql=best.ratio_to_sql,
         iterations=evals,
-        converged=bool(res.success) and best.converged,
+        converged=ok and best.converged,
         constraint_active=best.constraint_active,
+        at_bound=_at_bound(psi_opt, lo, hi),
     )
 
 

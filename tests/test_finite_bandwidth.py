@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,21 @@ class TestSpectrum:
             assert rep.omega_minus is None
             assert rep.omega_plus is not None
             assert rep.below_sql_plus is below
+
+    def test_negative_detuning_extra_minimum_not_a_spring_dip(self):
+        # a synthetic second minimum below the loop dip: no spring dip is
+        # predicted at negative detuning, so nothing may land in omega_minus
+        osc, cavity, wp = fig4_setup(-10.0, 2.0)
+        sp = spectrum(osc, cavity, wp, default_grid(1.0))
+        loop = dip_analysis(sp, osc, cavity, wp).omega_plus
+        reference = spectrum(osc, cavity, WorkingPoint(0.0, wp.coupling), sp.omega)
+        s_sig = sp.s_sig.copy()
+        k = int(np.searchsorted(sp.omega, 1.0))
+        s_sig[k] = 0.5 * reference.s_sig[k]
+        rep = dip_analysis(dataclasses.replace(sp, s_sig=s_sig), osc, cavity, wp)
+        assert rep.count == 2
+        assert rep.omega_minus is None
+        assert rep.omega_plus == loop
 
 
 class TestDipAnalysis:

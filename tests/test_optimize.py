@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+import optospring
 from optospring import (
     DegenerateDissipationError,
     MechanicalOscillator,
@@ -27,8 +35,111 @@ from optospring import (
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
+from optospring.optimize import _bounded_brent, _quasistatic_objective
 
 GAMMA = 0.01
+
+
+def _uniform(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _objective(kind, c, w):
+    """Smooth, spiky, stepped or NaN test objectives with centre c and scale w."""
+    if kind == "quadratic":
+        return lambda x: w * (x - c) ** 2
+    if kind == "quartic":
+        return lambda x: (x - c) ** 4 - w * (x - c) ** 2
+    if kind == "spiky":
+        return lambda x: (x - c) ** 2 + 0.5 * math.sin(8.0 * w * x) ** 2
+    if kind == "kink":
+        return lambda x: abs(x - c) + w * math.floor(4.0 * x)
+    if kind == "steps":  # plateaus: exact ties between evaluations
+        return lambda x: float(math.floor(w * abs(x - c)))
+    return lambda x: math.nan if x > c else (x - c) ** 2
+
+
+class TestBoundedBrent:
+    """The in-house polish against SciPy's bounded minimizer, bit for bit."""
+
+    @staticmethod
+    def _both(make, a, b, xatol, maxiter):
+        """Run both minimizers, each on a fresh ``make()``; log every call."""
+        ours, theirs = [], []
+        f, g = make(), make()
+        got = _bounded_brent(lambda x: ours.append(x) or f(x), a, b, xatol, maxiter)
+        res = minimize_scalar(
+            lambda x: theirs.append(x) or g(x), bounds=(a, b), method="bounded",
+            options={"xatol": xatol, "maxiter": maxiter},
+        )
+        ref = (float(res.x), float(res.fun), int(res.nfev), bool(res.success))
+        assert list(map(repr, map(float, ours))) == list(map(repr, map(float, theirs)))
+        assert list(map(repr, got)) == list(map(repr, ref))
+        return got
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(
+        kind=st.sampled_from(["quadratic", "quartic", "spiky", "kink", "steps", "nan"]),
+        a=_uniform(-20.0, 20.0),
+        width=st.floats(1e-9, 40.0),
+        c=_uniform(-25.0, 25.0),
+        log_w=_uniform(-3.0, 3.0),
+        xatol=st.sampled_from([1e-14, 1e-8, 1e-5, 1e-2]),
+        maxiter=st.sampled_from([1, 2, 5, 200, 500]),
+    )
+    def test_matches_scipy(self, kind, a, width, c, log_w, xatol, maxiter):
+        self._both(lambda: _objective(kind, c, 10**log_w), a, a + width, xatol, maxiter)
+
+    def test_maxiter_one_stops_unconverged(self):
+        got = self._both(lambda: lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-8, 1)
+        assert got[2] == 2 and not got[3]
+
+    def test_nan_objective_not_converged(self):
+        got = self._both(lambda: lambda x: math.nan, -1.0, 2.0, 1e-8, 200)
+        assert not got[3]
+
+    def test_late_nan_not_converged(self):
+        # finite for the first calls, then NaN: the best value stays finite
+        # but the last one is NaN, which also counts as not converged
+        def make():
+            calls = iter(range(10**9))
+            return lambda x: (x - 0.3) ** 2 if next(calls) < 5 else math.nan
+
+        got = self._both(make, -1.0, 2.0, 1e-8, 200)
+        assert math.isfinite(got[1]) and not got[3]
+
+
+class TestBatchedSeedScan:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        log_omega=_uniform(-2.0, 1.0),
+        psi=_uniform(-3.14, 3.14),
+        log_gamma=_uniform(-3.0, -0.5),
+        log_damping=_uniform(-4.0, -0.3),
+    )
+    def test_matches_scalar_noise(self, log_omega, psi, log_gamma, log_damping):
+        # the one-call seed scan equals the per-point equivalent_input_noise
+        osc = MechanicalOscillator(1.0, 1.0, 10**log_damping)
+        gamma, omega = 10**log_gamma, 10**log_omega
+        cavity = _cavity_for(gamma)
+        spec = SearchSpec()
+        t = np.linspace(*map(math.log, spec.xi2_bounds), spec.seed_points)
+        seed_xi = [math.sqrt(math.exp(u)) for u in t]
+        objective = _quasistatic_objective(osc, gamma, psi, omega)
+        batch = objective(np.array(seed_xi))
+        for xi, value in zip(seed_xi, batch):
+            point = equivalent_input_noise(osc, cavity, WorkingPoint(psi, xi), omega)
+            assert objective(xi) == point
+            assert abs(value - point) <= 1e-14 * point
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = Path(optospring.__file__).parents[1]
+        code = "import sys, optospring.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSearchSpec:
@@ -94,9 +205,18 @@ class TestMinimizeOverXi:
     def test_constraint_clamp_and_flag(self):
         # monotone-decreasing objective pushes against the stability clamp
         res = minimize_over_xi(lambda xi: 1.0 / xi, xi2_max_stable=10.0)
-        assert res.constraint_active
+        assert res.constraint_active and res.at_bound
         assert res.coupling2 <= 10.0
         assert res.coupling2 == pytest.approx(10.0, rel=1e-4)
+
+    def test_optimum_at_range_end_flagged(self):
+        res = minimize_over_xi(lambda xi: 1.0 / xi)
+        assert res.at_bound and res.converged
+        assert res.coupling2 == pytest.approx(SearchSpec().xi2_bounds[1], rel=1e-6)
+
+    def test_interior_optimum_not_at_bound(self, osc):
+        res = minimize_xi_quasistatic(osc, GAMMA, -0.05, 0.5)
+        assert res.converged and not res.at_bound
 
     def test_interior_optimum_not_flagged(self, high_q_osc):
         spec = SearchSpec(stability_constrained=True)
@@ -118,6 +238,7 @@ class TestMinimizeOverDetuning:
     def test_matches_closed_form_point(self, osc):
         res = minimize_over_detuning(osc, GAMMA, 0.5)
         best = ultimate_quantum_limit(osc, 0.5, GAMMA)
+        assert not res.at_bound
         assert res.level == pytest.approx(best.level, rel=1e-6)
         assert res.detuning == pytest.approx(best.detuning, rel=1e-4)
 
@@ -126,6 +247,14 @@ class TestMinimizeOverDetuning:
             res = minimize_over_detuning(osc, GAMMA, omega)
             chi = mech_susceptibility(osc, omega)
             assert res.level == pytest.approx(abs(chi.imag), rel=1e-4)
+
+    def test_optimum_beyond_bracket_at_bound(self, high_q_osc):
+        # the closed-form detuning lies far outside (-pi, pi]: the search
+        # stops at -pi, converged but flagged at_bound
+        res = minimize_over_detuning(high_q_osc, GAMMA, omega=0.5)
+        assert ultimate_quantum_limit(high_q_osc, 0.5, GAMMA).detuning < -math.pi
+        assert res.converged and res.at_bound
+        assert res.detuning == pytest.approx(SearchSpec().psi_bounds[0], abs=1e-9)
 
     def test_degenerate_without_damping(self):
         free = MechanicalOscillator(1.0, 1.0, 0.0)
