@@ -33,6 +33,7 @@ from .core import (
     solve_self_consistent_detuning,
     spring_response,
     stability,
+    stability_margins,
     steady_state,
     wrap_phase,
 )

@@ -18,9 +18,11 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
+from . import core
 from . import finite_bandwidth as fb
 from . import optimize as opt
 from . import quasistatic as qs
@@ -29,7 +31,6 @@ from .core import OpticalCavity, WorkingPoint, mech_susceptibility, stability
 from .errors import (
     ConfigError,
     ConvergenceError,
-    NoMeasurementError,
     SingularPointError,
 )
 
@@ -43,15 +44,6 @@ FIGURE_DETUNINGS = {
 FIGURE_BANDWIDTHS = {"fig4": (2.0, 2.0, 2.0, 2.0, 2.0, 1.0 / 3.0)}
 FIGURE_GRIDS = {"fig2": (1e-2, 1e2, 200), "fig3": (1e-1, 1e1, 400), "fig4": (1e-2, 1e3, 400)}
 CURVE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _cell(value) -> str:
-    """One CSV cell with full round-trip precision."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -68,24 +60,45 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv_cells(col: np.ndarray) -> list[str]:
+    """A column's CSV cells: floats at full round-trip precision, flags as 0/1."""
+    if col.dtype.kind == "f":
+        return list(map(repr, col.tolist()))
+    return list(map(str, col.astype(int).tolist()))
+
+
+def _json_cells(col: np.ndarray) -> list:
+    """A column's JSON values: flags stay booleans, integers become floats."""
+    return col.tolist() if col.dtype.kind in "fb" else col.astype(float).tolist()
+
+
 def write_table(
     path: str,
     kind: str,
     out_format: str,
     param_lines: list[str],
     columns: list[str],
-    blocks: list[tuple[str, list]],
+    blocks: list[tuple[str, np.ndarray]],
 ) -> None:
-    """Emit a dataset as CSV (comment header + rows) or its JSON mirror."""
+    """Emit a dataset as CSV (comment header + rows) or its JSON mirror.
+
+    Each block is a ``(label, table)`` pair: ``table`` is a numpy
+    structured array, one row per data row and one field per entry of
+    ``columns``, in order, as built by ``np.rec.fromarrays(columns)``.
+    Each field is formatted once as a column by its dtype: a float field
+    by ``repr`` (shortest round trip), a bool or integer field as 0/1 in
+    CSV; in JSON a bool field stays boolean and an integer field turns
+    float.
+    """
     if out_format == "csv":
         lines = [f"# optospring {kind} {SCHEMA_VERSION}"]
         lines += [f"# {p}" for p in param_lines]
         lines.append(",".join(columns))
-        for label, rows in blocks:
+        for label, table in blocks:
             if label:
                 lines.append(f"# {label}")
-            for row in rows:
-                lines.append(",".join(_cell(v) for v in row))
+            cells = [_csv_cells(table[name]) for name in table.dtype.names]
+            lines += map(",".join, zip(*cells))
         _atomic_write(path, "\n".join(lines) + "\n")
     else:
         doc = {
@@ -95,12 +108,11 @@ def write_table(
             "blocks": [
                 {
                     "label": label,
-                    "rows": [
-                        [bool(v) if isinstance(v, (bool, np.bool_)) else float(v) for v in row]
-                        for row in rows
-                    ],
+                    "rows": list(
+                        map(list, zip(*(_json_cells(table[n]) for n in table.dtype.names)))
+                    ),
                 }
-                for label, rows in blocks
+                for label, table in blocks
             ],
         }
         _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
@@ -136,6 +148,17 @@ def _out_path(cfg: RunConfig, default_stem: str, override: str | None) -> str:
     return f"{default_stem}.{cfg.out_format}"
 
 
+def _noise_table(finite, osc, cavity, wp, grid, constants, scale=1.0) -> np.ndarray:
+    """Columns omega / scale, s_sig, s_sql, ratio of a finite or quasi-static spectrum."""
+    if finite:
+        sp = fb.spectrum(osc, cavity, wp, grid, constants=constants)
+        s_sig, s_sql = sp.s_sig, sp.s_sql
+    else:
+        s_sig = qs.equivalent_input_noise(osc, cavity, wp, grid, constants=constants)
+        s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
+    return np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
+
+
 def cmd_spectrum(cfg: RunConfig, out_override: str | None = None) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
@@ -147,26 +170,14 @@ def cmd_spectrum(cfg: RunConfig, out_override: str | None = None) -> int:
         grid = fb.log_grid(
             cfg.grid_lo * scale, cfg.grid_hi * scale, cfg.grid_points_per_decade
         )
-        if cfg.model == "finite":
-            sp = fb.spectrum(cfg.oscillator, cfg.cavity, wp, grid, constants=cfg.constants)
-            s_sig, s_sql = sp.s_sig, sp.s_sql
-        else:
-            try:
-                s_sig = qs.equivalent_input_noise(
-                    cfg.oscillator, cfg.cavity, wp, grid, constants=cfg.constants
-                )
-            except NoMeasurementError as exc:  # pragma: no cover - guarded above
-                raise ConfigError(str(exc)) from None
-            s_sql = cfg.constants.hbar * np.abs(mech_susceptibility(cfg.oscillator, grid))
+        table = _noise_table(
+            cfg.model == "finite", cfg.oscillator, cfg.cavity, wp, grid, cfg.constants, scale
+        )
         label = (
             f"point detuning={wp.detuning!r} coupling={wp.coupling!r} "
             f"omega_sql={omega_sql!r}"
         )
-        rows = [
-            (om / scale, s, q, s / q)
-            for om, s, q in zip(grid, np.atleast_1d(s_sig), np.atleast_1d(s_sql))
-        ]
-        blocks.append((label, rows))
+        blocks.append((label, table))
     path = _out_path(cfg, "spectrum", out_override)
     write_table(
         path,
@@ -178,17 +189,6 @@ def cmd_spectrum(cfg: RunConfig, out_override: str | None = None) -> int:
     )
     print(path)
     return 0
-
-
-def _stability_dict(cfg: RunConfig, wp: WorkingPoint) -> dict:
-    rep = stability(cfg.oscillator, cfg.cavity, wp, cfg.constants)
-    return {
-        "static_ok": rep.static_ok,
-        "dynamic_ok": rep.dynamic_ok,
-        "gamma_eff": rep.gamma_eff,
-        "static_margin": rep.static_margin,
-        "dynamic_margin": rep.dynamic_margin,
-    }
 
 
 def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
@@ -221,7 +221,7 @@ def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
                 "level": closed.level,
                 "ratio_to_sql": closed.ratio_to_sql,
             },
-            stability=_stability_dict(cfg, wp_min),
+            stability=asdict(stability(cfg.oscillator, cfg.cavity, wp_min, cfg.constants)),
         )
     elif cfg.optimize_mode == "detuning":
         res = opt.minimize_over_detuning(
@@ -248,7 +248,7 @@ def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
                 "level": closed.level,
                 "ratio_to_sql": closed.ratio_to_sql,
             },
-            stability=_stability_dict(cfg, wp_min),
+            stability=asdict(stability(cfg.oscillator, cfg.cavity, wp_min, cfg.constants)),
         )
     else:  # uql-sweep
         rows = []
@@ -291,19 +291,11 @@ def cmd_stability(cfg: RunConfig, out_override: str | None = None) -> int:
     grid = opt.stability_map(
         cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_abs, cfg.constants
     )
-    rows = []
-    for a in range(psi_norm.size):
-        for b in range(xi2_norm.size):
-            rows.append(
-                (
-                    xi2_norm[b],
-                    psi_norm[a],
-                    int(grid.static_ok[a, b]),
-                    int(grid.dynamic_ok[a, b]),
-                    grid.static_margin[a, b],
-                    grid.dynamic_margin[a, b],
-                )
-            )
+    # rows run over psi, then xi2; the flags are written as integers
+    flags = [grid.static_ok.astype(int), grid.dynamic_ok.astype(int)]
+    cells = [a.ravel() for a in (*flags, grid.static_margin, grid.dynamic_margin)]
+    axes = [np.tile(xi2_norm, psi_norm.size), np.repeat(psi_norm, xi2_norm.size)]
+    table = np.rec.fromarrays(axes + cells)
     path = _out_path(cfg, "stability", out_override)
     write_table(
         path,
@@ -312,7 +304,7 @@ def cmd_stability(cfg: RunConfig, out_override: str | None = None) -> int:
         cfg.param_lines()
         + [f"xi2_norm unit = {xi_sql2!r}", f"psi_norm unit = {gamma!r}"],
         ["xi2_norm", "psi_norm", "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"],
-        [("", rows)],
+        [("", table)],
     )
     print(path)
     return 0
@@ -373,26 +365,23 @@ def cmd_figure(
         }
         manifest["parameters"] = {
             "gamma": gamma,
-            "oscillator": {
-                "mass": osc.mass,
-                "resonance_freq": osc.resonance_freq,
-                "damping": osc.damping,
-            },
+            "oscillator": asdict(osc),
             "note": "s_sig is inf exactly on the static stability boundary",
         }
+        hbar, chi = cfg.constants.hbar, mech_susceptibility(osc, 0.0)
+        xi = np.sqrt(grid * xi_sql2)
         for idx, r in enumerate(ratios):
-            rows = []
-            for x in grid:
-                wp = WorkingPoint(detuning=r * gamma, coupling=math.sqrt(x * xi_sql2))
-                try:
-                    s = qs.equivalent_input_noise(
-                        osc, cfg.cavity, wp, 0.0, constants=cfg.constants
-                    )
-                except SingularPointError:
-                    s = math.inf
-                rep = stability(osc, cfg.cavity, wp, cfg.constants)
-                rows.append((x, s, s_sql, s / s_sql, rep.static_ok, rep.dynamic_ok))
-            _emit_curve(cfg, manifest, out_dir, figure, idx, r, None, columns, rows)
+            psi = r * gamma
+            noise = opt._quasistatic_objective(osc, gamma, psi, 0.0, constants=cfg.constants)
+            # the kernel's boundary test: cells where 1/chi_eff vanishes are written as inf
+            live = 1.0 / chi + core.optical_spring(gamma, 0.0, psi, xi, hbar)[0] != 0
+            s = np.full(grid.shape, math.inf)
+            s[live] = noise(xi[live])
+            static, dynamic = core.stability_margins(osc, cfg.cavity, psi, xi, cfg.constants)
+            table = np.rec.fromarrays(
+                [grid, s, np.full(grid.shape, s_sql), s / s_sql, static > 0, dynamic > 0]
+            )
+            _emit_curve(cfg, manifest, out_dir, figure, idx, r, None, columns, table)
     else:
         omega_sql = 1.0
         xi = math.sqrt(0.5 / cfg.constants.hbar)  # makes omega_sql exactly 1
@@ -405,36 +394,19 @@ def cmd_figure(
             "s_ref": s_ref,
             "coupling2": xi**2,
         }
-        manifest["parameters"] = {
-            "gamma": gamma,
-            "oscillator": {
-                "mass": osc.mass,
-                "resonance_freq": osc.resonance_freq,
-                "damping": osc.damping,
-            },
-        }
+        manifest["parameters"] = {"gamma": gamma, "oscillator": asdict(osc)}
         for idx, r in enumerate(ratios):
             wp = WorkingPoint(detuning=r * gamma, coupling=xi)
-            if figure == "fig3":
-                s_sig = qs.equivalent_input_noise(
-                    osc, cfg.cavity, wp, grid, constants=cfg.constants
-                )
-                s_sql = cfg.constants.hbar * np.abs(mech_susceptibility(osc, grid))
-                bandwidth = None
-            else:
+            bandwidth, cavity = None, cfg.cavity
+            if figure == "fig4":
                 bandwidth = bws[idx]
                 cavity = OpticalCavity(
                     gamma=gamma,
                     round_trip=gamma / (bandwidth * omega_sql),
                     wavevector=cfg.cavity.wavevector,
                 )
-                sp = fb.spectrum(osc, cavity, wp, grid, constants=cfg.constants)
-                s_sig, s_sql = sp.s_sig, sp.s_sql
-            rows = [
-                (om, s, q, s / q)
-                for om, s, q in zip(grid, np.atleast_1d(s_sig), np.atleast_1d(s_sql))
-            ]
-            _emit_curve(cfg, manifest, out_dir, figure, idx, r, bandwidth, columns, rows)
+            table = _noise_table(figure == "fig4", osc, cavity, wp, grid, cfg.constants)
+            _emit_curve(cfg, manifest, out_dir, figure, idx, r, bandwidth, columns, table)
 
     manifest_path = os.path.join(out_dir, f"{figure}_manifest.json")
     _write_json(manifest_path, manifest)
@@ -442,14 +414,14 @@ def cmd_figure(
     return 0
 
 
-def _emit_curve(cfg, manifest, out_dir, figure, idx, detuning_ratio, bandwidth, columns, rows):
+def _emit_curve(cfg, manifest, out_dir, figure, idx, detuning_ratio, bandwidth, columns, table):
     letter = CURVE_LETTERS[idx]
     name = f"{figure}_curve_{letter}.{cfg.out_format}"
     path = os.path.join(out_dir, name)
     label = f"curve {letter}: detuning_over_gamma={detuning_ratio!r}"
     if bandwidth is not None:
         label += f" bandwidth_over_omega_sql={bandwidth!r}"
-    write_table(path, f"{figure}-curve", cfg.out_format, [label], columns, [("", rows)])
+    write_table(path, f"{figure}-curve", cfg.out_format, [label], columns, [("", table)])
     entry = {"file": name, "detuning_over_gamma": detuning_ratio}
     if bandwidth is not None:
         entry["bandwidth_over_omega_sql"] = bandwidth

@@ -348,10 +348,10 @@ def input_from_coupling(
     return coupling * (g**2 + detuning**2) / (4.0 * cavity.wavevector * g)
 
 
-def kappa_for_coupling(cavity: OpticalCavity, detuning: float, coupling: float) -> float:
-    """Frequency-pull rate kappa corresponding to a coupling value."""
+def kappa_for_coupling(cavity: OpticalCavity, detuning, coupling):
+    """Frequency-pull rate kappa corresponding to a coupling value; broadcasts."""
     g = cavity.gamma
-    return coupling * math.sqrt((g**2 + detuning**2) / (2.0 * g))
+    return coupling * np.sqrt((g**2 + detuning**2) / (2.0 * g))
 
 
 def solve_self_consistent_detuning(
@@ -424,17 +424,17 @@ def effective_susceptibility(
 def effective_damping(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
-    detuning: float,
-    kappa: float,
+    detuning,
+    kappa,
     constants: Constants = NORMALIZED,
-) -> float:
-    """Effective mechanical damping in the detuned cavity.
+):
+    """Effective mechanical damping in the detuned cavity; broadcasts.
 
     Valid for a high-Q oscillator, where the modified response is still
     Lorentzian; the resonance is widened (detuning < 0) or narrowed
     (detuning > 0). Emits a warning outside the high-Q regime.
     """
-    if kappa < 0:
+    if np.any(kappa < 0):
         raise ValueError("kappa must be >= 0")
     if not osc.is_high_q:
         warnings.warn(
@@ -473,6 +473,30 @@ def effective_susceptibility_poles(
     return np.roots(poly)
 
 
+def stability_margins(
+    osc: MechanicalOscillator,
+    cavity: OpticalCavity,
+    detuning,
+    coupling,
+    constants: Constants = NORMALIZED,
+):
+    """Static and dynamic stability margins ``(static, dynamic)``; broadcasts.
+
+    The static margin is the bistability condition
+    gamma^2 + psi^2 + 2 hbar kappa^2 chi[0] psi, evaluated in its
+    equivalent factored form (gamma^2 + psi^2)(1 + hbar xi^2 chi[0]
+    psi / gamma) so that its zero set coincides bit-for-bit with the
+    divergence of the signal amplification factor. The dynamic margin is
+    the effective damping. Detuning and coupling broadcast against each
+    other, so one call covers a whole working-point grid.
+    """
+    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
+    factor = 1.0 + constants.hbar * coupling**2 * (detuning / cavity.gamma) * chi0
+    static = (cavity.gamma**2 + detuning**2) * factor
+    kappa = kappa_for_coupling(cavity, detuning, coupling)
+    return static, effective_damping(osc, cavity, detuning, kappa, constants)
+
+
 def stability(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -481,23 +505,16 @@ def stability(
 ) -> StabilityReport:
     """Evaluate both stability conditions at a working point.
 
-    The static margin is the bistability condition
-    gamma^2 + psi^2 + 2 hbar kappa^2 chi[0] psi, evaluated in its
-    equivalent factored form (gamma^2 + psi^2)(1 + hbar xi^2 chi[0]
-    psi / gamma) so that its zero set coincides bit-for-bit with the
-    divergence of the signal amplification factor. The dynamic margin is
-    the effective damping. A margin of exactly zero is reported as
-    unstable (boundary).
+    The margins are those of :func:`stability_margins`; a working point
+    is stable when both are strictly positive, and a margin of exactly
+    zero is reported as unstable (boundary).
     """
-    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
-    factor = 1.0 + constants.hbar * wp.coupling**2 * (wp.detuning / cavity.gamma) * chi0
-    static_margin = (cavity.gamma**2 + wp.detuning**2) * factor
-    kappa = kappa_for_coupling(cavity, wp.detuning, wp.coupling)
-    gamma_eff = effective_damping(osc, cavity, wp.detuning, kappa, constants)
+    static, dynamic = stability_margins(osc, cavity, wp.detuning, wp.coupling, constants)
+    static, dynamic = float(static), float(dynamic)
     return StabilityReport(
-        static_ok=static_margin > 0,
-        dynamic_ok=gamma_eff > 0,
-        gamma_eff=gamma_eff,
-        static_margin=static_margin,
-        dynamic_margin=gamma_eff,
+        static_ok=static > 0,
+        dynamic_ok=dynamic > 0,
+        gamma_eff=dynamic,
+        static_margin=static,
+        dynamic_margin=dynamic,
     )

@@ -16,6 +16,7 @@ pre-scan is one array evaluation of the response kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from .core import (
     mech_susceptibility,
     noise_power,
     spring_response,
-    stability,
+    stability_margins,
 )
 from .errors import DegenerateDissipationError
 from .quasistatic import sql_point
@@ -200,6 +201,16 @@ def _at_bound(x: float, lo: float, hi: float) -> bool:
     return min(x - lo, hi - x) <= AT_BOUND_TOL * (hi - lo)
 
 
+@functools.lru_cache(maxsize=16)
+def _seed_couplings(lo: float, hi: float, n: int):
+    """Seed nodes in log(coupling^2) and their couplings, read-only, shared per bounds."""
+    t = np.linspace(math.log(lo), math.log(hi), n)
+    seed_xi = tuple(math.sqrt(math.exp(u)) for u in t)
+    seed_array = np.array(seed_xi)
+    t.flags.writeable = seed_array.flags.writeable = False
+    return t, seed_xi, seed_array
+
+
 def minimize_over_xi(
     objective,
     spec: SearchSpec = SearchSpec(),
@@ -226,10 +237,9 @@ def minimize_over_xi(
         hi = xi2_max_stable * (1.0 - STABILITY_CLAMP)
         if hi <= lo:
             raise ValueError("stability bound leaves an empty coupling bracket")
-    t = np.linspace(math.log(lo), math.log(hi), spec.seed_points)
-    seed_xi = [math.sqrt(math.exp(u)) for u in t]
+    t, seed_xi, seed_array = _seed_couplings(lo, hi, spec.seed_points)
     if vectorized:
-        seed_vals = np.asarray(objective(np.array(seed_xi)), dtype=float)
+        seed_vals = np.asarray(objective(seed_array), dtype=float)
     else:
         seed_vals = np.array([objective(xi) for xi in seed_xi])
     i = int(np.argmin(seed_vals))
@@ -372,40 +382,37 @@ def stability_map(
     detunings: np.ndarray,
     constants: Constants = NORMALIZED,
 ) -> StabilityMap:
-    """Stability flags over a working-point grid, with the static boundary."""
+    """Stability flags over a working-point grid, with the static boundary.
+
+    One call of :func:`optospring.core.stability_margins` broadcasts the
+    detunings (rows) against the couplings (columns). Per cell it gives
+    :func:`optospring.core.stability` up to the last bits: numpy squares
+    and takes complex moduli with its own rounding where the scalar route
+    calls libm ``pow`` and ``hypot``, so each margin can differ from the
+    scalar one by a few ulp of its largest term.
+    """
     coupling2 = np.asarray(coupling2, dtype=float)
     detunings = np.asarray(detunings, dtype=float)
-    shape = (detunings.size, coupling2.size)
-    static_ok = np.zeros(shape, dtype=bool)
-    dynamic_ok = np.zeros(shape, dtype=bool)
-    static_margin = np.zeros(shape)
-    dynamic_margin = np.zeros(shape)
-    for a, psi in enumerate(detunings):
-        for b, xi2 in enumerate(coupling2):
-            rep = stability(
-                osc, cavity, WorkingPoint(psi, math.sqrt(xi2)), constants
-            )
-            static_ok[a, b] = rep.static_ok
-            dynamic_ok[a, b] = rep.dynamic_ok
-            static_margin[a, b] = rep.static_margin
-            dynamic_margin[a, b] = rep.dynamic_margin
-    boundary = []
-    for a, psi in enumerate(detunings):
-        m = static_margin[a]
-        for b in range(len(coupling2) - 1):
-            if m[b] == 0.0 or (m[b] > 0) != (m[b + 1] > 0):
-                # margin is linear in coupling^2: interpolate exactly
-                x0, x1 = coupling2[b], coupling2[b + 1]
-                cross = x0 + (x1 - x0) * m[b] / (m[b] - m[b + 1])
-                boundary.append((float(psi), float(cross)))
+    if not np.all((-math.pi < detunings) & (detunings <= math.pi)):
+        raise ValueError("detunings must lie in (-pi, pi] (use wrap_phase)")
+    if np.any(coupling2 < 0):
+        raise ValueError("coupling2 must be >= 0")
+    static_margin, dynamic_margin = stability_margins(
+        osc, cavity, detunings[:, None], np.sqrt(coupling2), constants
+    )
+    # margin is linear in coupling^2: interpolate each row's crossings exactly
+    m0, m1 = static_margin[:, :-1], static_margin[:, 1:]
+    a, b = np.nonzero((m0 == 0.0) | ((m0 > 0) != (m1 > 0)))
+    x0, x1 = coupling2[b], coupling2[b + 1]
+    cross = x0 + (x1 - x0) * m0[a, b] / (m0[a, b] - m1[a, b])
     return StabilityMap(
         coupling2=coupling2,
         detunings=detunings,
-        static_ok=static_ok,
-        dynamic_ok=dynamic_ok,
+        static_ok=static_margin > 0,
+        dynamic_ok=dynamic_margin > 0,
         static_margin=static_margin,
         dynamic_margin=dynamic_margin,
-        boundary=boundary,
+        boundary=list(zip(detunings[a].tolist(), cross.tolist())),
     )
 
 

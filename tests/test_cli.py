@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from optospring.cli import main, read_table
+from optospring.cli import main, read_table, write_table
 from optospring.config import (
     build_run_config,
     env_name,
@@ -24,6 +24,26 @@ def run(args, tmp_path, config_text=None, env=None, monkeypatch=None):
         for k, v in env.items():
             monkeypatch.setenv(k, v)
     return main(argv)
+
+
+def assert_csv_equals_json(csv_path, json_path):
+    """The JSON mirror holds the same values as the CSV, block for block."""
+    _, columns, rows = read_table(str(csv_path))
+    doc = json.loads(json_path.read_text())
+    assert doc["columns"] == columns
+    mirrored = [row for block in doc["blocks"] for row in block["rows"]]
+    np.testing.assert_array_equal(np.array(mirrored, dtype=float), np.array(rows))
+
+
+def run_twice(args, tmp_path, config_text=None):
+    """Run a command into two output locations, in both formats; return them."""
+    outs = []
+    for fmt in ("csv", "json"):
+        for copy in ("1", "2"):
+            out = tmp_path / f"{fmt}{copy}"
+            assert run([*args, "--format", fmt, "--out", str(out)], tmp_path, config_text) == 0
+            outs.append(out)
+    return outs
 
 
 class TestConfig:
@@ -102,10 +122,10 @@ class TestSpectrumCommand:
             assert ratio == pytest.approx(s / q, rel=1e-12)
 
     def test_deterministic_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["spectrum", "--out", str(a)], tmp_path, self.CFG)
-        run(["spectrum", "--out", str(b)], tmp_path, self.CFG)
-        assert a.read_bytes() == b.read_bytes()
+        csv1, csv2, json1, json2 = run_twice(["spectrum"], tmp_path, self.CFG)
+        assert csv1.read_bytes() == csv2.read_bytes()
+        assert json1.read_bytes() == json2.read_bytes()
+        assert_csv_equals_json(csv1, json1)
 
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -211,6 +231,12 @@ class TestStabilityCommand:
         unstable = a[a[:, 2] == 0.0]
         assert unstable.size and (unstable[:, 1] < 0).all()
 
+    def test_deterministic_bytes(self, tmp_path):
+        csv1, csv2, json1, json2 = run_twice(["stability"], tmp_path)
+        assert csv1.read_bytes() == csv2.read_bytes()
+        assert json1.read_bytes() == json2.read_bytes()
+        assert_csv_equals_json(csv1, json1)
+
     def test_invalid_bounds_exit_2(self, tmp_path):
         assert run(["stability"], tmp_path, "stability.xi2 = 5:1:10\n") == 2
 
@@ -296,15 +322,31 @@ class TestFigureCommand:
         assert manifest["curves"]["b"]["detuning_over_gamma"] == 4.0
 
     def test_manifest_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "f1", tmp_path / "f2"
-        run(["figure", "fig2", "--out", str(out1)], tmp_path)
-        run(["figure", "fig2", "--out", str(out2)], tmp_path)
-        assert (out1 / "fig2_manifest.json").read_bytes() == (
-            out2 / "fig2_manifest.json"
-        ).read_bytes()
-        assert (out1 / "fig2_curve_d.csv").read_bytes() == (
-            out2 / "fig2_curve_d.csv"
-        ).read_bytes()
+        # every file of every figure, in both formats, repeats byte for byte
+        for figure, letters in (("fig2", "abcd"), ("fig3", "abcd"), ("fig4", "abcdef")):
+            csv1, csv2, json1, json2 = run_twice(["figure", figure], tmp_path / figure)
+            for one, two in ((csv1, csv2), (json1, json2)):
+                assert sorted(p.name for p in one.iterdir()) == sorted(
+                    p.name for p in two.iterdir()
+                )
+                for path in one.iterdir():
+                    assert path.read_bytes() == (two / path.name).read_bytes(), path.name
+            for letter in letters:
+                name = f"{figure}_curve_{letter}"
+                assert_csv_equals_json(csv1 / f"{name}.csv", json1 / f"{name}.json")
+
+    def test_fig2_boundary_cell_written_as_inf(self, tmp_path):
+        # at detuning -4 gamma, xi2_norm = 0.5 sits exactly on the static
+        # boundary: that cell is inf, the rest of the curve stays finite
+        args = ["figure", "fig2", "--detunings=-4", "--grid", "0.5:50:10"]
+        csv1, _, json1, _ = run_twice(args, tmp_path)
+        lines = (csv1 / "fig2_curve_a.csv").read_text().splitlines()
+        assert lines[3] == "0.5,inf,1.0,inf,0,1"
+        assert all("inf" not in line for line in lines[4:])
+        text = (json1 / "fig2_curve_a.json").read_text()
+        assert '"rows": [[0.5, Infinity, 1.0, Infinity, false, true], [' in text
+        assert text.count("Infinity") == 2
+        assert_csv_equals_json(csv1 / "fig2_curve_a.csv", json1 / "fig2_curve_a.json")
 
 
 class TestGridFlag:
@@ -334,3 +376,72 @@ class TestGridFlag:
         assert run(command + [f"--grid={spec}", "--out", str(out)], tmp_path) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _per_row_cell(value) -> str:
+    """The per-row CSV cell formatter the columnar writer replaced."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _per_row_table(kind, out_format, param_lines, columns, blocks) -> str:
+    """Text of the per-row writer, for (label, rows) blocks."""
+    if out_format == "csv":
+        lines = [f"# optospring {kind} v1"] + [f"# {p}" for p in param_lines]
+        lines.append(",".join(columns))
+        for label, rows in blocks:
+            if label:
+                lines.append(f"# {label}")
+            for row in rows:
+                lines.append(",".join(_per_row_cell(v) for v in row))
+        return "\n".join(lines) + "\n"
+    doc = {
+        "schema": f"optospring.{kind}.v1",
+        "params": param_lines,
+        "columns": columns,
+        "blocks": [
+            {
+                "label": label,
+                "rows": [
+                    [bool(v) if isinstance(v, (bool, np.bool_)) else float(v) for v in row]
+                    for row in rows
+                ],
+            }
+            for label, rows in blocks
+        ],
+    }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+class TestColumnarWriter:
+    SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e16, -2.5e-300)
+    COLUMNS = ["x", "flag", "count", "y"]
+
+    def _blocks(self):
+        rng = np.random.default_rng(7)
+        specials = list(self.SPECIALS)
+        first = [
+            (v, bool(i % 2), i, np.float64(-v))  # Python and numpy floats, bools, ints
+            for i, v in enumerate(specials)
+        ]
+        second = [
+            (np.float64(x), np.bool_(x > 0.5), np.int64(-i), float(x) * 1e-300)
+            for i, x in enumerate(rng.random(50))
+        ]
+        return [("", first), ("block two", second)]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_same_bytes_as_per_row_writer(self, tmp_path, out_format):
+        blocks = self._blocks()
+        tables = [
+            (label, np.rec.fromarrays([np.array(col) for col in zip(*rows)]))
+            for label, rows in blocks
+        ]
+        path = tmp_path / f"t.{out_format}"
+        params = ["a = 1", "b = inf"]
+        write_table(str(path), "test", out_format, params, self.COLUMNS, tables)
+        expected = _per_row_table("test", out_format, params, self.COLUMNS, blocks)
+        assert path.read_text() == expected
