@@ -65,7 +65,6 @@ from .optimize import (
     OptimResult,
     SearchSpec,
     StabilityMap,
-    lowfreq_curve_minimum,
     minimize_over_detuning,
     minimize_over_xi,
     minimize_xi_quasistatic,
@@ -81,6 +80,7 @@ from .quasistatic import (
     equivalent_input_noise_closed_form,
     highfreq_optimum,
     lowfreq_optimum,
+    noise_over_coupling,
     quadrature_transfer,
     sql_frequency,
     sql_point,

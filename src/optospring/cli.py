@@ -6,8 +6,8 @@ point stability grid) and ``figure`` (named benchmark datasets fig2,
 fig3, fig4). Outputs are bit-stable: no timestamps, floats written with
 full round-trip precision, files written atomically.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical singularity,
-4 non-convergence.
+Exit codes: 0 success, 2 configuration error (or no dissipation to
+optimize against), 3 numerical singularity, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import OpticalCavity, WorkingPoint, mech_susceptibility, stability
 from .errors import (
     ConfigError,
     ConvergenceError,
+    DegenerateDissipationError,
     SingularPointError,
 )
 
@@ -196,45 +197,31 @@ def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
     gamma = cfg.cavity.gamma
     spec = opt.SearchSpec()
     report: dict = {"mode": cfg.optimize_mode, "units": cfg.units}
-    if cfg.optimize_mode == "xi":
-        res = opt.minimize_xi_quasistatic(
-            cfg.oscillator, gamma, cfg.optimize_detuning, cfg.optimize_omega,
-            spec, constants=cfg.constants,
-        )
+    if cfg.optimize_mode in ("xi", "detuning"):
+        osc, omega, xi_mode = cfg.oscillator, cfg.optimize_omega, cfg.optimize_mode == "xi"
+        if xi_mode:
+            res = opt.minimize_xi_quasistatic(
+                osc, gamma, cfg.optimize_detuning, omega, spec, constants=cfg.constants
+            )
+        else:
+            res = opt.minimize_over_detuning(osc, gamma, omega, spec, cfg.constants)
         if not res.converged:
-            raise ConvergenceError("coupling search did not converge")
-        closed = qs.coupling_optimum(
-            cfg.oscillator, cfg.optimize_omega, cfg.optimize_detuning, gamma, cfg.constants
-        )
-        wp_min = WorkingPoint(cfg.optimize_detuning, math.sqrt(res.coupling2))
-        report.update(
-            omega=cfg.optimize_omega,
-            detuning=cfg.optimize_detuning,
-            coupling2=res.coupling2,
-            level=res.level,
-            ratio_to_sql=res.ratio_to_sql,
-            iterations=res.iterations,
-            converged=res.converged,
-            constraint_active=res.constraint_active,
-            closed_form={
-                "coupling2": closed.coupling**2,
-                "level": closed.level,
-                "ratio_to_sql": closed.ratio_to_sql,
-            },
-            stability=asdict(stability(cfg.oscillator, cfg.cavity, wp_min, cfg.constants)),
-        )
-    elif cfg.optimize_mode == "detuning":
-        res = opt.minimize_over_detuning(
-            cfg.oscillator, gamma, cfg.optimize_omega, spec, cfg.constants
-        )
-        if not res.converged:
-            raise ConvergenceError("detuning search did not converge")
-        closed = qs.ultimate_quantum_limit(
-            cfg.oscillator, cfg.optimize_omega, gamma, cfg.constants
-        )
+            search = "coupling" if xi_mode else "detuning"
+            raise ConvergenceError(f"{search} search did not converge")
+        if xi_mode:
+            closed = qs.coupling_optimum(osc, omega, res.detuning, gamma, cfg.constants)
+        else:
+            closed = qs.ultimate_quantum_limit(osc, omega, gamma, cfg.constants)
+        closed_form = {
+            "coupling2": closed.coupling**2,
+            "level": closed.level,
+            "ratio_to_sql": closed.ratio_to_sql,
+        }
+        if not xi_mode:
+            closed_form["detuning"] = closed.detuning
         wp_min = WorkingPoint(res.detuning, math.sqrt(res.coupling2))
         report.update(
-            omega=cfg.optimize_omega,
+            omega=omega,
             detuning=res.detuning,
             coupling2=res.coupling2,
             level=res.level,
@@ -242,13 +229,8 @@ def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
             iterations=res.iterations,
             converged=res.converged,
             constraint_active=res.constraint_active,
-            closed_form={
-                "detuning": closed.detuning,
-                "coupling2": closed.coupling**2,
-                "level": closed.level,
-                "ratio_to_sql": closed.ratio_to_sql,
-            },
-            stability=asdict(stability(cfg.oscillator, cfg.cavity, wp_min, cfg.constants)),
+            closed_form=closed_form,
+            stability=asdict(stability(osc, cfg.cavity, wp_min, cfg.constants)),
         )
     else:  # uql-sweep
         rows = []
@@ -335,8 +317,12 @@ def cmd_figure(
             )
         if len(bws) != len(ratios):
             raise ConfigError("--bandwidths must match --detunings in length")
+        if not all(0 < b < math.inf for b in bws):
+            raise ConfigError(f"--bandwidths must be finite and > 0, got {bws!r}")
     elif bandwidths:
         raise ConfigError("--bandwidths only applies to fig4")
+    if not all(-math.pi < r * gamma <= math.pi for r in ratios):
+        raise ConfigError(f"--detunings times gamma must lie in (-pi, pi], got {ratios!r}")
 
     if grid_flag is None:
         grid = fb.log_grid(*FIGURE_GRIDS[figure])
@@ -372,7 +358,7 @@ def cmd_figure(
         xi = np.sqrt(grid * xi_sql2)
         for idx, r in enumerate(ratios):
             psi = r * gamma
-            noise = opt._quasistatic_objective(osc, gamma, psi, 0.0, constants=cfg.constants)
+            noise = qs.noise_over_coupling(osc, gamma, psi, 0.0, constants=cfg.constants)
             # the kernel's boundary test: cells where 1/chi_eff vanishes are written as inf
             live = 1.0 / chi + core.optical_spring(gamma, 0.0, psi, xi, hbar)[0] != 0
             s = np.full(grid.shape, math.inf)
@@ -514,7 +500,7 @@ def main(argv=None) -> int:
         return cmd_figure(
             cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
         )
-    except ConfigError as exc:
+    except (ConfigError, DegenerateDissipationError) as exc:
         print(f"optospring: config error: {exc}", file=sys.stderr)
         return 2
     except SingularPointError as exc:

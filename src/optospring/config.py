@@ -211,6 +211,10 @@ def build_run_config(
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        WorkingPoint(detuning=parsed["optimize.detuning"], coupling=0.0)
+    except ValueError as exc:
+        raise ConfigError(f"optimize.detuning: {exc}") from None
 
     if not (0 < parsed["grid.lo"] < parsed["grid.hi"] < math.inf):
         raise ConfigError("grid bounds must satisfy 0 < lo < hi < inf")

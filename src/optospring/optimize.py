@@ -10,15 +10,17 @@ bracket. The polish is Brent's bounded minimizer (Brent 1973,
 step for step as SciPy's ``minimize_scalar(method="bounded")``, so the
 package needs only numpy. The coupling is searched in log(coupling^2),
 where the objective spans decades but is nearly quadratic around its
-minimum; the quasi-static coupling objective broadcasts, so its whole
-pre-scan is one array evaluation of the response kernel.
+minimum. A coupling objective must broadcast over an array of couplings
+(wrap a scalar-only one in ``np.vectorize``), so each pre-scan is one
+call; for the quasi-static noise that is one array evaluation of the
+response kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,14 +31,10 @@ from .core import (
     InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
-    WorkingPoint,
-    mech_susceptibility,
-    noise_power,
-    spring_response,
     stability_margins,
 )
 from .errors import DegenerateDissipationError
-from .quasistatic import sql_point
+from .quasistatic import noise_over_coupling, sql_point
 
 # searches stop this far (relative) inside the static-stability margin
 STABILITY_CLAMP = 1e-6
@@ -201,35 +199,48 @@ def _at_bound(x: float, lo: float, hi: float) -> bool:
     return min(x - lo, hi - x) <= AT_BOUND_TOL * (hi - lo)
 
 
+def _seeded_search(f, nodes, seed_vals, spec: SearchSpec):
+    """Polish the best seed node with Brent between its neighbours.
+
+    ``seed_vals`` holds ``f`` at ``nodes``; the best node is clipped to
+    an interior one to bracket the polish. Returns ``(x, f(x),
+    evaluations, converged, seeded)``: when the polish loses to the best
+    seed, that seed wins with its scan value and ``seeded`` is set.
+    """
+    j = int(np.argmin(seed_vals))
+    i = min(max(j, 1), len(nodes) - 2)
+    x, fx, nfev, ok = _bounded_brent(f, nodes[i - 1], nodes[i + 1], spec.rel_tol, spec.max_iter)
+    if seed_vals[j] < fx:  # polish must never lose to its own seed
+        return nodes[j], seed_vals[j], nfev, ok, True
+    return x, fx, nfev, ok, False
+
+
 @functools.lru_cache(maxsize=16)
 def _seed_couplings(lo: float, hi: float, n: int):
     """Seed nodes in log(coupling^2) and their couplings, read-only, shared per bounds."""
     t = np.linspace(math.log(lo), math.log(hi), n)
-    seed_xi = tuple(math.sqrt(math.exp(u)) for u in t)
-    seed_array = np.array(seed_xi)
-    t.flags.writeable = seed_array.flags.writeable = False
-    return t, seed_xi, seed_array
+    seed_xi = np.array([math.sqrt(math.exp(u)) for u in t])
+    t.flags.writeable = seed_xi.flags.writeable = False
+    return t, seed_xi
 
 
 def minimize_over_xi(
     objective,
     spec: SearchSpec = SearchSpec(),
     xi2_max_stable: float | None = None,
-    *,
-    vectorized: bool = False,
 ) -> OptimResult:
     """Minimize a noise objective over the coupling.
 
     ``objective`` maps a coupling value to a noise level (quasi-static or
-    full-bandwidth, at fixed frequency and detuning). The search runs on
-    log(coupling^2): a deterministic seed scan brackets the minimum, then
-    a bounded Brent polish finishes. With ``vectorized`` the objective
-    also maps an array of couplings elementwise, and the seed scan is one
-    call on all seed couplings; the polish always calls it on scalars.
-    When ``xi2_max_stable`` is given the upper bound is clamped just
-    inside the static-stability margin and an optimum pushed against it
-    is flagged ``constraint_active``. ``at_bound`` flags an optimum at
-    either end of the (clamped) log(coupling^2) range.
+    full-bandwidth, at fixed frequency and detuning), and an array of
+    couplings elementwise: the seed scan is one call on all seed
+    couplings, while the polish calls it on scalars. Wrap a scalar-only
+    objective in ``np.vectorize``. The search runs on log(coupling^2): a
+    deterministic seed scan brackets the minimum, then a bounded Brent
+    polish finishes. When ``xi2_max_stable`` is given the upper bound is
+    clamped just inside the static-stability margin and an optimum
+    pushed against it is flagged ``constraint_active``. ``at_bound``
+    flags an optimum at either end of the (clamped) log(coupling^2) range.
     """
     lo, hi = spec.xi2_bounds
     constrained = xi2_max_stable is not None and xi2_max_stable < hi
@@ -237,23 +248,16 @@ def minimize_over_xi(
         hi = xi2_max_stable * (1.0 - STABILITY_CLAMP)
         if hi <= lo:
             raise ValueError("stability bound leaves an empty coupling bracket")
-    t, seed_xi, seed_array = _seed_couplings(lo, hi, spec.seed_points)
-    if vectorized:
-        seed_vals = np.asarray(objective(seed_array), dtype=float)
-    else:
-        seed_vals = np.array([objective(xi) for xi in seed_xi])
-    i = int(np.argmin(seed_vals))
-    i = min(max(i, 1), len(t) - 2)
-    u, level, nfev, ok = _bounded_brent(
-        lambda u: objective(math.sqrt(math.exp(u))),
-        t[i - 1], t[i + 1], spec.rel_tol, spec.max_iter,
-    )
-    j = int(np.argmin(seed_vals))
-    if seed_vals[j] < level:  # polish must never lose to its own seed
-        # report the scalar value: an array scan may round its last bits apart
-        u, level = t[j], objective(seed_xi[j])
+    t, seed_xi = _seed_couplings(lo, hi, spec.seed_points)
+    seed_vals = np.asarray(objective(seed_xi), dtype=float)
+
+    def scalar(u):
+        return objective(math.sqrt(math.exp(u)))
+
+    u, level, nfev, ok, seeded = _seeded_search(scalar, t, seed_vals, spec)
+    if seeded:  # report the scalar value: an array scan may round its last bits apart
+        level = scalar(u)
     xi2 = float(math.exp(u))
-    active = constrained and (hi - xi2) / hi < 1e-5
     return OptimResult(
         coupling2=xi2,
         detuning=None,
@@ -261,37 +265,9 @@ def minimize_over_xi(
         ratio_to_sql=None,
         iterations=spec.seed_points + nfev,
         converged=ok,
-        constraint_active=active,
+        constraint_active=constrained and (hi - xi2) / hi < 1e-5,
         at_bound=_at_bound(u, t[0], t[-1]),
     )
-
-
-def _quasistatic_objective(
-    osc: MechanicalOscillator,
-    gamma: float,
-    detuning: float,
-    omega: float,
-    noise: InputNoiseModel = COHERENT,
-    constants: Constants = NORMALIZED,
-):
-    """Quasi-static equivalent-input noise as a function of the coupling.
-
-    The response kernel at omega tau = 0 with chi computed once: for a
-    scalar coupling it gives the bits of
-    :func:`optospring.quasistatic.equivalent_input_noise`, and it maps an
-    array of couplings elementwise.
-    """
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
-    # a phase-checked Python float keeps the scalar complex rounding
-    psi = WorkingPoint(detuning, 0.0).detuning
-    chi = mech_susceptibility(osc, omega)
-
-    def objective(xi):
-        t = spring_response(chi, gamma, 0.0, psi, xi, constants.hbar)[1]
-        return noise_power(t, noise) / np.abs(t.c_sig) ** 2
-
-    return objective
 
 
 def minimize_xi_quasistatic(
@@ -304,24 +280,15 @@ def minimize_xi_quasistatic(
     constants: Constants = NORMALIZED,
 ) -> OptimResult:
     """Numeric coupling optimum of the quasi-static noise at one point."""
-    objective = _quasistatic_objective(osc, gamma, detuning, omega, noise, constants)
+    objective = noise_over_coupling(osc, gamma, detuning, omega, noise, constants)
     bound = None
     if spec.stability_constrained:
         bound = static_coupling2_bound(osc, gamma, detuning, constants)
         if not math.isfinite(bound):
             bound = None
-    res = minimize_over_xi(objective, spec, xi2_max_stable=bound, vectorized=True)
-    ref = sql_point(osc, omega, constants)
-    return OptimResult(
-        coupling2=res.coupling2,
-        detuning=detuning,
-        level=res.level,
-        ratio_to_sql=res.level / ref.level,
-        iterations=res.iterations,
-        converged=res.converged,
-        constraint_active=res.constraint_active,
-        at_bound=res.at_bound,
-    )
+    res = minimize_over_xi(objective, spec, xi2_max_stable=bound)
+    ratio = res.level / sql_point(osc, omega, constants).level
+    return replace(res, detuning=detuning, ratio_to_sql=ratio)
 
 
 def minimize_over_detuning(
@@ -355,22 +322,13 @@ def minimize_over_detuning(
     hi = min(hi, math.pi)
     p = np.linspace(lo, hi, spec.seed_points)
     seed_vals = np.array([outer(pi).level for pi in p])
-    i = int(np.argmin(seed_vals))
-    i = min(max(i, 1), len(p) - 2)
-    psi_opt, level, _, ok = _bounded_brent(
-        lambda q: outer(q).level, p[i - 1], p[i + 1], spec.rel_tol, spec.max_iter
-    )
-    j = int(np.argmin(seed_vals))
-    psi_opt = float(p[j] if seed_vals[j] < level else psi_opt)
+    psi_opt, _, _, ok, _ = _seeded_search(lambda q: outer(q).level, p, seed_vals, spec)
+    psi_opt = float(psi_opt)
     best = outer(psi_opt)
-    return OptimResult(
-        coupling2=best.coupling2,
-        detuning=psi_opt,
-        level=best.level,
-        ratio_to_sql=best.ratio_to_sql,
+    return replace(
+        best,
         iterations=evals,
         converged=ok and best.converged,
-        constraint_active=best.constraint_active,
         at_bound=_at_bound(psi_opt, lo, hi),
     )
 
@@ -414,17 +372,3 @@ def stability_map(
         dynamic_margin=dynamic_margin,
         boundary=list(zip(detunings[a].tolist(), cross.tolist())),
     )
-
-
-def lowfreq_curve_minimum(
-    osc: MechanicalOscillator,
-    gamma: float,
-    detuning: float,
-    spec: SearchSpec = SearchSpec(),
-    constants: Constants = NORMALIZED,
-) -> tuple[float, float]:
-    """Numeric (coupling^2, noise) minimum of the zero-frequency curve."""
-    if detuning > 0:
-        raise ValueError("the zero-frequency curves improve only for detuning <= 0")
-    res = minimize_xi_quasistatic(osc, gamma, detuning, 0.0, spec, constants=constants)
-    return res.coupling2, res.level

@@ -45,7 +45,6 @@ class SqlPoint:
 
     coupling: float
     level: float
-    omega: float | None = None
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,34 @@ def quadrature_transfer(
     return spring_response(chi, cavity.gamma, 0.0, psi, xi, constants.hbar)[1]
 
 
+def noise_over_coupling(
+    osc: MechanicalOscillator,
+    gamma: float,
+    detuning: float,
+    omega,
+    noise: InputNoiseModel = COHERENT,
+    constants: Constants = NORMALIZED,
+):
+    """Quasi-static equivalent-input noise as a function of the coupling.
+
+    The response kernel at omega tau = 0 with chi computed once. The
+    returned function maps a coupling, or an array of couplings
+    elementwise, to the noise of :func:`equivalent_input_noise`, which
+    is its value at the working point's coupling.
+    """
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
+    # a phase-checked Python float keeps the scalar complex rounding
+    psi = WorkingPoint(detuning, 0.0).detuning
+    chi = mech_susceptibility(osc, omega)
+
+    def noise_at(xi):
+        t = spring_response(chi, gamma, 0.0, psi, xi, constants.hbar)[1]
+        return noise_power(t, noise) / np.abs(t.c_sig) ** 2
+
+    return noise_at
+
+
 def equivalent_input_noise(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -104,8 +131,8 @@ def equivalent_input_noise(
     """
     if wp.coupling == 0:
         raise NoMeasurementError("coupling is zero: the output carries no signal")
-    t = quadrature_transfer(osc, cavity, wp, omega, constants)
-    out = noise_power(t, noise) / np.abs(t.c_sig) ** 2
+    noise_at = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, noise, constants)
+    out = noise_at(wp.coupling)
     return float(out) if np.asarray(out).ndim == 0 else out
 
 
@@ -305,6 +332,8 @@ def ultimate_quantum_limit(
             "ultimate limit undefined for an undamped oscillator"
         )
     chi = mech_susceptibility(osc, omega)
+    if chi.imag == 0:
+        raise DegenerateDissipationError(f"no ultimate limit where Im chi = 0 (omega={omega!r})")
     beta_min = -chi.real / abs(chi.imag)
     detuning_min = 2.0 * gamma * beta_min
     inner = coupling_optimum(osc, omega, detuning_min, gamma, constants)

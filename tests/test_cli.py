@@ -214,6 +214,77 @@ class TestOptimizeCommand:
         assert doc["omega"] == 0.25
 
 
+class TestOptimizeSearchPinned:
+    """The seed scan and Brent polish sequence: its evaluation count and optimum."""
+
+    @pytest.mark.parametrize(
+        "args, iterations, expected",
+        [
+            (
+                ["--mode", "xi"],
+                68,
+                {"coupling2": 0.37500008590861494, "level": 1.3333330370371355},
+            ),
+            (
+                ["--mode", "detuning"],
+                6256,
+                {
+                    "detuning": -3.141591653589793,
+                    "coupling2": 0.0023872770734342233,
+                    "level": 0.004290631295104866,
+                },
+            ),
+            (
+                ["--mode", "xi", "--omega", "0.3", "--detuning", "-0.05"],
+                68,
+                {"coupling2": 0.1689827662499238, "level": 0.21162915269804525},
+            ),
+            (  # the optimum lies beyond the coupling range: the end seed wins
+                ["--mode", "xi", "--si"],
+                91,
+                {"coupling2": 999999.9999999995, "level": 2.500000000000001e-07},
+            ),
+        ],
+        ids=["xi-default", "detuning-default", "xi-detuned", "xi-seed-at-bound"],
+    )
+    def test_iterations_and_optimum(self, tmp_path, args, iterations, expected):
+        out = tmp_path / "opt.json"
+        assert run(["optimize", *args, "--out", str(out)], tmp_path) == 0
+        doc = json.loads(out.read_text())
+        assert doc["iterations"] == iterations
+        for key, value in expected.items():
+            assert doc[key] == pytest.approx(value, rel=1e-12)
+
+
+class TestBadInputsExit2:
+    @pytest.mark.parametrize(
+        "args, config_text",
+        [
+            (["optimize", "--mode", "xi", "--detuning", "5"], None),
+            (["figure", "fig2", "--detunings=400"], None),
+            (["figure", "fig3", "--detunings=400"], None),
+            (["figure", "fig4", "--detunings=400"], None),
+            (["figure", "fig4", "--bandwidths=0,1,1,1,1,1"], None),
+            (["optimize", "--mode", "detuning"], "oscillator.damping = 0.0\n"),
+            (["optimize", "--mode", "detuning", "--omega", "0"], None),
+        ],
+        ids=[
+            "optimize-detuning-out-of-range",
+            "fig2-detuning-out-of-range",
+            "fig3-detuning-out-of-range",
+            "fig4-detuning-out-of-range",
+            "fig4-zero-bandwidth",
+            "optimize-detuning-undamped",
+            "optimize-detuning-zero-omega",
+        ],
+    )
+    def test_config_error(self, tmp_path, capsys, args, config_text):
+        out = tmp_path / "out"
+        assert run([*args, "--out", str(out)], tmp_path, config_text) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStabilityCommand:
     def test_grid_contents(self, tmp_path):
         out = tmp_path / "stab.csv"

@@ -1,0 +1,67 @@
+"""Package layout: no module reads a private name of a sibling module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import optospring
+
+PACKAGE = Path(optospring.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str, filename: str) -> list[str]:
+    """``file:line: module.name`` for every private sibling name that ``source`` reads.
+
+    Sibling modules are reached as ``from . import mod [as alias]``, then
+    ``alias._name``, or directly as ``from .mod import _name``.
+    """
+    tree = ast.parse(source, filename=filename)
+    aliases, hits = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif node.module in MODULES and _private(alias.name):
+                    hits.append(f"{filename}:{node.lineno}: {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and _private(node.attr)
+        ):
+            hits.append(f"{filename}:{node.lineno}: {aliases[node.value.id]}.{node.attr}")
+    return hits
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_private_sibling_reads(name):
+    path = PACKAGE / f"{name}.py"
+    assert private_reads(path.read_text(encoding="utf-8"), path.name) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from . import optimize as opt\nopt._bounded_brent(f, 0, 1, 1e-8, 9)\n",
+        "from . import core\ncore._check_phase('x', 0.0)\n",
+        "from .optimize import _bounded_brent\n",
+    ],
+)
+def test_checker_flags_private_reads(source):
+    assert len(private_reads(source, "m.py")) == 1
+
+
+def test_checker_allows_public_and_own_names():
+    source = (
+        "from . import optimize as opt\nfrom .core import stability\n"
+        "def _own():\n    return opt.SearchSpec(), stability, __name__\n_own()\n"
+    )
+    assert private_reads(source, "m.py") == []

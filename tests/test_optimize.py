@@ -24,12 +24,12 @@ from optospring import (
     equivalent_input_noise,
     full_transfer,
     highfreq_optimum,
-    lowfreq_curve_minimum,
     lowfreq_optimum,
     mech_susceptibility,
     minimize_over_detuning,
     minimize_over_xi,
     minimize_xi_quasistatic,
+    noise_over_coupling,
     quasi_free_oscillator,
     sql_point,
     stability,
@@ -37,7 +37,7 @@ from optospring import (
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
-from optospring.optimize import _bounded_brent, _quasistatic_objective
+from optospring.optimize import _bounded_brent
 
 GAMMA = 0.01
 
@@ -127,7 +127,7 @@ class TestBatchedSeedScan:
         spec = SearchSpec()
         t = np.linspace(*map(math.log, spec.xi2_bounds), spec.seed_points)
         seed_xi = [math.sqrt(math.exp(u)) for u in t]
-        objective = _quasistatic_objective(osc, gamma, psi, omega)
+        objective = noise_over_coupling(osc, gamma, psi, omega)
         batch = objective(np.array(seed_xi))
         for xi, value in zip(seed_xi, batch):
             point = equivalent_input_noise(osc, cavity, WorkingPoint(psi, xi), omega)
@@ -181,7 +181,7 @@ class TestMinimizeOverXi:
             t = full_transfer(osc, cavity, WorkingPoint(10.0 * GAMMA, xi), omega)
             return (abs(t.c_q) ** 2 + abs(t.c_p) ** 2) / abs(t.c_sig) ** 2
 
-        res = minimize_over_xi(objective)
+        res = minimize_over_xi(np.vectorize(objective))
         assert res.converged
         assert res.level < sql_point(osc, omega).level
 
@@ -192,7 +192,7 @@ class TestMinimizeOverXi:
             t = math.log(xi**2)
             return (t - 0.3) ** 2 + 0.5 * math.sin(8.0 * t) ** 2
 
-        res = minimize_over_xi(objective, SearchSpec(xi2_bounds=(1e-3, 1e3)))
+        res = minimize_over_xi(np.vectorize(objective), SearchSpec(xi2_bounds=(1e-3, 1e3)))
         seeds = [
             objective(math.sqrt(math.exp(u)))
             for u in np.linspace(math.log(1e-3), math.log(1e3), 60)
@@ -468,21 +468,17 @@ class TestStabilityMapMatchesCells:
 
 class TestLowfreqCurveMinimum:
     def test_resonant(self, high_q_osc):
-        xi2, level = lowfreq_curve_minimum(high_q_osc, GAMMA, 0.0)
+        res = minimize_xi_quasistatic(high_q_osc, GAMMA, 0.0, 0.0)
         ref = sql_point(high_q_osc, 0.0)
-        assert xi2 == pytest.approx(ref.coupling**2, rel=1e-4)
-        assert level == pytest.approx(ref.level, rel=1e-9)
+        assert res.coupling2 == pytest.approx(ref.coupling**2, rel=1e-4)
+        assert res.level == pytest.approx(ref.level, rel=1e-9)
 
     def test_minus_five_gamma(self, high_q_osc):
-        xi2, level = lowfreq_curve_minimum(high_q_osc, GAMMA, -5.0 * GAMMA)
+        res = minimize_xi_quasistatic(high_q_osc, GAMMA, -5.0 * GAMMA, 0.0)
         ref = sql_point(high_q_osc, 0.0)
-        assert xi2 / ref.coupling**2 == pytest.approx(0.3713906763541037, rel=1e-4)
-        assert level / ref.level == pytest.approx(0.19258240356725187, rel=1e-6)
+        assert res.coupling2 / ref.coupling**2 == pytest.approx(0.3713906763541037, rel=1e-4)
+        assert res.level / ref.level == pytest.approx(0.19258240356725187, rel=1e-6)
 
     def test_minus_ten_gamma(self, high_q_osc):
-        _, level = lowfreq_curve_minimum(high_q_osc, GAMMA, -10.0 * GAMMA)
-        assert level == pytest.approx(0.09901951359278449, rel=1e-6)
-
-    def test_rejects_positive_detuning(self, high_q_osc):
-        with pytest.raises(ValueError):
-            lowfreq_curve_minimum(high_q_osc, GAMMA, 0.02)
+        res = minimize_xi_quasistatic(high_q_osc, GAMMA, -10.0 * GAMMA, 0.0)
+        assert res.level == pytest.approx(0.09901951359278449, rel=1e-6)
