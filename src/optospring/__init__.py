@@ -20,11 +20,9 @@ from .core import (
     StabilityReport,
     SteadyState,
     WorkingPoint,
-    coupling_from_input,
     effective_damping,
     effective_susceptibility,
     effective_susceptibility_poles,
-    input_from_coupling,
     kappa_for_coupling,
     loop_denominator,
     mech_susceptibility,
@@ -49,16 +47,13 @@ from .errors import (
 )
 from .finite_bandwidth import (
     DipReport,
-    ForceTransfer,
     NoiseSpectrum,
-    airy_slope,
     default_grid,
     dip_analysis,
     full_transfer,
     full_transfer_by_solve,
     log_grid,
     quasi_free_oscillator,
-    radiation_force_transfer,
     spectrum,
 )
 from .optimize import (

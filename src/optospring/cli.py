@@ -7,7 +7,8 @@ fig3, fig4). Outputs are bit-stable: no timestamps, floats written with
 full round-trip precision, files written atomically.
 
 Exit codes: 0 success, 2 configuration error (or no dissipation to
-optimize against), 3 numerical singularity, 4 non-convergence.
+optimize against, or an output path that cannot be written), 3
+numerical singularity, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -235,15 +236,15 @@ def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
     else:  # uql-sweep
         rows = []
         for omega in cfg.optimize_omegas:
+            uql = qs.ultimate_quantum_limit(cfg.oscillator, omega, gamma, cfg.constants)
             res = opt.minimize_over_detuning(cfg.oscillator, gamma, omega, spec, cfg.constants)
             if not res.converged:
                 raise ConvergenceError(f"detuning search did not converge at omega={omega!r}")
-            chi = mech_susceptibility(cfg.oscillator, omega)
             rows.append(
                 {
                     "omega": omega,
                     "level": res.level,
-                    "uql_level": cfg.constants.hbar * abs(chi.imag),
+                    "uql_level": uql.level,
                     "detuning": res.detuning,
                     "coupling2": res.coupling2,
                 }
@@ -509,6 +510,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"optospring: non-convergence: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # config reads are ConfigError; only output writes get here
+        print(f"optospring: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -215,6 +215,9 @@ def build_run_config(
         WorkingPoint(detuning=parsed["optimize.detuning"], coupling=0.0)
     except ValueError as exc:
         raise ConfigError(f"optimize.detuning: {exc}") from None
+    for key in ("optimize.omega", "optimize.omegas"):
+        if not all(map(math.isfinite, _parse_float_list(raw[key]))):
+            raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
 
     if not (0 < parsed["grid.lo"] < parsed["grid.hi"] < math.inf):
         raise ConfigError("grid bounds must satisfy 0 < lo < hi < inf")

@@ -328,26 +328,6 @@ def steady_state(
     )
 
 
-def coupling_from_input(
-    cavity: OpticalCavity, detuning: float, input_magnitude: float
-) -> float:
-    """Optomechanical coupling produced by a given input amplitude."""
-    if input_magnitude < 0:
-        raise ValueError("input_magnitude must be >= 0")
-    g = cavity.gamma
-    return 4.0 * cavity.wavevector * g * input_magnitude / (g**2 + detuning**2)
-
-
-def input_from_coupling(
-    cavity: OpticalCavity, detuning: float, coupling: float
-) -> float:
-    """Input amplitude needed to reach a given coupling (inverse map)."""
-    if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    g = cavity.gamma
-    return coupling * (g**2 + detuning**2) / (4.0 * cavity.wavevector * g)
-
-
 def kappa_for_coupling(cavity: OpticalCavity, detuning, coupling):
     """Frequency-pull rate kappa corresponding to a coupling value; broadcasts."""
     g = cavity.gamma

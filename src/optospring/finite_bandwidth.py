@@ -1,10 +1,9 @@
 """Exact frequency response of the detuned cavity, no bandwidth limit.
 
 Covers signal frequencies of the order of (or beyond) the cavity
-bandwidth: the three radiation-pressure force channels, the output
-phase-quadrature transfer, the equivalent input noise spectrum, and the
-location and depth of the dual sensitivity dips that a detuned
-finite-bandwidth cavity develops.
+bandwidth: the output phase-quadrature transfer, the equivalent input
+noise spectrum, and the location and depth of the dual sensitivity dips
+that a detuned finite-bandwidth cavity develops.
 
 The transfer coefficients come from the response kernel
 :func:`optospring.core.spring_response`, the same kernel that runs the
@@ -17,7 +16,7 @@ validation oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .core import (
     kappa_for_coupling,
     mech_susceptibility,
     noise_power,
-    optical_spring,
     spring_response,
 )
 from .errors import NoDipFoundError, SingularPointError
@@ -50,29 +48,12 @@ FREE_MASS_DAMPING_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
-class ForceTransfer:
-    """Radiation-pressure force per unit input quadrature / displacement.
-
-    ``f_p``/``f_q`` multiply the incident amplitude and phase
-    fluctuations; ``f_m``/``f_sig`` multiply the mirror displacement and
-    the signal. The latter two are identical for all parameters (both
-    act through the same intensity slope) and vanish on resonance.
-    """
-
-    f_p: complex
-    f_q: complex
-    f_m: complex
-    f_sig: complex
-
-
-@dataclass(frozen=True)
 class NoiseSpectrum:
     """Equivalent-input noise on a frequency grid, with its SQL curve."""
 
     omega: np.ndarray
     s_sig: np.ndarray
     s_sql: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def ratio(self) -> np.ndarray:
@@ -123,42 +104,6 @@ def quasi_free_oscillator(
         resonance_freq=resonance_ratio * omega_sql,
         damping=damping_ratio * omega_sql,
     )
-
-
-def airy_slope(cavity: OpticalCavity, detuning: float, a_bar: float) -> float:
-    """Slope of the intracavity intensity versus cavity length.
-
-    On the side of the resonance fringe, a length change converts into an
-    intensity change, hence into a radiation-pressure force.
-    """
-    kappa = 2.0 * cavity.wavevector * a_bar
-    return -2.0 * kappa * detuning * a_bar / (cavity.gamma**2 + detuning**2)
-
-
-def radiation_force_transfer(
-    cavity: OpticalCavity,
-    detuning: float,
-    kappa: float,
-    omega,
-    constants: Constants = NORMALIZED,
-) -> ForceTransfer:
-    """The three radiation-pressure force channels at ``omega``.
-
-    The incident-field channel carries both quadratures (the phase
-    quadrature only enters when the cavity is detuned and the frequency
-    finite); the displacement and signal channels are both minus the
-    optical spring, -2 hbar kappa^2 detuning / Delta(omega).
-    """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    g = cavity.gamma
-    omtau = np.asarray(omega, dtype=float) * cavity.round_trip
-    xi = kappa * math.sqrt(2.0 * g / (g**2 + detuning**2))
-    spring, u2, delta = optical_spring(g, omtau, detuning, xi, constants.hbar)
-    front = constants.hbar * xi
-    f_p = front * (u2 - 1j * g * omtau) / delta
-    f_q = front * (-1j * detuning * omtau) / delta
-    return ForceTransfer(f_p=f_p, f_q=f_q, f_m=-spring, f_sig=-spring)
 
 
 def full_transfer(
@@ -273,25 +218,7 @@ def spectrum(
         bad = grid[np.nonzero(sig2 == 0)][0]
         raise SingularPointError(f"no signal transduction at omega={bad!r}")
     s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
-    meta = {
-        "model": "finite_bandwidth",
-        "hbar": constants.hbar,
-        "oscillator": {
-            "mass": osc.mass,
-            "resonance_freq": osc.resonance_freq,
-            "damping": osc.damping,
-        },
-        "cavity": {
-            "gamma": cavity.gamma,
-            "round_trip": cavity.round_trip,
-            "wavevector": cavity.wavevector,
-            "bandwidth": cavity.bandwidth,
-        },
-        "working_point": {"detuning": wp.detuning, "coupling": wp.coupling},
-    }
-    if wp.coupling > 0:
-        meta["omega_sql"] = sql_frequency(osc, wp.coupling, constants)
-    return NoiseSpectrum(omega=grid, s_sig=power / sig2, s_sql=s_sql, meta=meta)
+    return NoiseSpectrum(omega=grid, s_sig=power / sig2, s_sql=s_sql)
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:

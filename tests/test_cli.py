@@ -182,7 +182,9 @@ class TestOptimizeCommand:
             "oscillator.damping = 0.1\n"
             "optimize.mode = detuning\noptimize.omega = 1.0\n"
         )
-        assert run(["optimize", "--out", str(out)], tmp_path, cfg) == 0
+        # damping/resonance_freq = 0.1 is outside the high-Q picture of the stability report
+        with pytest.warns(UserWarning, match="high-Q"):
+            assert run(["optimize", "--out", str(out)], tmp_path, cfg) == 0
         doc = json.loads(out.read_text())
         assert abs(doc["detuning"]) < 1e-4
         assert doc["level"] == pytest.approx(doc["closed_form"]["level"], rel=1e-4)
@@ -267,6 +269,10 @@ class TestBadInputsExit2:
             (["figure", "fig4", "--bandwidths=0,1,1,1,1,1"], None),
             (["optimize", "--mode", "detuning"], "oscillator.damping = 0.0\n"),
             (["optimize", "--mode", "detuning", "--omega", "0"], None),
+            (["optimize", "--omega", "nan"], None),
+            (["optimize", "--omega", "inf"], None),
+            (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.5, nan\n"),
+            (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.0, 1.0\n"),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -276,6 +282,10 @@ class TestBadInputsExit2:
             "fig4-zero-bandwidth",
             "optimize-detuning-undamped",
             "optimize-detuning-zero-omega",
+            "optimize-nan-omega",
+            "optimize-inf-omega",
+            "uql-sweep-nan-omega",
+            "uql-sweep-zero-omega",
         ],
     )
     def test_config_error(self, tmp_path, capsys, args, config_text):
@@ -283,6 +293,25 @@ class TestBadInputsExit2:
         assert run([*args, "--out", str(out)], tmp_path, config_text) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, out",
+        [
+            (["figure", "fig3"], "file"),
+            (["spectrum"], "file/x.csv"),
+            (["spectrum"], "dir"),
+        ],
+        ids=["figure-out-is-file", "spectrum-out-under-file", "spectrum-out-is-dir"],
+    )
+    def test_unwritable_output(self, tmp_path, capsys, args, out):
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        assert run([*args, "--out", str(tmp_path / out)], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: cannot write output: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert not list(tmp_path.rglob(".optospring-*"))
 
 
 class TestStabilityCommand:
