@@ -56,9 +56,11 @@ def _atomic_write(path: str, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the target, not tmp
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -350,20 +352,12 @@ def cmd_figure(
             "s_sql": s_sql,
             "frequency": 0.0,
         }
-        manifest["parameters"] = {
-            "gamma": gamma,
-            "oscillator": asdict(osc),
-            "note": "s_sig is inf exactly on the static stability boundary",
-        }
-        hbar, chi = cfg.constants.hbar, mech_susceptibility(osc, 0.0)
+        manifest["parameters"] = {"gamma": gamma, "oscillator": asdict(osc)}
         xi = np.sqrt(grid * xi_sql2)
         for idx, r in enumerate(ratios):
             psi = r * gamma
             noise = qs.noise_over_coupling(osc, gamma, psi, 0.0, constants=cfg.constants)
-            # the kernel's boundary test: cells where 1/chi_eff vanishes are written as inf
-            live = 1.0 / chi + core.optical_spring(gamma, 0.0, psi, xi, hbar)[0] != 0
-            s = np.full(grid.shape, math.inf)
-            s[live] = noise(xi[live])
+            s = noise(xi)
             static, dynamic = core.stability_margins(osc, cfg.cavity, psi, xi, cfg.constants)
             table = np.rec.fromarrays(
                 [grid, s, np.full(grid.shape, s_sql), s / s_sql, static > 0, dynamic > 0]

@@ -215,8 +215,9 @@ def build_run_config(
         WorkingPoint(detuning=parsed["optimize.detuning"], coupling=0.0)
     except ValueError as exc:
         raise ConfigError(f"optimize.detuning: {exc}") from None
-    for key in ("optimize.omega", "optimize.omegas"):
-        if not all(map(math.isfinite, _parse_float_list(raw[key]))):
+    omega, omegas = parsed["optimize.omega"], parsed["optimize.omegas"]
+    for key, values in (("optimize.omega", (omega,)), ("optimize.omegas", omegas)):
+        if not all(map(math.isfinite, values)):
             raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
 
     if not (0 < parsed["grid.lo"] < parsed["grid.hi"] < math.inf):
@@ -224,7 +225,6 @@ def build_run_config(
     if parsed["grid.points_per_decade"] < 1:
         raise ConfigError("grid.points_per_decade must be >= 1")
 
-    omegas = parsed["optimize.omegas"]
     if not omegas:
         # default sweep: a decade around the mechanical resonance
         om = oscillator.resonance_freq
@@ -244,7 +244,7 @@ def build_run_config(
         grid_units=parsed["grid.units"],
         model=parsed["spectrum.model"],
         optimize_mode=parsed["optimize.mode"],
-        optimize_omega=parsed["optimize.omega"],
+        optimize_omega=omega,
         optimize_detuning=parsed["optimize.detuning"],
         optimize_omegas=omegas,
         stability_xi2=parsed["stability.xi2"],

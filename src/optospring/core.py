@@ -240,8 +240,8 @@ def mech_susceptibility(osc: MechanicalOscillator, omega):
 
 def loop_denominator(cavity: OpticalCavity, detuning: float, omega):
     """Cavity loop denominator (gamma - i omega tau)^2 + detuning^2."""
-    omega = np.asarray(omega, dtype=float)
-    return _scalar((cavity.gamma - 1j * omega * cavity.round_trip) ** 2 + detuning**2)
+    lag = cavity.gamma - 1j * np.asarray(omega, dtype=float) * cavity.round_trip
+    return _scalar(lag * lag + detuning * detuning)
 
 
 def optical_spring(gamma, omtau, psi, xi, hbar):
@@ -331,7 +331,7 @@ def steady_state(
 def kappa_for_coupling(cavity: OpticalCavity, detuning, coupling):
     """Frequency-pull rate kappa corresponding to a coupling value; broadcasts."""
     g = cavity.gamma
-    return coupling * np.sqrt((g**2 + detuning**2) / (2.0 * g))
+    return coupling * np.sqrt((g * g + detuning * detuning) / (2.0 * g))
 
 
 def solve_self_consistent_detuning(
@@ -422,10 +422,10 @@ def effective_damping(
             f"(damping/resonance_freq = {osc.damping / osc.resonance_freq:.3g})",
             stacklevel=2,
         )
-    delta = loop_denominator(cavity, detuning, osc.resonance_freq)
+    d, g = np.abs(loop_denominator(cavity, detuning, osc.resonance_freq)), cavity.gamma
     return osc.damping - (
-        4.0 * constants.hbar * kappa**2 / (osc.mass * cavity.bandwidth)
-    ) * cavity.gamma**2 * detuning / abs(delta) ** 2
+        4.0 * constants.hbar * (kappa * kappa) / (osc.mass * cavity.bandwidth)
+    ) * (g * g) * detuning / (d * d)
 
 
 def effective_susceptibility_poles(
@@ -470,9 +470,9 @@ def stability_margins(
     the effective damping. Detuning and coupling broadcast against each
     other, so one call covers a whole working-point grid.
     """
-    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
-    factor = 1.0 + constants.hbar * coupling**2 * (detuning / cavity.gamma) * chi0
-    static = (cavity.gamma**2 + detuning**2) * factor
+    chi0 = 1.0 / (osc.mass * (osc.resonance_freq * osc.resonance_freq))
+    factor = 1.0 + constants.hbar * (coupling * coupling) * (detuning / cavity.gamma) * chi0
+    static = (cavity.gamma * cavity.gamma + detuning * detuning) * factor
     kappa = kappa_for_coupling(cavity, detuning, coupling)
     return static, effective_damping(osc, cavity, detuning, kappa, constants)
 

@@ -12,8 +12,7 @@ package needs only numpy. The coupling is searched in log(coupling^2),
 where the objective spans decades but is nearly quadratic around its
 minimum. A coupling objective must broadcast over an array of couplings
 (wrap a scalar-only one in ``np.vectorize``), so each pre-scan is one
-call; for the quasi-static noise that is one array evaluation of the
-response kernel.
+call; the quasi-static noise gives the same bits on arrays and scalars.
 """
 
 from __future__ import annotations
@@ -204,15 +203,15 @@ def _seeded_search(f, nodes, seed_vals, spec: SearchSpec):
 
     ``seed_vals`` holds ``f`` at ``nodes``; the best node is clipped to
     an interior one to bracket the polish. Returns ``(x, f(x),
-    evaluations, converged, seeded)``: when the polish loses to the best
-    seed, that seed wins with its scan value and ``seeded`` is set.
+    evaluations, converged)``; when the polish loses to the best seed,
+    that seed wins with its scan value.
     """
     j = int(np.argmin(seed_vals))
     i = min(max(j, 1), len(nodes) - 2)
     x, fx, nfev, ok = _bounded_brent(f, nodes[i - 1], nodes[i + 1], spec.rel_tol, spec.max_iter)
     if seed_vals[j] < fx:  # polish must never lose to its own seed
-        return nodes[j], seed_vals[j], nfev, ok, True
-    return x, fx, nfev, ok, False
+        return nodes[j], seed_vals[j], nfev, ok
+    return x, fx, nfev, ok
 
 
 @functools.lru_cache(maxsize=16)
@@ -234,10 +233,10 @@ def minimize_over_xi(
     ``objective`` maps a coupling value to a noise level (quasi-static or
     full-bandwidth, at fixed frequency and detuning), and an array of
     couplings elementwise: the seed scan is one call on all seed
-    couplings, while the polish calls it on scalars. Wrap a scalar-only
-    objective in ``np.vectorize``. The search runs on log(coupling^2): a
-    deterministic seed scan brackets the minimum, then a bounded Brent
-    polish finishes. When ``xi2_max_stable`` is given the upper bound is
+    couplings, while the polish calls it on scalars (a winning seed keeps
+    its scan value). Wrap a scalar-only objective in ``np.vectorize``.
+    The search runs on log(coupling^2): a deterministic seed scan
+    brackets the minimum, then a bounded Brent polish finishes. When ``xi2_max_stable`` is given the upper bound is
     clamped just inside the static-stability margin and an optimum
     pushed against it is flagged ``constraint_active``. ``at_bound``
     flags an optimum at either end of the (clamped) log(coupling^2) range.
@@ -254,9 +253,7 @@ def minimize_over_xi(
     def scalar(u):
         return objective(math.sqrt(math.exp(u)))
 
-    u, level, nfev, ok, seeded = _seeded_search(scalar, t, seed_vals, spec)
-    if seeded:  # report the scalar value: an array scan may round its last bits apart
-        level = scalar(u)
+    u, level, nfev, ok = _seeded_search(scalar, t, seed_vals, spec)
     xi2 = float(math.exp(u))
     return OptimResult(
         coupling2=xi2,
@@ -322,7 +319,7 @@ def minimize_over_detuning(
     hi = min(hi, math.pi)
     p = np.linspace(lo, hi, spec.seed_points)
     seed_vals = np.array([outer(pi).level for pi in p])
-    psi_opt, _, _, ok, _ = _seeded_search(lambda q: outer(q).level, p, seed_vals, spec)
+    psi_opt, _, _, ok = _seeded_search(lambda q: outer(q).level, p, seed_vals, spec)
     psi_opt = float(psi_opt)
     best = outer(psi_opt)
     return replace(
@@ -343,11 +340,10 @@ def stability_map(
     """Stability flags over a working-point grid, with the static boundary.
 
     One call of :func:`optospring.core.stability_margins` broadcasts the
-    detunings (rows) against the couplings (columns). Per cell it gives
-    :func:`optospring.core.stability` up to the last bits: numpy squares
-    and takes complex moduli with its own rounding where the scalar route
-    calls libm ``pow`` and ``hypot``, so each margin can differ from the
-    scalar one by a few ulp of its largest term.
+    detunings (rows) against the couplings (columns). The margins are
+    written with ``x * x`` and numpy moduli only, so each cell equals
+    :func:`optospring.core.stability` at coupling sqrt(coupling2) bit for
+    bit.
     """
     coupling2 = np.asarray(coupling2, dtype=float)
     detunings = np.asarray(detunings, dtype=float)

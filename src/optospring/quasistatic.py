@@ -2,10 +2,10 @@
 
 Valid for signal frequencies well below the cavity bandwidth: the output
 phase quadrature carries the signal amplified by the mirror dynamics on
-top of the incident phase and radiation-pressure noises. The chain is
-the response kernel :func:`optospring.core.spring_response` at
-omega * tau = 0, where the optical spring is the static hbar xi^2 psi /
-gamma. This module provides the output-quadrature transfer, the
+top of the incident phase and radiation-pressure noises. The transfer is
+the response kernel :func:`optospring.core.spring_response` at omega *
+tau = 0 (static spring hbar xi^2 psi / gamma); the noise is its real
+inverse form. This module provides the output-quadrature transfer, the
 equivalent-input noise spectrum, the standard quantum limit, closed-form
 optimal working points at low and high frequency, and the
 dissipation-set ultimate limit.
@@ -29,7 +29,6 @@ from .core import (
     QuadratureTransfer,
     WorkingPoint,
     mech_susceptibility,
-    noise_power,
     spring_response,
 )
 from .errors import (
@@ -96,20 +95,30 @@ def noise_over_coupling(
 ):
     """Quasi-static equivalent-input noise as a function of the coupling.
 
-    The response kernel at omega tau = 0 with chi computed once. The
-    returned function maps a coupling, or an array of couplings
-    elementwise, to the noise of :func:`equivalent_input_noise`, which
-    is its value at the working point's coupling.
+    Maps a coupling, or an array of couplings elementwise, to the noise of
+    :func:`equivalent_input_noise`: the kernel's noise at omega tau = 0 in
+    real inverse form, |chi|^2 (S_q |chi_eff^-1|^2 / (4 xi^2) + S_p hbar^2
+    xi^2 + S_pq hbar Re chi_eff^-1) with chi_eff^-1 = chi^-1 + hbar xi^2 psi
+    / gamma. Only +, -, * and / enter, so a Python float and a numpy array
+    give the same bits, and the noise stays finite on the static boundary.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
-    # a phase-checked Python float keeps the scalar complex rounding
     psi = WorkingPoint(detuning, 0.0).detuning
-    chi = mech_susceptibility(osc, omega)
+    # a scalar frequency stays a Python float, so the scalar Brent polish runs on floats
+    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
+    im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
+    mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
+    if np.any(mag2 == 0):
+        mech_susceptibility(osc, omega)  # names the singular frequency
+    hbar, spring = constants.hbar, constants.hbar * psi / gamma
 
     def noise_at(xi):
-        t = spring_response(chi, gamma, 0.0, psi, xi, constants.hbar)[1]
-        return noise_power(t, noise) / np.abs(t.c_sig) ** 2
+        xi2 = xi * xi
+        re = re0 + spring * xi2  # Re chi_eff^-1
+        phase = noise.s_q * (re * re + im0 * im0) / (4.0 * xi2)
+        return (phase + noise.s_p * hbar * hbar * xi2 + noise.s_pq * hbar * re) / mag2
 
     return noise_at
 
@@ -125,15 +134,14 @@ def equivalent_input_noise(
     """Equivalent-input noise spectrum of the length measurement.
 
     Output noise power referred to an apparent cavity-length change:
-    (|c_q|^2 S_q + |c_p|^2 S_p + 2 Re(c_q c_p*) S_pq) / |c_sig|^2.
-    With coherent input this reproduces the closed form of
-    :func:`equivalent_input_noise_closed_form` identically.
+    (|c_q|^2 S_q + |c_p|^2 S_p + 2 Re(c_q c_p*) S_pq) / |c_sig|^2,
+    evaluated by :func:`noise_over_coupling`. With coherent input this
+    is the closed form of :func:`equivalent_input_noise_closed_form`.
     """
     if wp.coupling == 0:
         raise NoMeasurementError("coupling is zero: the output carries no signal")
     noise_at = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, noise, constants)
-    out = noise_at(wp.coupling)
-    return float(out) if np.asarray(out).ndim == 0 else out
+    return noise_at(wp.coupling)
 
 
 def equivalent_input_noise_closed_form(

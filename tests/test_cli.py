@@ -295,21 +295,24 @@ class TestBadInputsExit2:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args, out",
+        "args, out, named",
         [
-            (["figure", "fig3"], "file"),
-            (["spectrum"], "file/x.csv"),
-            (["spectrum"], "dir"),
+            (["figure", "fig3"], "file", "file"),
+            (["spectrum"], "file/x.csv", "file"),
+            (["spectrum"], "dir", "dir"),
         ],
         ids=["figure-out-is-file", "spectrum-out-under-file", "spectrum-out-is-dir"],
     )
-    def test_unwritable_output(self, tmp_path, capsys, args, out):
+    def test_unwritable_output(self, tmp_path, capsys, args, out, named):
         (tmp_path / "file").write_text("kept\n")
         (tmp_path / "dir").mkdir()
         assert run([*args, "--out", str(tmp_path / out)], tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("optospring: cannot write output: ")
         assert err.count("\n") == 1
+        # the message names the --out path (or the file that blocks it), never a temp file
+        assert err.endswith(f": {str(tmp_path / named)!r}\n")
+        assert ".optospring-" not in err
         assert (tmp_path / "file").read_text() == "kept\n"
         assert not list(tmp_path.rglob(".optospring-*"))
 
@@ -435,17 +438,18 @@ class TestFigureCommand:
                 name = f"{figure}_curve_{letter}"
                 assert_csv_equals_json(csv1 / f"{name}.csv", json1 / f"{name}.json")
 
-    def test_fig2_boundary_cell_written_as_inf(self, tmp_path):
+    def test_fig2_boundary_cell_is_finite(self, tmp_path):
         # at detuning -4 gamma, xi2_norm = 0.5 sits exactly on the static
-        # boundary: that cell is inf, the rest of the curve stays finite
+        # boundary: that cell holds the finite limit hbar^2 xi^2 |chi(0)|^2
+        # and static_ok = 0 marks it
         args = ["figure", "fig2", "--detunings=-4", "--grid", "0.5:50:10"]
         csv1, _, json1, _ = run_twice(args, tmp_path)
         lines = (csv1 / "fig2_curve_a.csv").read_text().splitlines()
-        assert lines[3] == "0.5,inf,1.0,inf,0,1"
-        assert all("inf" not in line for line in lines[4:])
+        assert lines[3] == "0.5,0.25,1.0,0.25,0,1"
+        assert all("inf" not in line for line in lines[3:])
         text = (json1 / "fig2_curve_a.json").read_text()
-        assert '"rows": [[0.5, Infinity, 1.0, Infinity, false, true], [' in text
-        assert text.count("Infinity") == 2
+        assert '"rows": [[0.5, 0.25, 1.0, 0.25, false, true], [' in text
+        assert "Infinity" not in text
         assert_csv_equals_json(csv1 / "fig2_curve_a.csv", json1 / "fig2_curve_a.json")
 
 

@@ -37,6 +37,7 @@ from optospring import (
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
+from optospring.config import build_run_config
 from optospring.optimize import _bounded_brent
 
 GAMMA = 0.01
@@ -406,14 +407,11 @@ def _boundary_by_loop(coupling2, detunings, static_margin):
 
 
 class TestStabilityMapMatchesCells:
-    """The broadcast map against per-cell ``stability()``.
+    """The broadcast map against per-cell ``stability()``, within ULPS ulp.
 
-    The map squares and takes complex moduli with numpy, the scalar route
-    with libm ``pow``/``hypot``; both are within an ulp or two of exact, so
-    each margin may differ by at most ULPS ulp of its largest term: u^2 =
-    gamma^2 + psi^2 and u^2 |factor - 1| for the static margin, the
-    damping and the spring damping for the dynamic one (3.05 seen on
-    14,284 random cells).
+    A tolerance check of the margins, flags and boundary over random
+    oscillators and constants; :class:`TestStabilityMapBitEqual` asserts
+    that the margins are in fact equal bit for bit.
     """
 
     ULPS = 8
@@ -464,6 +462,52 @@ class TestStabilityMapMatchesCells:
             stability_map(high_q_osc, cavity, np.array([1.0]), np.array([-math.pi]))
         with pytest.raises(ValueError, match="coupling2"):
             stability_map(high_q_osc, cavity, np.array([-1.0, 1.0]), np.array([0.0]))
+
+
+class TestStabilityMapBitEqual:
+    """``stability_map`` equals ``stability()`` per cell, bit for bit."""
+
+    @staticmethod
+    def _mismatches(osc, cav, xi2, psis, constants=optospring.NORMALIZED):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # low-Q oscillators
+            m = stability_map(osc, cav, xi2, psis, constants)
+            bad = 0
+            for a, psi in enumerate(psis.tolist()):
+                for b, x in enumerate(xi2.tolist()):
+                    rep = stability(osc, cav, WorkingPoint(psi, math.sqrt(x)), constants)
+                    cell = (m.static_margin[a, b], m.dynamic_margin[a, b])
+                    bad += cell != (rep.static_margin, rep.dynamic_margin)
+                    bad += (m.static_ok[a, b], m.dynamic_ok[a, b]) != (
+                        rep.static_ok, rep.dynamic_ok
+                    )
+        return bad
+
+    def test_default_cli_grid(self):
+        # the grid of `optospring stability` on the default config
+        cfg = build_run_config()
+        osc, cav = cfg.oscillator, cfg.cavity
+        (xlo, xhi, nx), (plo, phi, npsi) = cfg.stability_xi2, cfg.stability_psi
+        chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
+        xi_sql2 = 1.0 / (2.0 * cfg.constants.hbar * chi0)
+        xi2 = np.geomspace(xlo, xhi, nx) * xi_sql2
+        psis = np.linspace(plo, phi, npsi) * cav.gamma
+        assert xi2.size * psis.size == 3477
+        assert self._mismatches(osc, cav, xi2, psis) == 0
+
+    def test_random_grids(self, rng):
+        cells = bad = 0
+        for _ in range(40):
+            osc = MechanicalOscillator(
+                10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
+            )
+            cav = OpticalCavity(10 ** rng.uniform(-3, -0.1), 10 ** rng.uniform(-5, 0), 1.0)
+            constants = optospring.Constants(10 ** rng.uniform(-2, 1))
+            xi2 = np.sort(10 ** rng.uniform(-4, 4, size=16))
+            psis = rng.uniform(-math.pi + 1e-9, math.pi, size=16)
+            cells += xi2.size * psis.size
+            bad += self._mismatches(osc, cav, xi2, psis, constants)
+        assert cells >= 10_000 and bad == 0
 
 
 class TestLowfreqCurveMinimum:

@@ -5,6 +5,7 @@ import pytest
 
 from optospring import (
     COHERENT,
+    Constants,
     DegenerateDissipationError,
     InputNoiseModel,
     MechanicalOscillator,
@@ -20,6 +21,7 @@ from optospring import (
     highfreq_optimum,
     lowfreq_optimum,
     mech_susceptibility,
+    noise_over_coupling,
     noise_power,
     optical_spring,
     quadrature_transfer,
@@ -53,7 +55,14 @@ class TestQuadratureTransfer:
 
 
 class TestKernelAtZeroPhaseLag:
-    """The quasi-static chain is the response kernel at omega tau = 0, bit for bit."""
+    """The quasi-static chain against the response kernel at omega tau = 0.
+
+    The transfer coefficients and the closed form are the kernel's, bit
+    for bit. The noise is an independent route, the kernel's noise in
+    real inverse form, and agrees with it to rounding; its scalar and
+    array calls are compared bit for bit in
+    :class:`TestNoiseScalarArrayBitEqual`.
+    """
 
     # 0.044379486491512826**2 != 0.044379486491512826 * 0.044379486491512826
     GAMMAS = (0.01, 0.044379486491512826, 0.3)
@@ -80,11 +89,42 @@ class TestKernelAtZeroPhaseLag:
                         assert np.array_equal(got, want)
                     noise = noise_power(k, COHERENT) / np.abs(k.c_sig) ** 2
                     got = equivalent_input_noise(osc, cavity, wp, omega)
-                    assert np.array_equal(got, noise)
+                    np.testing.assert_allclose(got, noise, rtol=1e-13, atol=0)
                     zeta = 2.0 * wp.coupling**2 * np.abs(chi_eff)
                     closed = np.abs(chi) * np.abs(chi / chi_eff) * 0.5 * (zeta + 1.0 / zeta)
                     got = equivalent_input_noise_closed_form(osc, cavity, wp, omega)
                     assert np.array_equal(got, closed)
+
+
+class TestNoiseScalarArrayBitEqual:
+    """``noise_over_coupling`` on an array equals its per-element scalar calls."""
+
+    def test_random_models(self, rng):
+        cells = mismatches = 0
+        for _ in range(200):
+            osc = MechanicalOscillator(
+                10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
+            )
+            gamma, psi = 10 ** rng.uniform(-3, -0.1), rng.uniform(-3.14, 3.14)
+            noise = InputNoiseModel(rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(-1, 1))
+            constants = Constants(10 ** rng.uniform(-2, 1))
+            omega = rng.choice([0.0, rng.uniform(0.0, 3.0) * osc.resonance_freq])
+            noise_at = noise_over_coupling(osc, gamma, psi, omega, noise, constants)
+            xi = 10 ** rng.uniform(-3, 3, size=60)
+            batch = noise_at(xi)
+            scalar = [noise_at(x) for x in xi.tolist()]
+            assert all(type(v) is float for v in scalar)
+            cells += xi.size
+            mismatches += int(np.count_nonzero(batch != np.array(scalar)))
+        assert cells >= 10_000 and mismatches == 0
+
+    def test_array_over_frequency(self, high_q_osc, rng):
+        omega = np.geomspace(0.01, 10.0, 500)
+        for psi in rng.uniform(-0.5, 0.5, size=20):
+            noise_at = noise_over_coupling(high_q_osc, 0.01, psi, omega)
+            batch = noise_at(0.7)
+            scalar = [noise_over_coupling(high_q_osc, 0.01, psi, w)(0.7) for w in omega]
+            assert np.array_equal(batch, scalar)
 
 
 class TestEquivalentInputNoise:
