@@ -8,12 +8,10 @@ ultimate quantum limits, stability domains, and optimal working points.
 """
 
 from .core import (
-    COHERENT,
     NORMALIZED,
     SI,
     Constants,
     DetuningBranch,
-    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
     QuadratureTransfer,
@@ -26,7 +24,6 @@ from .core import (
     kappa_for_coupling,
     loop_denominator,
     mech_susceptibility,
-    noise_power,
     optical_spring,
     solve_self_consistent_detuning,
     spring_response,

@@ -144,12 +144,8 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _out_path(cfg: RunConfig, default_stem: str, override: str | None) -> str:
-    if override:
-        return override
-    if cfg.out_path:
-        return cfg.out_path
-    return f"{default_stem}.{cfg.out_format}"
+def _out_path(cfg: RunConfig, default_stem: str) -> str:
+    return cfg.out_path or f"{default_stem}.{cfg.out_format}"
 
 
 def _noise_table(finite, osc, cavity, wp, grid, constants, scale=1.0) -> np.ndarray:
@@ -163,7 +159,7 @@ def _noise_table(finite, osc, cavity, wp, grid, constants, scale=1.0) -> np.ndar
     return np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
 
 
-def cmd_spectrum(cfg: RunConfig, out_override: str | None = None) -> int:
+def cmd_spectrum(cfg: RunConfig) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
     for wp in cfg.points:
@@ -182,7 +178,7 @@ def cmd_spectrum(cfg: RunConfig, out_override: str | None = None) -> int:
             f"omega_sql={omega_sql!r}"
         )
         blocks.append((label, table))
-    path = _out_path(cfg, "spectrum", out_override)
+    path = _out_path(cfg, "spectrum")
     write_table(
         path,
         "spectrum",
@@ -195,33 +191,49 @@ def cmd_spectrum(cfg: RunConfig, out_override: str | None = None) -> int:
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
+def _detuning_optimum(cfg: RunConfig, omega: float, spec: opt.SearchSpec):
+    """The closed-form UQL at one frequency, then the detuning search it checks."""
+    osc, gamma = cfg.oscillator, cfg.cavity.gamma
+    uql = qs.ultimate_quantum_limit(osc, omega, gamma, cfg.constants)
+    res = opt.minimize_over_detuning(osc, gamma, omega, spec, cfg.constants)
+    if not res.converged:
+        raise ConvergenceError(f"detuning search did not converge at omega={omega!r}")
+    return uql, res
+
+
+def cmd_optimize(cfg: RunConfig) -> int:
     """Numeric optimum report (JSON), with closed-form comparison."""
-    gamma = cfg.cavity.gamma
-    spec = opt.SearchSpec()
+    osc, gamma, spec = cfg.oscillator, cfg.cavity.gamma, opt.SearchSpec()
     report: dict = {"mode": cfg.optimize_mode, "units": cfg.units}
-    if cfg.optimize_mode in ("xi", "detuning"):
-        osc, omega, xi_mode = cfg.oscillator, cfg.optimize_omega, cfg.optimize_mode == "xi"
-        if xi_mode:
+    if cfg.optimize_mode == "uql-sweep":
+        rows = []
+        for omega in cfg.optimize_omegas:
+            uql, res = _detuning_optimum(cfg, omega, spec)
+            rows.append(
+                {
+                    "omega": omega,
+                    "level": res.level,
+                    "uql_level": uql.level,
+                    "detuning": res.detuning,
+                    "coupling2": res.coupling2,
+                }
+            )
+        report["sweep"] = rows
+    else:
+        omega, closed_form = cfg.optimize_omega, {}
+        if cfg.optimize_mode == "xi":
             res = opt.minimize_xi_quasistatic(
                 osc, gamma, cfg.optimize_detuning, omega, spec, constants=cfg.constants
             )
-        else:
-            res = opt.minimize_over_detuning(osc, gamma, omega, spec, cfg.constants)
-        if not res.converged:
-            search = "coupling" if xi_mode else "detuning"
-            raise ConvergenceError(f"{search} search did not converge")
-        if xi_mode:
+            if not res.converged:
+                raise ConvergenceError("coupling search did not converge")
             closed = qs.coupling_optimum(osc, omega, res.detuning, gamma, cfg.constants)
         else:
-            closed = qs.ultimate_quantum_limit(osc, omega, gamma, cfg.constants)
-        closed_form = {
-            "coupling2": closed.coupling**2,
-            "level": closed.level,
-            "ratio_to_sql": closed.ratio_to_sql,
-        }
-        if not xi_mode:
+            closed, res = _detuning_optimum(cfg, omega, spec)
             closed_form["detuning"] = closed.detuning
+        closed_form.update(
+            coupling2=closed.coupling**2, level=closed.level, ratio_to_sql=closed.ratio_to_sql
+        )
         wp_min = WorkingPoint(res.detuning, math.sqrt(res.coupling2))
         report.update(
             omega=omega,
@@ -235,30 +247,13 @@ def cmd_optimize(cfg: RunConfig, out_override: str | None = None) -> int:
             closed_form=closed_form,
             stability=asdict(stability(osc, cfg.cavity, wp_min, cfg.constants)),
         )
-    else:  # uql-sweep
-        rows = []
-        for omega in cfg.optimize_omegas:
-            uql = qs.ultimate_quantum_limit(cfg.oscillator, omega, gamma, cfg.constants)
-            res = opt.minimize_over_detuning(cfg.oscillator, gamma, omega, spec, cfg.constants)
-            if not res.converged:
-                raise ConvergenceError(f"detuning search did not converge at omega={omega!r}")
-            rows.append(
-                {
-                    "omega": omega,
-                    "level": res.level,
-                    "uql_level": uql.level,
-                    "detuning": res.detuning,
-                    "coupling2": res.coupling2,
-                }
-            )
-        report["sweep"] = rows
-    path = out_override or cfg.out_path or "optimize.json"
+    path = cfg.out_path or "optimize.json"
     _write_json(path, report)
     print(path)
     return 0
 
 
-def cmd_stability(cfg: RunConfig, out_override: str | None = None) -> int:
+def cmd_stability(cfg: RunConfig) -> int:
     """Stability grid over (coupling^2, detuning), normalized axes."""
     hbar = cfg.constants.hbar
     chi0 = 1.0 / (cfg.oscillator.mass * cfg.oscillator.resonance_freq**2)
@@ -281,7 +276,7 @@ def cmd_stability(cfg: RunConfig, out_override: str | None = None) -> int:
     cells = [a.ravel() for a in (*flags, grid.static_margin, grid.dynamic_margin)]
     axes = [np.tile(xi2_norm, psi_norm.size), np.repeat(psi_norm, xi2_norm.size)]
     table = np.rec.fromarrays(axes + cells)
-    path = _out_path(cfg, "stability", out_override)
+    path = _out_path(cfg, "stability")
     write_table(
         path,
         "stability",
@@ -481,11 +476,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, _config_overrides(args))
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.out)
+            return cmd_spectrum(cfg)
         if args.command == "optimize":
-            return cmd_optimize(cfg, args.out)
+            return cmd_optimize(cfg)
         if args.command == "stability":
-            return cmd_stability(cfg, args.out)
+            return cmd_stability(cfg)
         detunings = None
         if args.detunings:
             detunings = tuple(_parse_ratio(x) for x in args.detunings.split(","))

@@ -185,27 +185,6 @@ class StabilityReport:
 
 
 @dataclass(frozen=True)
-class InputNoiseModel:
-    """Symmetrized spectra of the incident quadrature fluctuations.
-
-    Defaults are the coherent-state values: unit white noise in both
-    quadratures, no cross-correlation. Quadratures are defined relative
-    to the mean-field phase.
-    """
-
-    s_q: float = 1.0
-    s_p: float = 1.0
-    s_pq: float = 0.0
-
-    def __post_init__(self):
-        if self.s_q < 0 or self.s_p < 0:
-            raise ValueError("quadrature spectra must be >= 0")
-
-
-COHERENT = InputNoiseModel()
-
-
-@dataclass(frozen=True)
 class QuadratureTransfer:
     """Coefficients of the measured output phase quadrature.
 
@@ -284,19 +263,6 @@ def spring_response(chi, gamma, omtau, psi, xi, hbar):
     c_q = a_q + 2.0 * xi * gain * chi_eff * (-1j * hbar * xi * psi * omtau / delta)
     c_sig = 2.0 * xi * gain * chi_eff / chi
     return chi_eff, QuadratureTransfer(_scalar(c_q), _scalar(c_p), _scalar(c_sig))
-
-
-def noise_power(t: QuadratureTransfer, noise: InputNoiseModel):
-    """Output noise power of the measured quadrature.
-
-    |c_q|^2 S_q + |c_p|^2 S_p + 2 Re(c_q c_p*) S_pq; divided by
-    |c_sig|^2 it is the equivalent-input noise.
-    """
-    return (
-        np.abs(t.c_q) ** 2 * noise.s_q
-        + np.abs(t.c_p) ** 2 * noise.s_p
-        + 2.0 * np.real(t.c_q * np.conj(t.c_p)) * noise.s_pq
-    )
 
 
 def steady_state(

@@ -21,17 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    COHERENT,
     NORMALIZED,
     Constants,
-    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
     QuadratureTransfer,
     WorkingPoint,
     kappa_for_coupling,
     mech_susceptibility,
-    noise_power,
     spring_response,
 )
 from .errors import NoDipFoundError, SingularPointError
@@ -87,22 +84,18 @@ class DipReport:
     predicted_depth: float
 
 
-def quasi_free_oscillator(
-    omega_sql: float,
-    mass: float = 1.0,
-    resonance_ratio: float = FREE_MASS_RESONANCE_RATIO,
-    damping_ratio: float = FREE_MASS_DAMPING_RATIO,
-) -> MechanicalOscillator:
-    """Oscillator that behaves as a free mass over a spectrum grid.
+def quasi_free_oscillator(omega_sql: float) -> MechanicalOscillator:
+    """Unit-mass oscillator that behaves as a free mass over a spectrum grid.
 
-    Resonance and damping sit far below the balance frequency, so the
-    response is -1/(M omega^2) everywhere the spectrum is evaluated while
-    both the static response and the spring pole stay regular.
+    Resonance and damping sit FREE_MASS_RESONANCE_RATIO and
+    FREE_MASS_DAMPING_RATIO times the balance frequency, so the response
+    is -1/omega^2 everywhere the spectrum is evaluated while both the
+    static response and the spring pole stay regular.
     """
     return MechanicalOscillator(
-        mass=mass,
-        resonance_freq=resonance_ratio * omega_sql,
-        damping=damping_ratio * omega_sql,
+        mass=1.0,
+        resonance_freq=FREE_MASS_RESONANCE_RATIO * omega_sql,
+        damping=FREE_MASS_DAMPING_RATIO * omega_sql,
     )
 
 
@@ -197,13 +190,14 @@ def spectrum(
     cavity: OpticalCavity,
     wp: WorkingPoint,
     grid: np.ndarray,
-    noise: InputNoiseModel = COHERENT,
     constants: Constants = NORMALIZED,
 ) -> NoiseSpectrum:
     """Exact equivalent-input noise over a frequency grid.
 
-    Also evaluates the SQL reference curve hbar |chi| on the same grid.
-    The grid must be strictly increasing and positive. Singularities are
+    Coherent input light: the output noise |c_q|^2 + |c_p|^2 over the
+    signal transduction |c_sig|^2 of :func:`full_transfer`. Also
+    evaluates the SQL reference curve hbar |chi| on the same grid. The
+    grid must be strictly increasing and positive. Singularities are
     reported with the offending frequency.
     """
     grid = np.asarray(grid, dtype=float)
@@ -212,7 +206,7 @@ def spectrum(
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
     t = full_transfer(osc, cavity, wp, grid, constants)
-    power = noise_power(t, noise)
+    power = np.abs(t.c_q) ** 2 + np.abs(t.c_p) ** 2
     sig2 = np.abs(t.c_sig) ** 2
     if np.any(sig2 == 0):
         bad = grid[np.nonzero(sig2 == 0)][0]

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
-    COHERENT,
     NORMALIZED,
     Constants,
-    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
     stability_margins,
@@ -89,20 +87,16 @@ class OptimResult:
 
 @dataclass(frozen=True)
 class StabilityMap:
-    """Stability flags and margins on a (coupling^2, detuning) grid.
+    """Stability flags and margins on a (detuning, coupling^2) grid.
 
-    ``boundary`` holds (detuning, coupling^2) pairs where the static
-    margin crosses zero along each detuning row (the margin is linear in
-    coupling^2, so the crossing is interpolated exactly).
+    Rows run over the detunings, columns over the couplings^2. The static
+    boundary in closed form is :func:`static_coupling2_bound`.
     """
 
-    coupling2: np.ndarray
-    detunings: np.ndarray
     static_ok: np.ndarray
     dynamic_ok: np.ndarray
     static_margin: np.ndarray
     dynamic_margin: np.ndarray
-    boundary: list = field(default_factory=list)
 
 
 def static_coupling2_bound(
@@ -273,11 +267,10 @@ def minimize_xi_quasistatic(
     detuning: float,
     omega: float,
     spec: SearchSpec = SearchSpec(),
-    noise: InputNoiseModel = COHERENT,
     constants: Constants = NORMALIZED,
 ) -> OptimResult:
     """Numeric coupling optimum of the quasi-static noise at one point."""
-    objective = noise_over_coupling(osc, gamma, detuning, omega, noise, constants)
+    objective = noise_over_coupling(osc, gamma, detuning, omega, constants)
     bound = None
     if spec.stability_constrained:
         bound = static_coupling2_bound(osc, gamma, detuning, constants)
@@ -337,13 +330,14 @@ def stability_map(
     detunings: np.ndarray,
     constants: Constants = NORMALIZED,
 ) -> StabilityMap:
-    """Stability flags over a working-point grid, with the static boundary.
+    """Stability flags and margins over a working-point grid.
 
     One call of :func:`optospring.core.stability_margins` broadcasts the
     detunings (rows) against the couplings (columns). The margins are
     written with ``x * x`` and numpy moduli only, so each cell equals
     :func:`optospring.core.stability` at coupling sqrt(coupling2) bit for
-    bit.
+    bit. The static boundary in closed form is
+    :func:`static_coupling2_bound`.
     """
     coupling2 = np.asarray(coupling2, dtype=float)
     detunings = np.asarray(detunings, dtype=float)
@@ -354,17 +348,9 @@ def stability_map(
     static_margin, dynamic_margin = stability_margins(
         osc, cavity, detunings[:, None], np.sqrt(coupling2), constants
     )
-    # margin is linear in coupling^2: interpolate each row's crossings exactly
-    m0, m1 = static_margin[:, :-1], static_margin[:, 1:]
-    a, b = np.nonzero((m0 == 0.0) | ((m0 > 0) != (m1 > 0)))
-    x0, x1 = coupling2[b], coupling2[b + 1]
-    cross = x0 + (x1 - x0) * m0[a, b] / (m0[a, b] - m1[a, b])
     return StabilityMap(
-        coupling2=coupling2,
-        detunings=detunings,
         static_ok=static_margin > 0,
         dynamic_ok=dynamic_margin > 0,
         static_margin=static_margin,
         dynamic_margin=dynamic_margin,
-        boundary=list(zip(detunings[a].tolist(), cross.tolist())),
     )

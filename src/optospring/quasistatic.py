@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    COHERENT,
     NORMALIZED,
     Constants,
-    InputNoiseModel,
     MechanicalOscillator,
     OpticalCavity,
     QuadratureTransfer,
@@ -36,6 +34,8 @@ from .errors import (
     NoMeasurementError,
     StabilityBoundaryError,
 )
+
+_NO_SIGNAL = "coupling is zero: the output carries no signal"
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,17 @@ def noise_over_coupling(
     gamma: float,
     detuning: float,
     omega,
-    noise: InputNoiseModel = COHERENT,
     constants: Constants = NORMALIZED,
 ):
     """Quasi-static equivalent-input noise as a function of the coupling.
 
     Maps a coupling, or an array of couplings elementwise, to the noise of
-    :func:`equivalent_input_noise`: the kernel's noise at omega tau = 0 in
-    real inverse form, |chi|^2 (S_q |chi_eff^-1|^2 / (4 xi^2) + S_p hbar^2
-    xi^2 + S_pq hbar Re chi_eff^-1) with chi_eff^-1 = chi^-1 + hbar xi^2 psi
-    / gamma. Only +, -, * and / enter, so a Python float and a numpy array
-    give the same bits, and the noise stays finite on the static boundary.
+    :func:`equivalent_input_noise` for coherent input: the kernel's noise
+    at omega tau = 0 in real inverse form, |chi|^2 (|chi_eff^-1|^2 / (4
+    xi^2) + hbar^2 xi^2) with chi_eff^-1 = chi^-1 + hbar xi^2 psi / gamma.
+    Only +, -, * and / enter, so a Python float and a numpy array give the
+    same bits, and the noise stays finite on the static boundary. A zero
+    Python-float coupling raises ``NoMeasurementError``.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
@@ -117,8 +117,11 @@ def noise_over_coupling(
     def noise_at(xi):
         xi2 = xi * xi
         re = re0 + spring * xi2  # Re chi_eff^-1
-        phase = noise.s_q * (re * re + im0 * im0) / (4.0 * xi2)
-        return (phase + noise.s_p * hbar * hbar * xi2 + noise.s_pq * hbar * re) / mag2
+        try:
+            phase = (re * re + im0 * im0) / (4.0 * xi2)
+        except ZeroDivisionError:
+            raise NoMeasurementError(_NO_SIGNAL) from None
+        return (phase + hbar * hbar * xi2) / mag2
 
     return noise_at
 
@@ -128,19 +131,18 @@ def equivalent_input_noise(
     cavity: OpticalCavity,
     wp: WorkingPoint,
     omega,
-    noise: InputNoiseModel = COHERENT,
     constants: Constants = NORMALIZED,
 ):
     """Equivalent-input noise spectrum of the length measurement.
 
-    Output noise power referred to an apparent cavity-length change:
-    (|c_q|^2 S_q + |c_p|^2 S_p + 2 Re(c_q c_p*) S_pq) / |c_sig|^2,
-    evaluated by :func:`noise_over_coupling`. With coherent input this
-    is the closed form of :func:`equivalent_input_noise_closed_form`.
+    Output noise power of coherent input light referred to an apparent
+    cavity-length change, (|c_q|^2 + |c_p|^2) / |c_sig|^2, evaluated by
+    :func:`noise_over_coupling`; its closed form is
+    :func:`equivalent_input_noise_closed_form`.
     """
     if wp.coupling == 0:
-        raise NoMeasurementError("coupling is zero: the output carries no signal")
-    noise_at = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, noise, constants)
+        raise NoMeasurementError(_NO_SIGNAL)
+    noise_at = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, constants)
     return noise_at(wp.coupling)
 
 
@@ -158,7 +160,7 @@ def equivalent_input_noise_closed_form(
     validating the coefficient-based computation.
     """
     if wp.coupling == 0:
-        raise NoMeasurementError("coupling is zero: the output carries no signal")
+        raise NoMeasurementError(_NO_SIGNAL)
     chi, psi, xi = mech_susceptibility(osc, omega), wp.detuning, wp.coupling
     chi_eff = spring_response(chi, cavity.gamma, 0.0, psi, xi, constants.hbar)[0]
     zeta = 2.0 * constants.hbar * wp.coupling**2 * np.abs(chi_eff)

@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from optospring import optimize as opt
 from optospring.cli import main, read_table, write_table
 from optospring.config import (
     build_run_config,
@@ -215,6 +217,28 @@ class TestOptimizeCommand:
         assert doc["mode"] == "xi"
         assert doc["omega"] == 0.25
 
+    def test_detuning_mode_checks_uql_before_searching(self, tmp_path, monkeypatch):
+        # Im chi = 0 at omega = 0: no ultimate limit, so no search is run
+        calls = []
+        search = opt.minimize_over_detuning
+        monkeypatch.setattr(
+            opt, "minimize_over_detuning", lambda *a, **k: calls.append(a) or search(*a, **k)
+        )
+        args = ["optimize", "--mode", "detuning", "--omega", "0", "--out", str(tmp_path / "o")]
+        assert run(args, tmp_path) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["xi", "detuning", "uql-sweep"])
+    def test_non_convergence_exit_4(self, tmp_path, capsys, monkeypatch, mode):
+        one_step = functools.partial(opt.SearchSpec, max_iter=1)
+        monkeypatch.setattr("optospring.optimize.SearchSpec", one_step)
+        out = tmp_path / "opt.json"
+        assert run(["optimize", "--mode", mode, "--out", str(out)], tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: non-convergence: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestOptimizeSearchPinned:
     """The seed scan and Brent polish sequence: its evaluation count and optimum."""
@@ -256,6 +280,37 @@ class TestOptimizeSearchPinned:
         assert doc["iterations"] == iterations
         for key, value in expected.items():
             assert doc[key] == pytest.approx(value, rel=1e-12)
+
+    PSI_END = 3.141591653589793  # the detuning search range ends at +-(pi - 1e-6)
+    UQL_SWEEP = [  # omega, level, uql_level, detuning, coupling2 of the default sweep
+        (0.3, 0.0035072564318120543, 0.00036227504817684534, -PSI_END, 0.0028965623202825497),
+        (0.38746489950446517, 0.003764562262924861, 0.0005364463623712724, -PSI_END,
+         0.00270516957740368),
+        (0.5004301611600176, 0.004293228391066508, 0.000890675059726425, -PSI_END,
+         0.0023859072688693626),
+        (0.6463304070095651, 0.005632979747300829, 0.0019064464401748048, -PSI_END,
+         0.0018533457721986732),
+        (0.8347678206621373, 0.012463714964761417, 0.009082615202824449, -PSI_END,
+         0.0009649812030770388),
+        (1.0781440991413882, 0.040880290548986224, 0.04088029054885555, 3.012486016885004,
+         0.0005390720317951509),
+        (1.3924766500838335, 0.0035738178712895123, 0.001579297334926229, PSI_END,
+         0.0029888455496312506),
+        (1.798452750956823, 0.0014473239105509174, 0.0003602171208951676, PSI_END,
+         0.007112279406160383),
+        (2.322791048043381, 0.0007291786405386932, 0.00012023238564845719, PSI_END,
+         0.013990582739938183),
+        (3.0, 0.00039926400706879583, 4.687499340820405e-05, PSI_END, 0.025464284564468052),
+    ]
+
+    def test_uql_sweep_rows(self, tmp_path):
+        out = tmp_path / "opt.json"
+        assert run(["optimize", "--mode", "uql-sweep", "--out", str(out)], tmp_path) == 0
+        rows = json.loads(out.read_text())["sweep"]
+        assert [row["omega"] for row in rows] == [r[0] for r in self.UQL_SWEEP]
+        for row, expected in zip(rows, self.UQL_SWEEP):
+            for key, value in zip(("level", "uql_level", "detuning", "coupling2"), expected[1:]):
+                assert row[key] == pytest.approx(value, rel=1e-12)
 
 
 class TestBadInputsExit2:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from optospring import (
-    COHERENT,
     Constants,
     DegenerateDissipationError,
-    InputNoiseModel,
     MechanicalOscillator,
     NoMeasurementError,
     OpticalCavity,
@@ -22,7 +20,6 @@ from optospring import (
     lowfreq_optimum,
     mech_susceptibility,
     noise_over_coupling,
-    noise_power,
     optical_spring,
     quadrature_transfer,
     spring_response,
@@ -87,7 +84,7 @@ class TestKernelAtZeroPhaseLag:
                     t = quadrature_transfer(osc, cavity, wp, omega)
                     for got, want in ((t.c_q, k.c_q), (t.c_p, k.c_p), (t.c_sig, k.c_sig)):
                         assert np.array_equal(got, want)
-                    noise = noise_power(k, COHERENT) / np.abs(k.c_sig) ** 2
+                    noise = (np.abs(k.c_q) ** 2 + np.abs(k.c_p) ** 2) / np.abs(k.c_sig) ** 2
                     got = equivalent_input_noise(osc, cavity, wp, omega)
                     np.testing.assert_allclose(got, noise, rtol=1e-13, atol=0)
                     zeta = 2.0 * wp.coupling**2 * np.abs(chi_eff)
@@ -106,10 +103,9 @@ class TestNoiseScalarArrayBitEqual:
                 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
             )
             gamma, psi = 10 ** rng.uniform(-3, -0.1), rng.uniform(-3.14, 3.14)
-            noise = InputNoiseModel(rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(-1, 1))
             constants = Constants(10 ** rng.uniform(-2, 1))
             omega = rng.choice([0.0, rng.uniform(0.0, 3.0) * osc.resonance_freq])
-            noise_at = noise_over_coupling(osc, gamma, psi, omega, noise, constants)
+            noise_at = noise_over_coupling(osc, gamma, psi, omega, constants)
             xi = 10 ** rng.uniform(-3, 3, size=60)
             batch = noise_at(xi)
             scalar = [noise_at(x) for x in xi.tolist()]
@@ -131,6 +127,13 @@ class TestEquivalentInputNoise:
     def test_no_measurement(self, osc, cavity):
         with pytest.raises(NoMeasurementError):
             equivalent_input_noise(osc, cavity, WorkingPoint(0.1, 0.0), 0.5)
+
+    def test_zero_coupling_in_noise_over_coupling(self, osc, cavity):
+        with pytest.raises(NoMeasurementError) as direct:
+            noise_over_coupling(osc, cavity.gamma, 0.1, 0.5)(0.0)
+        with pytest.raises(NoMeasurementError) as via_point:
+            equivalent_input_noise(osc, cavity, WorkingPoint(0.1, 0.0), 0.5)
+        assert str(direct.value) == str(via_point.value)
 
     def test_matches_closed_form(self, osc, cavity, rng):
         for _ in range(200):
@@ -162,18 +165,6 @@ class TestEquivalentInputNoise:
         got = equivalent_input_noise(high_q_osc, cavity, wp, 0.0)
         ref = sql_point(high_q_osc, 0.0)
         assert got / ref.level == pytest.approx(SQRT26_M5, rel=1e-9)
-
-    def test_custom_noise_model(self, osc, cavity):
-        wp = WorkingPoint(0.05, 0.7)
-        t = quadrature_transfer(osc, cavity, wp, 0.4)
-        noise = InputNoiseModel(s_q=0.5, s_p=2.0, s_pq=0.1)
-        expected = (
-            abs(t.c_q) ** 2 * 0.5
-            + abs(t.c_p) ** 2 * 2.0
-            + 2.0 * (t.c_q * np.conj(t.c_p)).real * 0.1
-        ) / abs(t.c_sig) ** 2
-        got = equivalent_input_noise(osc, cavity, wp, 0.4, noise)
-        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_vectorized_over_frequency(self, osc, cavity):
         omega = np.geomspace(0.01, 3.0, 40)
