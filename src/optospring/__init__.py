@@ -29,6 +29,8 @@ from .core import (
     spring_response,
     stability,
     stability_margins,
+    stability_map,
+    static_coupling2_bound,
     steady_state,
     wrap_phase,
 )
@@ -56,12 +58,9 @@ from .finite_bandwidth import (
 from .optimize import (
     OptimResult,
     SearchSpec,
-    StabilityMap,
     minimize_over_detuning,
     minimize_over_xi,
     minimize_xi_quasistatic,
-    stability_map,
-    static_coupling2_bound,
 )
 from .quasistatic import (
     OptimumPoint,

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import finite_bandwidth as fb
 from . import optimize as opt
 from . import quasistatic as qs
 from .config import RunConfig, load_run_config
-from .core import OpticalCavity, WorkingPoint, mech_susceptibility, stability
+from .core import WorkingPoint, mech_susceptibility, stability
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -268,7 +268,7 @@ def cmd_stability(cfg: RunConfig) -> int:
     psi_abs = psi_norm * gamma
     if psi_abs.min() <= -math.pi or psi_abs.max() > math.pi:
         raise ConfigError("stability.psi window leaves the principal interval")
-    grid = opt.stability_map(
+    grid = core.stability_map(
         cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_abs, cfg.constants
     )
     # rows run over psi, then xi2; the flags are written as integers
@@ -348,14 +348,15 @@ def cmd_figure(
             "frequency": 0.0,
         }
         manifest["parameters"] = {"gamma": gamma, "oscillator": asdict(osc)}
-        xi = np.sqrt(grid * xi_sql2)
+        coupling2 = grid * xi_sql2
+        xi, psis = np.sqrt(coupling2), np.array(ratios) * gamma
+        flags = core.stability_map(osc, cfg.cavity, coupling2, psis, cfg.constants)
         for idx, r in enumerate(ratios):
-            psi = r * gamma
-            noise = qs.noise_over_coupling(osc, gamma, psi, 0.0, constants=cfg.constants)
+            noise = qs.noise_over_coupling(osc, gamma, r * gamma, 0.0, constants=cfg.constants)
             s = noise(xi)
-            static, dynamic = core.stability_margins(osc, cfg.cavity, psi, xi, cfg.constants)
             table = np.rec.fromarrays(
-                [grid, s, np.full(grid.shape, s_sql), s / s_sql, static > 0, dynamic > 0]
+                [grid, s, np.full(grid.shape, s_sql), s / s_sql]
+                + [flags.static_ok[idx], flags.dynamic_ok[idx]]
             )
             _emit_curve(cfg, manifest, out_dir, figure, idx, r, None, columns, table)
     else:
@@ -376,11 +377,7 @@ def cmd_figure(
             bandwidth, cavity = None, cfg.cavity
             if figure == "fig4":
                 bandwidth = bws[idx]
-                cavity = OpticalCavity(
-                    gamma=gamma,
-                    round_trip=gamma / (bandwidth * omega_sql),
-                    wavevector=cfg.cavity.wavevector,
-                )
+                cavity = replace(cfg.cavity, round_trip=gamma / (bandwidth * omega_sql))
             table = _noise_table(figure == "fig4", osc, cavity, wp, grid, cfg.constants)
             _emit_curve(cfg, manifest, out_dir, figure, idx, r, bandwidth, columns, table)
 

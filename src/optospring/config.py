@@ -72,7 +72,6 @@ KNOWN_KEYS: dict[str, tuple] = {
     "oscillator.damping": (_parse_float, "0.001"),
     "cavity.gamma": (_parse_float, "0.01"),
     "cavity.round_trip": (_parse_float, "0.001"),
-    "cavity.wavevector": (_parse_float, "1.0"),
     "points.detuning": (_parse_float_list, "0.0"),
     "points.coupling": (_parse_float_list, "0.7071067811865476"),
     "grid.lo": (_parse_float, "0.01"),
@@ -190,7 +189,7 @@ def build_run_config(
         cavity = OpticalCavity(
             gamma=parsed["cavity.gamma"],
             round_trip=parsed["cavity.round_trip"],
-            wavevector=parsed["cavity.wavevector"],
+            wavevector=1.0,  # no output depends on it: the coupling absorbs it
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

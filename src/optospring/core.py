@@ -3,7 +3,7 @@
 Parameter records (oscillator, cavity, working point), the free and
 optical-spring-modified mechanical susceptibilities, the cavity steady
 state including radiation-pressure recoil (bistability), and the static
-and dynamic stability tests.
+and dynamic stability tests at a working point or over a grid.
 
 Conventions
 -----------
@@ -174,7 +174,9 @@ class StabilityReport:
     """Static (bistability) and dynamic (positive damping) stability.
 
     Margins are the left-hand sides of the respective conditions; a
-    working point is stable when both are strictly positive.
+    working point is stable when both are strictly positive. Fields are
+    scalars at one working point and arrays over a grid, as
+    :class:`QuadratureTransfer`'s; ``gamma_eff`` is the dynamic margin.
     """
 
     static_ok: bool
@@ -443,20 +445,24 @@ def stability_margins(
     return static, effective_damping(osc, cavity, detuning, kappa, constants)
 
 
-def stability(
+def static_coupling2_bound(
     osc: MechanicalOscillator,
-    cavity: OpticalCavity,
-    wp: WorkingPoint,
+    gamma: float,
+    detuning: float,
     constants: Constants = NORMALIZED,
-) -> StabilityReport:
-    """Evaluate both stability conditions at a working point.
+) -> float:
+    """Largest statically stable coupling^2 at a detuning (inf if none)."""
+    if detuning >= 0:
+        return math.inf
+    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
+    return gamma / (constants.hbar * chi0 * abs(detuning))
 
-    The margins are those of :func:`stability_margins`; a working point
-    is stable when both are strictly positive, and a margin of exactly
-    zero is reported as unstable (boundary).
+
+def _stability_report(static, dynamic) -> StabilityReport:
+    """The one stability rule: stable where a margin is strictly positive.
+
+    A margin of exactly zero lies on the boundary and reads unstable.
     """
-    static, dynamic = stability_margins(osc, cavity, wp.detuning, wp.coupling, constants)
-    static, dynamic = float(static), float(dynamic)
     return StabilityReport(
         static_ok=static > 0,
         dynamic_ok=dynamic > 0,
@@ -464,3 +470,38 @@ def stability(
         static_margin=static,
         dynamic_margin=dynamic,
     )
+
+
+def stability(
+    osc: MechanicalOscillator,
+    cavity: OpticalCavity,
+    wp: WorkingPoint,
+    constants: Constants = NORMALIZED,
+) -> StabilityReport:
+    """Both stability conditions at a working point, from :func:`stability_margins`."""
+    static, dynamic = stability_margins(osc, cavity, wp.detuning, wp.coupling, constants)
+    return _stability_report(float(static), float(dynamic))
+
+
+def stability_map(
+    osc: MechanicalOscillator,
+    cavity: OpticalCavity,
+    coupling2: np.ndarray,
+    detunings: np.ndarray,
+    constants: Constants = NORMALIZED,
+) -> StabilityReport:
+    """Stability flags and margins over a working-point grid, as arrays.
+
+    One call of :func:`stability_margins` broadcasts the detunings (rows)
+    against the couplings (columns), so each cell equals :func:`stability`
+    at coupling sqrt(coupling2) bit for bit. The static boundary in closed
+    form is :func:`static_coupling2_bound`.
+    """
+    coupling2 = np.asarray(coupling2, dtype=float)
+    detunings = np.asarray(detunings, dtype=float)
+    if not np.all((-math.pi < detunings) & (detunings <= math.pi)):
+        raise ValueError("detunings must lie in (-pi, pi] (use wrap_phase)")
+    if np.any(coupling2 < 0):
+        raise ValueError("coupling2 must be >= 0")
+    margins = stability_margins(osc, cavity, detunings[:, None], np.sqrt(coupling2), constants)
+    return _stability_report(*margins)

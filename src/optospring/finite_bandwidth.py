@@ -133,7 +133,7 @@ def full_transfer_by_solve(
     :func:`full_transfer`.
     """
     hbar = constants.hbar
-    g, tau, k = cavity.gamma, cavity.round_trip, cavity.wavevector
+    g, tau = cavity.gamma, cavity.round_trip
     psi, xi = wp.detuning, wp.coupling
     kappa = kappa_for_coupling(cavity, psi, xi)
     r = math.hypot(g, psi)
@@ -257,10 +257,9 @@ def dip_analysis(
         constants=constants,
     ).s_sig
 
-    found = []
-    for i in range(1, len(grid) - 1):
-        if s[i] < s[i - 1] and s[i] < s[i + 1] and s[i] < reference[i]:
-            found.append(_parabolic_refine(grid, s, i))
+    inner = s[1:-1]
+    dips = (inner < s[:-2]) & (inner < s[2:]) & (inner < reference[1:-1])
+    found = [_parabolic_refine(grid, s, i) for i in np.flatnonzero(dips) + 1]
     if not found:
         raise NoDipFoundError(
             "no sensitivity dip below the zero-detuning reference on this grid"

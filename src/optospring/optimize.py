@@ -23,13 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    NORMALIZED,
-    Constants,
-    MechanicalOscillator,
-    OpticalCavity,
-    stability_margins,
-)
+from .core import NORMALIZED, Constants, MechanicalOscillator, static_coupling2_bound
 from .errors import DegenerateDissipationError
 from .quasistatic import noise_over_coupling, sql_point
 
@@ -83,33 +77,6 @@ class OptimResult:
     converged: bool
     constraint_active: bool
     at_bound: bool
-
-
-@dataclass(frozen=True)
-class StabilityMap:
-    """Stability flags and margins on a (detuning, coupling^2) grid.
-
-    Rows run over the detunings, columns over the couplings^2. The static
-    boundary in closed form is :func:`static_coupling2_bound`.
-    """
-
-    static_ok: np.ndarray
-    dynamic_ok: np.ndarray
-    static_margin: np.ndarray
-    dynamic_margin: np.ndarray
-
-
-def static_coupling2_bound(
-    osc: MechanicalOscillator,
-    gamma: float,
-    detuning: float,
-    constants: Constants = NORMALIZED,
-) -> float:
-    """Largest statically stable coupling^2 at a detuning (inf if none)."""
-    if detuning >= 0:
-        return math.inf
-    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
-    return gamma / (constants.hbar * chi0 * abs(detuning))
 
 
 def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
@@ -320,37 +287,4 @@ def minimize_over_detuning(
         iterations=evals,
         converged=ok and best.converged,
         at_bound=_at_bound(psi_opt, lo, hi),
-    )
-
-
-def stability_map(
-    osc: MechanicalOscillator,
-    cavity: OpticalCavity,
-    coupling2: np.ndarray,
-    detunings: np.ndarray,
-    constants: Constants = NORMALIZED,
-) -> StabilityMap:
-    """Stability flags and margins over a working-point grid.
-
-    One call of :func:`optospring.core.stability_margins` broadcasts the
-    detunings (rows) against the couplings (columns). The margins are
-    written with ``x * x`` and numpy moduli only, so each cell equals
-    :func:`optospring.core.stability` at coupling sqrt(coupling2) bit for
-    bit. The static boundary in closed form is
-    :func:`static_coupling2_bound`.
-    """
-    coupling2 = np.asarray(coupling2, dtype=float)
-    detunings = np.asarray(detunings, dtype=float)
-    if not np.all((-math.pi < detunings) & (detunings <= math.pi)):
-        raise ValueError("detunings must lie in (-pi, pi] (use wrap_phase)")
-    if np.any(coupling2 < 0):
-        raise ValueError("coupling2 must be >= 0")
-    static_margin, dynamic_margin = stability_margins(
-        osc, cavity, detunings[:, None], np.sqrt(coupling2), constants
-    )
-    return StabilityMap(
-        static_ok=static_margin > 0,
-        dynamic_ok=dynamic_margin > 0,
-        static_margin=static_margin,
-        dynamic_margin=dynamic_margin,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,7 +100,7 @@ def noise_over_coupling(
     xi^2) + hbar^2 xi^2) with chi_eff^-1 = chi^-1 + hbar xi^2 psi / gamma.
     Only +, -, * and / enter, so a Python float and a numpy array give the
     same bits, and the noise stays finite on the static boundary. A zero
-    Python-float coupling raises ``NoMeasurementError``.
+    coupling, scalar or in an array, raises ``NoMeasurementError``.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
@@ -116,12 +116,11 @@ def noise_over_coupling(
 
     def noise_at(xi):
         xi2 = xi * xi
+        # a Python float, as the scalar Brent polish passes, is checked without numpy
+        if not (xi2 if type(xi2) is float else np.all(xi2)):
+            raise NoMeasurementError(_NO_SIGNAL)
         re = re0 + spring * xi2  # Re chi_eff^-1
-        try:
-            phase = (re * re + im0 * im0) / (4.0 * xi2)
-        except ZeroDivisionError:
-            raise NoMeasurementError(_NO_SIGNAL) from None
-        return (phase + hbar * hbar * xi2) / mag2
+        return ((re * re + im0 * im0) / (4.0 * xi2) + hbar * hbar * xi2) / mag2
 
     return noise_at
 
@@ -344,14 +343,9 @@ def ultimate_quantum_limit(
     chi = mech_susceptibility(osc, omega)
     if chi.imag == 0:
         raise DegenerateDissipationError(f"no ultimate limit where Im chi = 0 (omega={omega!r})")
-    beta_min = -chi.real / abs(chi.imag)
-    detuning_min = 2.0 * gamma * beta_min
-    inner = coupling_optimum(osc, omega, detuning_min, gamma, constants)
-    level = constants.hbar * abs(chi.imag)
-    return OptimumPoint(
-        coupling=inner.coupling,
-        detuning=detuning_min,
-        omega=None,
-        level=level,
+    detuning_min = 2.0 * gamma * (-chi.real / abs(chi.imag))
+    return replace(
+        coupling_optimum(osc, omega, detuning_min, gamma, constants),
+        level=constants.hbar * abs(chi.imag),
         ratio_to_sql=abs(chi.imag) / abs(chi),
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from optospring import WorkingPoint, stability
 from optospring import optimize as opt
 from optospring.cli import main, read_table, write_table
 from optospring.config import (
@@ -58,6 +59,12 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("oscillator.masss = 2.0")
+
+    def test_wavevector_key_is_unknown(self, tmp_path, capsys):
+        # no output depends on the wavevector, so the config has no key for it
+        out = str(tmp_path / "s.csv")
+        assert run(["spectrum", "--out", out], tmp_path, "cavity.wavevector = 1.0\n") == 2
+        assert "unknown key 'cavity.wavevector'" in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -423,6 +430,25 @@ class TestFigureCommand:
         assert a[i, 0] == pytest.approx(0.19611613513818404, rel=2e-2)
         # dashed (unstable) region exists only at large coupling
         assert (a[a[:, 4] == 0.0][:, 0] > a[i, 0]).all()
+
+    def test_fig2_flags_equal_stability_per_cell(self, tmp_path):
+        out = tmp_path / "figs"
+        assert run(["figure", "fig2", "--out", str(out)], tmp_path) == 0
+        cfg = build_run_config()
+        manifest = json.loads((out / "fig2_manifest.json").read_text())
+        xi_sql2 = manifest["normalization"]["xi_sql2"]
+        cells, unstable = 0, 0
+        for entry in manifest["curves"].values():
+            psi = entry["detuning_over_gamma"] * cfg.cavity.gamma
+            _, columns, rows = read_table(str(out / entry["file"]))
+            assert columns[-2:] == ["static_ok", "dynamic_ok"]
+            for x, *_, static_ok, dynamic_ok in rows:
+                wp = WorkingPoint(psi, math.sqrt(x * xi_sql2))
+                rep = stability(cfg.oscillator, cfg.cavity, wp, cfg.constants)
+                assert (static_ok, dynamic_ok) == (rep.static_ok, rep.dynamic_ok)
+                cells += 1
+                unstable += not rep.static_ok
+        assert cells == 4 * 801 and unstable > 0
 
     def test_fig2_curve_a_touches_sql(self, tmp_path):
         out = tmp_path / "figs"

@@ -7,6 +7,7 @@ from optospring import (
     MechanicalOscillator,
     OpticalCavity,
     SingularPointError,
+    StabilityReport,
     WorkingPoint,
     effective_damping,
     effective_susceptibility,
@@ -16,6 +17,7 @@ from optospring import (
     mech_susceptibility,
     solve_self_consistent_detuning,
     stability,
+    stability_map,
     steady_state,
     wrap_phase,
 )
@@ -258,6 +260,24 @@ class TestStability:
         rep = stability(soft, cavity, wp)
         assert rep.static_margin == pytest.approx(0.0, abs=1e-18)
         assert not rep.static_ok
+
+    def test_map_is_a_report_of_arrays(self, high_q_osc, cavity):
+        xi2, psis = np.geomspace(0.01, 50.0, 9), np.linspace(-0.1, 0.1, 5)
+        m = stability_map(high_q_osc, cavity, xi2, psis)
+        assert isinstance(m, StabilityReport)
+        for field in (m.static_ok, m.dynamic_ok, m.gamma_eff, m.static_margin):
+            assert field.shape == (5, 9)
+        np.testing.assert_array_equal(m.gamma_eff, m.dynamic_margin)
+        rep = stability(high_q_osc, cavity, WorkingPoint(psis[1], math.sqrt(xi2[2])))
+        assert rep.gamma_eff == rep.dynamic_margin == m.dynamic_margin[1, 2]
+
+    def test_map_reads_a_zero_margin_as_unstable(self, cavity):
+        # the binary-exact boundary of test_static_boundary_flagged, as a grid
+        soft = MechanicalOscillator(mass=0.5, resonance_freq=1.0, damping=1e-3)
+        m = stability_map(soft, cavity, np.array([0.25]), np.array([-2.0 * cavity.gamma]))
+        rep = stability(soft, cavity, WorkingPoint(-2.0 * cavity.gamma, 0.5))
+        assert m.static_margin[0, 0] == rep.static_margin
+        assert not m.static_ok[0, 0] and not rep.static_ok
 
 
 class TestSelfConsistentDetuning:

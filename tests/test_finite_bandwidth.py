@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.optimize import minimize_scalar
 from optospring import (
     MechanicalOscillator,
     NoDipFoundError,
+    NoiseSpectrum,
     OpticalCavity,
     WorkingPoint,
     default_grid,
@@ -23,6 +25,7 @@ from optospring import (
     quasi_free_oscillator,
     spectrum,
 )
+from optospring import finite_bandwidth as fb
 
 
 def fig4_setup(detuning_ratio, bandwidth_ratio):
@@ -208,6 +211,40 @@ class TestDipAnalysis:
             rep = dip_analysis(sp, osc, cavity, wp)
             for depth in (rep.depth_minus, rep.depth_plus):
                 assert abs(depth / rep.predicted_depth - 1.0) < 0.15
+
+    def test_dip_mask_matches_per_point_loop(self, monkeypatch):
+        # random spectra and references with ties and NaN cells, on grids of
+        # 2 to 40 points; the per-point loop the mask replaced is the oracle
+        rng = np.random.default_rng(20261018)
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        case = {}
+
+        def refine(x, y, i):
+            case["seen"].append(i)
+            return float(x[i]), float(y[i])
+
+        monkeypatch.setattr(fb, "_parabolic_refine", refine)
+        monkeypatch.setattr(fb, "spectrum", lambda *a, **k: SimpleNamespace(s_sig=case["ref"]))
+        tried = 0
+        for n in [2, 3] * 10 + rng.integers(2, 40, size=300).tolist():
+            s = rng.integers(1, 5, size=n).astype(float)  # four levels: many ties
+            ref = rng.integers(1, 6, size=n).astype(float)
+            s[rng.random(n) < 0.1] = np.nan
+            ref[rng.random(n) < 0.1] = np.nan
+            expected = [
+                i
+                for i in range(1, n - 1)
+                if s[i] < s[i - 1] and s[i] < s[i + 1] and s[i] < ref[i]
+            ]
+            case.update(seen=[], ref=ref)
+            sp = NoiseSpectrum(np.geomspace(0.1, 100.0, n), s, s)
+            try:
+                assert dip_analysis(sp, osc, cavity, wp).count == len(expected)
+            except NoDipFoundError:
+                assert expected == []
+            assert case["seen"] == expected
+            tried += bool(expected)
+        assert tried > 100
 
     def test_predictions_attached(self):
         osc, cavity, wp = fig4_setup(10.0, 2.0)

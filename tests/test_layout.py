@@ -1,5 +1,6 @@
-"""Package layout: no module reads a private name of a sibling module, and
-the formulas shared by scalar and array routes use no ``**``."""
+"""Package layout: no module reads a private name of a sibling module, the
+formulas shared by scalar and array routes use no ``**``, and one place
+builds a ``StabilityReport``."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,28 @@ def test_shared_formulas_use_no_pow(module, name):
 def test_pow_checker_sees_nested_and_augmented_pow():
     source = "def f(x):\n    y = x\n    y **= 2\n    def g(z):\n        return z ** 2\n"
     assert pow_lines(source, "f") == [3, 5]
+
+
+def call_lines(source: str, name: str) -> list[int]:
+    """Lines of every call of ``name`` or ``anything.name`` in ``source``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_stability_report_built_in_one_place():
+    # the stability rule (both margins > 0, zero unstable) lives in one constructor
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in call_lines(path.read_text(encoding="utf-8"), "StabilityReport")
+    ]
+    assert len(hits) == 1 and hits[0].startswith("core.py:"), hits
+
+
+def test_call_checker_sees_plain_and_qualified_calls():
+    source = "a = StabilityReport(1)\nb = core.StabilityReport(2)\nc = StabilityReport\n"
+    assert call_lines(source, "StabilityReport") == [1, 2]

@@ -135,6 +135,20 @@ class TestEquivalentInputNoise:
             equivalent_input_noise(osc, cavity, WorkingPoint(0.1, 0.0), 0.5)
         assert str(direct.value) == str(via_point.value)
 
+    @pytest.mark.parametrize(
+        "xi, omega",
+        [
+            (0.0, 0.5),
+            (np.float64(0.0), 0.5),
+            (np.array([0.7, 0.0]), 0.5),
+            (0.0, np.array([0.3, 0.5])),
+        ],
+        ids=["float", "numpy-scalar", "array", "float-with-array-omega"],
+    )
+    def test_every_zero_coupling_raises(self, osc, cavity, xi, omega):
+        with pytest.raises(NoMeasurementError):
+            noise_over_coupling(osc, cavity.gamma, 0.1, omega)(xi)
+
     def test_matches_closed_form(self, osc, cavity, rng):
         for _ in range(200):
             psi = rng.uniform(-0.5, 0.5)
