@@ -38,13 +38,17 @@ from .errors import (
 
 SCHEMA_VERSION = "v1"
 
-FIGURE_DETUNINGS = {
-    "fig2": (0.0, -2.0, -5.0, -10.0),
-    "fig3": (0.0, 2.0, 5.0, 10.0),
-    "fig4": (0.0, 2.0, 5.0, 10.0, -10.0, -10.0),
+# figure id -> (log grid lo, hi, points per decade; detuning/gamma per curve;
+# bandwidth/omega_sql per curve, or None for a quasi-static figure)
+FIGURES = {
+    "fig2": ((1e-2, 1e2, 200), (0.0, -2.0, -5.0, -10.0), None),
+    "fig3": ((1e-1, 1e1, 400), (0.0, 2.0, 5.0, 10.0), None),
+    "fig4": (
+        (1e-2, 1e3, 400),
+        (0.0, 2.0, 5.0, 10.0, -10.0, -10.0),
+        (2.0, 2.0, 2.0, 2.0, 2.0, 1.0 / 3.0),
+    ),
 }
-FIGURE_BANDWIDTHS = {"fig4": (2.0, 2.0, 2.0, 2.0, 2.0, 1.0 / 3.0)}
-FIGURE_GRIDS = {"fig2": (1e-2, 1e2, 200), "fig3": (1e-1, 1e1, 400), "fig4": (1e-2, 1e3, 400)}
 CURVE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -299,116 +303,100 @@ def cmd_figure(
     grid_flag: str | None,
 ) -> int:
     """Emit one dataset file per curve of a named figure, plus a manifest."""
-    if figure not in FIGURE_DETUNINGS:
+    if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r} (expected fig2, fig3 or fig4)")
     if cfg.units != "normalized":
         raise ConfigError("figure datasets are defined in normalized units")
     gamma = cfg.cavity.gamma
-    ratios = tuple(detunings) if detunings else FIGURE_DETUNINGS[figure]
-    if figure == "fig4":
-        bws = tuple(bandwidths) if bandwidths else None
-        if bws is None:
-            bws = (
-                FIGURE_BANDWIDTHS["fig4"]
-                if ratios == FIGURE_DETUNINGS["fig4"]
-                else (2.0,) * len(ratios)
-            )
+    grid_spec, default_ratios, default_bws = FIGURES[figure]
+    ratios = detunings or default_ratios
+    if default_bws is None:
+        if bandwidths:
+            raise ConfigError(f"--bandwidths does not apply to {figure}")
+        bws = (None,) * len(ratios)
+    else:
+        bws = bandwidths or (default_bws if ratios == default_ratios else (2.0,) * len(ratios))
         if len(bws) != len(ratios):
             raise ConfigError("--bandwidths must match --detunings in length")
         if not all(0 < b < math.inf for b in bws):
             raise ConfigError(f"--bandwidths must be finite and > 0, got {bws!r}")
-    elif bandwidths:
-        raise ConfigError("--bandwidths only applies to fig4")
     if not all(-math.pi < r * gamma <= math.pi for r in ratios):
         raise ConfigError(f"--detunings times gamma must lie in (-pi, pi], got {ratios!r}")
+    if len(ratios) > len(CURVE_LETTERS):
+        raise ConfigError(f"a figure has at most {len(CURVE_LETTERS)} curves")
+    if grid_flag is not None:  # the flag went through the config checks as grid.* overrides
+        grid_spec = (cfg.grid_lo, cfg.grid_hi, cfg.grid_points_per_decade)
+    grid = fb.log_grid(*grid_spec)
 
-    if grid_flag is None:
-        grid = fb.log_grid(*FIGURE_GRIDS[figure])
-    else:  # the flag went through the config checks as grid.* overrides
-        grid = fb.log_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_points_per_decade)
-    manifest: dict = {
-        "schema": f"optospring.figure.{SCHEMA_VERSION}",
-        "figure": figure,
-        "units": "normalized",
-        "format": cfg.out_format,
-        "curves": {},
-    }
-    os.makedirs(out_dir, exist_ok=True)
-
+    osc = cfg.oscillator
     if figure == "fig2":
-        osc = cfg.oscillator
         chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
         xi_sql2 = 1.0 / (2.0 * cfg.constants.hbar * chi0)
         s_sql = cfg.constants.hbar * chi0
         columns = ["xi2_norm", "s_sig", "s_sql", "ratio", "static_ok", "dynamic_ok"]
-        manifest["normalization"] = {
+        normalization = {
             "x": "coupling^2 over the zero-frequency SQL coupling^2",
             "xi_sql2": xi_sql2,
             "s_sql": s_sql,
             "frequency": 0.0,
         }
-        manifest["parameters"] = {"gamma": gamma, "oscillator": asdict(osc)}
         coupling2 = grid * xi_sql2
         xi, psis = np.sqrt(coupling2), np.array(ratios) * gamma
         flags = core.stability_map(osc, cfg.cavity, coupling2, psis, cfg.constants)
-        for idx, r in enumerate(ratios):
-            noise = qs.noise_over_coupling(osc, gamma, r * gamma, 0.0, constants=cfg.constants)
-            s = noise(xi)
-            table = np.rec.fromarrays(
-                [grid, s, np.full(grid.shape, s_sql), s / s_sql]
-                + [flags.static_ok[idx], flags.dynamic_ok[idx]]
-            )
-            _emit_curve(cfg, manifest, out_dir, figure, idx, r, None, columns, table)
+        sql_col = np.full(grid.shape, s_sql)
+        tables = []
+        for psi, static, dynamic in zip(psis.tolist(), flags.static_ok, flags.dynamic_ok):
+            s = qs.noise_over_coupling(osc, gamma, psi, 0.0, constants=cfg.constants)(xi)
+            tables.append(np.rec.fromarrays([grid, s, sql_col, s / s_sql, static, dynamic]))
     else:
         omega_sql = 1.0
         xi = math.sqrt(0.5 / cfg.constants.hbar)  # makes omega_sql exactly 1
         osc = fb.quasi_free_oscillator(omega_sql)
-        s_ref = cfg.constants.hbar / (osc.mass * omega_sql**2)
         columns = ["omega_norm", "s_sig", "s_sql", "ratio"]
-        manifest["normalization"] = {
+        normalization = {
             "x": "frequency over the balance frequency omega_sql",
             "omega_sql": omega_sql,
-            "s_ref": s_ref,
+            "s_ref": cfg.constants.hbar / (osc.mass * omega_sql**2),
             "coupling2": xi**2,
         }
-        manifest["parameters"] = {"gamma": gamma, "oscillator": asdict(osc)}
-        for idx, r in enumerate(ratios):
+        tables = []
+        for r, bw in zip(ratios, bws):  # a bandwidth makes the curve finite-bandwidth
+            cavity = cfg.cavity
+            if bw is not None:
+                cavity = replace(cavity, round_trip=gamma / (bw * omega_sql))
             wp = WorkingPoint(detuning=r * gamma, coupling=xi)
-            bandwidth, cavity = None, cfg.cavity
-            if figure == "fig4":
-                bandwidth = bws[idx]
-                cavity = replace(cfg.cavity, round_trip=gamma / (bandwidth * omega_sql))
-            table = _noise_table(figure == "fig4", osc, cavity, wp, grid, cfg.constants)
-            _emit_curve(cfg, manifest, out_dir, figure, idx, r, bandwidth, columns, table)
+            tables.append(_noise_table(bw is not None, osc, cavity, wp, grid, cfg.constants))
 
+    manifest: dict = {
+        "schema": f"optospring.figure.{SCHEMA_VERSION}",
+        "figure": figure,
+        "units": "normalized",
+        "format": cfg.out_format,
+        "normalization": normalization,
+        "parameters": {"gamma": gamma, "oscillator": asdict(osc)},
+        "curves": {},
+    }
+    for letter, r, bw, table in zip(CURVE_LETTERS, ratios, bws, tables):
+        entry = {"file": f"{figure}_curve_{letter}.{cfg.out_format}", "detuning_over_gamma": r}
+        label = f"curve {letter}: detuning_over_gamma={r!r}"
+        if bw is not None:
+            entry["bandwidth_over_omega_sql"] = bw
+            label += f" bandwidth_over_omega_sql={bw!r}"
+        path = os.path.join(out_dir, entry["file"])
+        write_table(path, f"{figure}-curve", cfg.out_format, [label], columns, [("", table)])
+        manifest["curves"][letter] = entry
     manifest_path = os.path.join(out_dir, f"{figure}_manifest.json")
     _write_json(manifest_path, manifest)
     print(manifest_path)
     return 0
 
 
-def _emit_curve(cfg, manifest, out_dir, figure, idx, detuning_ratio, bandwidth, columns, table):
-    letter = CURVE_LETTERS[idx]
-    name = f"{figure}_curve_{letter}.{cfg.out_format}"
-    path = os.path.join(out_dir, name)
-    label = f"curve {letter}: detuning_over_gamma={detuning_ratio!r}"
-    if bandwidth is not None:
-        label += f" bandwidth_over_omega_sql={bandwidth!r}"
-    write_table(path, f"{figure}-curve", cfg.out_format, [label], columns, [("", table)])
-    entry = {"file": name, "detuning_over_gamma": detuning_ratio}
-    if bandwidth is not None:
-        entry["bandwidth_over_omega_sql"] = bandwidth
-    manifest["curves"][letter] = entry
-
-
 def _parse_ratio(text: str) -> float:
     """A float, allowing a simple fraction like 1/3."""
     text = text.strip()
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return float(num) / float(den)
-        return float(text)
+        return float(num) / float(den) if slash else float(num)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad ratio {text!r}: {exc}") from None
 

@@ -2,8 +2,9 @@
 
 The config format is plain text, one ``section.key = value`` per line,
 ``#`` comments allowed. Every key is optional and has a default; unknown
-keys are rejected. Environment variables override the file
-(``OPTOSPRING_SECTION_KEY``), and command-line flags override both.
+keys and non-finite numbers are rejected. Environment variables override
+the file (``OPTOSPRING_SECTION_KEY``; one that names no key is rejected),
+and command-line flags override both.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ ENV_PREFIX = "OPTOSPRING_"
 
 def _parse_float(s: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {s!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_int(s: str) -> int:
@@ -152,10 +156,13 @@ def env_name(key: str) -> str:
 
 def apply_env_overrides(values: dict[str, str], environ=None) -> dict[str, str]:
     environ = os.environ if environ is None else environ
+    keys = {env_name(key): key for key in KNOWN_KEYS}
     out = dict(values)
-    for key in KNOWN_KEYS:
-        if (value := environ.get(env_name(key))) is not None:
-            out[key] = value
+    for name, value in environ.items():
+        if name.startswith(ENV_PREFIX):
+            if name not in keys:
+                raise ConfigError(f"unknown environment variable {name!r}")
+            out[keys[name]] = value
     return out
 
 
@@ -173,9 +180,10 @@ def build_run_config(
 
     parsed = {}
     for key, text in raw.items():
-        parser = KNOWN_KEYS[key][0]
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            parsed[key] = parser(text)
+            parsed[key] = KNOWN_KEYS[key][0](text)
         except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
@@ -214,16 +222,13 @@ def build_run_config(
         WorkingPoint(detuning=parsed["optimize.detuning"], coupling=0.0)
     except ValueError as exc:
         raise ConfigError(f"optimize.detuning: {exc}") from None
-    omega, omegas = parsed["optimize.omega"], parsed["optimize.omegas"]
-    for key, values in (("optimize.omega", (omega,)), ("optimize.omegas", omegas)):
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
 
-    if not (0 < parsed["grid.lo"] < parsed["grid.hi"] < math.inf):
-        raise ConfigError("grid bounds must satisfy 0 < lo < hi < inf")
+    if not 0 < parsed["grid.lo"] < parsed["grid.hi"]:
+        raise ConfigError("grid bounds must satisfy 0 < lo < hi")
     if parsed["grid.points_per_decade"] < 1:
         raise ConfigError("grid.points_per_decade must be >= 1")
 
+    omegas = parsed["optimize.omegas"]
     if not omegas:
         # default sweep: a decade around the mechanical resonance
         om = oscillator.resonance_freq
@@ -243,7 +248,7 @@ def build_run_config(
         grid_units=parsed["grid.units"],
         model=parsed["spectrum.model"],
         optimize_mode=parsed["optimize.mode"],
-        optimize_omega=omega,
+        optimize_omega=parsed["optimize.omega"],
         optimize_detuning=parsed["optimize.detuning"],
         optimize_omegas=omegas,
         stability_xi2=parsed["stability.xi2"],

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NORMALIZED, Constants, MechanicalOscillator, static_coupling2_bound
+from .core import NORMALIZED, Constants, MechanicalOscillator
 from .errors import DegenerateDissipationError
 from .quasistatic import noise_over_coupling, sql_point
 
@@ -46,7 +46,6 @@ class SearchSpec:
     psi_bounds: tuple[float, float] = (-math.pi + 1e-6, math.pi - 1e-6)
     rel_tol: float = 1e-8
     max_iter: int = 200
-    stability_constrained: bool = False
     seed_points: int = 60
 
     def __post_init__(self):
@@ -238,12 +237,7 @@ def minimize_xi_quasistatic(
 ) -> OptimResult:
     """Numeric coupling optimum of the quasi-static noise at one point."""
     objective = noise_over_coupling(osc, gamma, detuning, omega, constants)
-    bound = None
-    if spec.stability_constrained:
-        bound = static_coupling2_bound(osc, gamma, detuning, constants)
-        if not math.isfinite(bound):
-            bound = None
-    res = minimize_over_xi(objective, spec, xi2_max_stable=bound)
+    res = minimize_over_xi(objective, spec)
     ratio = res.level / sql_point(osc, omega, constants).level
     return replace(res, detuning=detuning, ratio_to_sql=ratio)
 

@@ -66,6 +66,11 @@ class TestConfig:
         assert run(["spectrum", "--out", out], tmp_path, "cavity.wavevector = 1.0\n") == 2
         assert "unknown key 'cavity.wavevector'" in capsys.readouterr().err
 
+    def test_unknown_key_in_values_or_overrides_rejected(self):
+        for values, overrides in (({"foo": "1"}, None), (None, {"foo": "1"})):
+            with pytest.raises(ConfigError, match="unknown key 'foo'"):
+                build_run_config(values, overrides)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("units = si\nunits = normalized")
@@ -322,19 +327,26 @@ class TestOptimizeSearchPinned:
 
 class TestBadInputsExit2:
     @pytest.mark.parametrize(
-        "args, config_text",
+        "args, config_text, env",
         [
-            (["optimize", "--mode", "xi", "--detuning", "5"], None),
-            (["figure", "fig2", "--detunings=400"], None),
-            (["figure", "fig3", "--detunings=400"], None),
-            (["figure", "fig4", "--detunings=400"], None),
-            (["figure", "fig4", "--bandwidths=0,1,1,1,1,1"], None),
-            (["optimize", "--mode", "detuning"], "oscillator.damping = 0.0\n"),
-            (["optimize", "--mode", "detuning", "--omega", "0"], None),
-            (["optimize", "--omega", "nan"], None),
-            (["optimize", "--omega", "inf"], None),
-            (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.5, nan\n"),
-            (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.0, 1.0\n"),
+            (["optimize", "--mode", "xi", "--detuning", "5"], None, None),
+            (["figure", "fig2", "--detunings=400"], None, None),
+            (["figure", "fig3", "--detunings=400"], None, None),
+            (["figure", "fig4", "--detunings=400"], None, None),
+            (["figure", "fig4", "--bandwidths=0,1,1,1,1,1"], None, None),
+            (["optimize", "--mode", "detuning"], "oscillator.damping = 0.0\n", None),
+            (["optimize", "--mode", "detuning", "--omega", "0"], None, None),
+            (["optimize", "--omega", "nan"], None, None),
+            (["optimize", "--omega", "inf"], None, None),
+            (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.5, nan\n", None),
+            (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.0, 1.0\n", None),
+            (["stability"], "stability.xi2 = 0.01:inf:5\n", None),
+            (["spectrum"], "oscillator.damping = nan\n", None),
+            (["stability"], "oscillator.mass = inf\n", None),
+            (["spectrum"], "points.coupling = inf\n", None),
+            (["stability"], None, {"OPTOSPRING_OSCILATOR_MASS": "3"}),
+            (["stability"], None, {"OPTOSPRING_CAVITY_WAVEVECTOR": "3.7"}),
+            (["figure", "fig3", "--detunings=" + ",".join(["1"] * 27)], None, None),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -348,11 +360,18 @@ class TestBadInputsExit2:
             "optimize-inf-omega",
             "uql-sweep-nan-omega",
             "uql-sweep-zero-omega",
+            "stability-inf-xi2-range",
+            "spectrum-nan-damping",
+            "stability-inf-mass",
+            "spectrum-inf-coupling",
+            "env-misspelt-key",
+            "env-wavevector-key",
+            "figure-too-many-curves",
         ],
     )
-    def test_config_error(self, tmp_path, capsys, args, config_text):
+    def test_config_error(self, tmp_path, capsys, monkeypatch, args, config_text, env):
         out = tmp_path / "out"
-        assert run([*args, "--out", str(out)], tmp_path, config_text) == 2
+        assert run([*args, "--out", str(out)], tmp_path, config_text, env, monkeypatch) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,7 @@ from optospring import (
     MechanicalOscillator,
     OpticalCavity,
     SearchSpec,
-    StabilityBoundaryError,
     WorkingPoint,
-    amplification_factor,
     coupling_optimum,
     equivalent_input_noise,
     full_transfer,
@@ -32,12 +29,9 @@ from optospring import (
     noise_over_coupling,
     quasi_free_oscillator,
     sql_point,
-    stability,
-    stability_map,
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
-from optospring.config import build_run_config
 from optospring.optimize import _bounded_brent
 
 GAMMA = 0.01
@@ -222,12 +216,12 @@ class TestMinimizeOverXi:
         assert res.converged and not res.at_bound
 
     def test_interior_optimum_not_flagged(self, high_q_osc):
-        spec = SearchSpec(stability_constrained=True)
-        res = minimize_xi_quasistatic(high_q_osc, GAMMA, -10.0 * GAMMA, 0.0, spec)
+        bound = static_coupling2_bound(high_q_osc, GAMMA, -10.0 * GAMMA)
+        noise = noise_over_coupling(high_q_osc, GAMMA, -10.0 * GAMMA, 0.0)
+        res = minimize_over_xi(noise, xi2_max_stable=bound)
         free = minimize_xi_quasistatic(high_q_osc, GAMMA, -10.0 * GAMMA, 0.0)
         assert not res.constraint_active
         assert res.level == pytest.approx(free.level, rel=1e-9)
-        bound = static_coupling2_bound(high_q_osc, GAMMA, -10.0 * GAMMA)
         assert res.coupling2 < bound
 
 
@@ -346,154 +340,6 @@ class TestMonotonicity:
         assert all(a > b for a, b in zip(levels, levels[1:]))
         closed = [lowfreq_optimum(high_q_osc, GAMMA, psi).level for psi in ladder]
         assert np.allclose(levels, closed, rtol=1e-6)
-
-
-class TestStabilityMap:
-    def test_nonnegative_detunings_statically_stable(self, high_q_osc, cavity):
-        m = stability_map(
-            high_q_osc, cavity, np.geomspace(0.005, 50.0, 20), np.linspace(0.0, 0.1, 5)
-        )
-        assert m.static_ok.all()
-
-    def test_boundary_location_on_a_row(self, high_q_osc, cavity):
-        psi = -2.0 * cavity.gamma
-        xi2 = np.geomspace(0.005, 50.0, 40)
-        m = stability_map(high_q_osc, cavity, xi2, np.array([psi]))
-        bound = static_coupling2_bound(high_q_osc, cavity.gamma, psi)
-        assert xi2[0] < bound < xi2[-1]
-        np.testing.assert_array_equal(m.static_ok[0], xi2 < bound)
-
-    def test_boundary_coincides_with_amplification_divergence(self, high_q_osc, cavity):
-        xi2 = np.geomspace(0.005, 50.0, 30)
-        psis = np.linspace(-0.1, -0.01, 7)
-        m = stability_map(high_q_osc, cavity, xi2, psis)
-        for row, psi in zip(m.static_ok, psis):
-            cross = static_coupling2_bound(high_q_osc, cavity.gamma, psi)
-            assert xi2[0] < cross < xi2[-1]
-            np.testing.assert_array_equal(row, xi2 < cross)
-            # just inside: finite amplification; at the crossing: divergent
-            # (an exact hit raises, a rounded one returns a huge value)
-            inside = amplification_factor(
-                high_q_osc, cavity, WorkingPoint(psi, math.sqrt(0.99 * cross)), 0.0
-            )
-            try:
-                at_edge = amplification_factor(
-                    high_q_osc, cavity, WorkingPoint(psi, math.sqrt(cross)), 0.0
-                )
-            except StabilityBoundaryError:
-                at_edge = math.inf
-            assert at_edge > 1e6
-            assert inside < at_edge
-
-    def test_flags_match_margin_signs(self, high_q_osc, cavity, rng):
-        xi2 = np.geomspace(0.01, 20.0, 10)
-        psis = rng.uniform(-0.2, 0.2, size=6)
-        m = stability_map(high_q_osc, cavity, xi2, psis)
-        assert ((m.static_margin > 0) == m.static_ok).all()
-        assert ((m.dynamic_margin > 0) == m.dynamic_ok).all()
-
-
-class TestStabilityMapMatchesCells:
-    """The broadcast map against per-cell ``stability()``, within ULPS ulp.
-
-    A tolerance check of the margins and flags over random
-    oscillators and constants; :class:`TestStabilityMapBitEqual` asserts
-    that the margins are in fact equal bit for bit.
-    """
-
-    ULPS = 8
-
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(
-        log_mass=_uniform(-2.0, 2.0),
-        log_freq=_uniform(-1.0, 1.0),
-        log_damping=_uniform(-4.0, 0.5),
-        log_gamma=_uniform(-3.0, -0.1),
-        log_tau=_uniform(-5.0, 0.0),
-        log_hbar=_uniform(-2.0, 1.0),
-        psis=st.lists(_uniform(-math.pi + 1e-9, math.pi), min_size=1, max_size=8),
-        log_xi2=st.lists(_uniform(-4.0, 4.0), min_size=1, max_size=8),
-    )
-    def test_matches_per_cell_stability(
-        self, log_mass, log_freq, log_damping, log_gamma, log_tau, log_hbar, psis, log_xi2
-    ):
-        osc = MechanicalOscillator(10**log_mass, 10**log_freq, 10**log_damping)
-        cav = OpticalCavity(10**log_gamma, 10**log_tau, 1.0)
-        constants = optospring.Constants(10**log_hbar)
-        psis, xi2 = np.array(psis), np.sort(10.0 ** np.array(log_xi2))
-        tol = self.ULPS * np.finfo(float).eps
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # low-Q oscillators
-            m = stability_map(osc, cav, xi2, psis, constants)
-            for a, psi in enumerate(psis):
-                for b, x in enumerate(xi2):
-                    rep = stability(osc, cav, WorkingPoint(psi, math.sqrt(x)), constants)
-                    u2 = cav.gamma**2 + psi**2
-                    s_tol = tol * (u2 + abs(rep.static_margin - u2))
-                    d_tol = tol * (osc.damping + abs(osc.damping - rep.dynamic_margin))
-                    assert abs(m.static_margin[a, b] - rep.static_margin) <= s_tol
-                    assert abs(m.dynamic_margin[a, b] - rep.dynamic_margin) <= d_tol
-                    if abs(rep.static_margin) > s_tol:
-                        assert m.static_ok[a, b] == rep.static_ok
-                    if abs(rep.dynamic_margin) > d_tol:
-                        assert m.dynamic_ok[a, b] == rep.dynamic_ok
-
-    def test_low_q_warning_reaches_the_map(self, osc, cavity):
-        # damping / resonance = 0.1 leaves the Lorentzian picture
-        with pytest.warns(UserWarning, match="high-Q"):
-            stability_map(osc, cavity, np.geomspace(0.01, 1.0, 3), np.array([-0.02, 0.0]))
-
-    def test_rejects_out_of_range_inputs(self, high_q_osc, cavity):
-        with pytest.raises(ValueError, match="detunings"):
-            stability_map(high_q_osc, cavity, np.array([1.0]), np.array([-math.pi]))
-        with pytest.raises(ValueError, match="coupling2"):
-            stability_map(high_q_osc, cavity, np.array([-1.0, 1.0]), np.array([0.0]))
-
-
-class TestStabilityMapBitEqual:
-    """``stability_map`` equals ``stability()`` per cell, bit for bit."""
-
-    @staticmethod
-    def _mismatches(osc, cav, xi2, psis, constants=optospring.NORMALIZED):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # low-Q oscillators
-            m = stability_map(osc, cav, xi2, psis, constants)
-            bad = 0
-            for a, psi in enumerate(psis.tolist()):
-                for b, x in enumerate(xi2.tolist()):
-                    rep = stability(osc, cav, WorkingPoint(psi, math.sqrt(x)), constants)
-                    cell = (m.static_margin[a, b], m.dynamic_margin[a, b])
-                    bad += cell != (rep.static_margin, rep.dynamic_margin)
-                    bad += (m.static_ok[a, b], m.dynamic_ok[a, b]) != (
-                        rep.static_ok, rep.dynamic_ok
-                    )
-        return bad
-
-    def test_default_cli_grid(self):
-        # the grid of `optospring stability` on the default config
-        cfg = build_run_config()
-        osc, cav = cfg.oscillator, cfg.cavity
-        (xlo, xhi, nx), (plo, phi, npsi) = cfg.stability_xi2, cfg.stability_psi
-        chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
-        xi_sql2 = 1.0 / (2.0 * cfg.constants.hbar * chi0)
-        xi2 = np.geomspace(xlo, xhi, nx) * xi_sql2
-        psis = np.linspace(plo, phi, npsi) * cav.gamma
-        assert xi2.size * psis.size == 3477
-        assert self._mismatches(osc, cav, xi2, psis) == 0
-
-    def test_random_grids(self, rng):
-        cells = bad = 0
-        for _ in range(40):
-            osc = MechanicalOscillator(
-                10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
-            )
-            cav = OpticalCavity(10 ** rng.uniform(-3, -0.1), 10 ** rng.uniform(-5, 0), 1.0)
-            constants = optospring.Constants(10 ** rng.uniform(-2, 1))
-            xi2 = np.sort(10 ** rng.uniform(-4, 4, size=16))
-            psis = rng.uniform(-math.pi + 1e-9, math.pi, size=16)
-            cells += xi2.size * psis.size
-            bad += self._mismatches(osc, cav, xi2, psis, constants)
-        assert cells >= 10_000 and bad == 0
 
 
 class TestLowfreqCurveMinimum:
