@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -152,35 +152,31 @@ def _out_path(cfg: RunConfig, default_stem: str) -> str:
     return cfg.out_path or f"{default_stem}.{cfg.out_format}"
 
 
-def _noise_table(finite, osc, cavity, wp, grid, constants, scale=1.0) -> np.ndarray:
-    """Columns omega / scale, s_sig, s_sql, ratio of a finite or quasi-static spectrum."""
-    if finite:
-        sp = fb.spectrum(osc, cavity, wp, grid, constants=constants)
-        s_sig, s_sql = sp.s_sig, sp.s_sql
-    else:
-        s_sig = qs.equivalent_input_noise(osc, cavity, wp, grid, constants=constants)
-        s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
+def _noise_table(osc, gamma, psi, xi, grid, constants, round_trip, scale=1.0) -> np.ndarray:
+    """Columns omega / scale, s_sig, s_sql, ratio of a spectrum (quasi-static at round_trip 0)."""
+    s_sig = qs.noise_over_coupling(osc, gamma, psi, grid, constants, round_trip)(xi)
+    s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
     return np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
+    osc, gamma, constants = cfg.oscillator, cfg.cavity.gamma, cfg.constants
+    round_trip = cfg.cavity.round_trip if cfg.model == "finite" else 0.0
     for wp in cfg.points:
-        if wp.coupling <= 0:
-            raise ConfigError("spectrum requires coupling > 0 for every working point")
-        omega_sql = qs.sql_frequency(cfg.oscillator, wp.coupling, cfg.constants)
+        psi, xi = wp.detuning, wp.coupling
+        try:  # a zero coupling raises ValueError, one past ~1e154 OverflowError (from **)
+            omega_sql = qs.sql_frequency(osc, xi, constants)
+        except (ValueError, OverflowError):
+            omega_sql = math.nan
         scale = omega_sql if cfg.grid_units == "omega_sql" else 1.0
-        grid = fb.log_grid(
-            cfg.grid_lo * scale, cfg.grid_hi * scale, cfg.grid_points_per_decade
-        )
-        table = _noise_table(
-            cfg.model == "finite", cfg.oscillator, cfg.cavity, wp, grid, cfg.constants, scale
-        )
-        label = (
-            f"point detuning={wp.detuning!r} coupling={wp.coupling!r} "
-            f"omega_sql={omega_sql!r}"
-        )
+        lo, hi = cfg.grid_lo * scale, cfg.grid_hi * scale
+        if not (0 < omega_sql < math.inf and 0 < lo < hi < math.inf):
+            raise ConfigError(f"coupling {xi!r} gives no balance frequency or grid in float range")
+        grid = fb.log_grid(lo, hi, cfg.grid_points_per_decade)
+        table = _noise_table(osc, gamma, psi, xi, grid, constants, round_trip, scale)
+        label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
         blocks.append((label, table))
     path = _out_path(cfg, "spectrum")
     write_table(
@@ -361,11 +357,8 @@ def cmd_figure(
         }
         tables = []
         for r, bw in zip(ratios, bws):  # a bandwidth makes the curve finite-bandwidth
-            cavity = cfg.cavity
-            if bw is not None:
-                cavity = replace(cavity, round_trip=gamma / (bw * omega_sql))
-            wp = WorkingPoint(detuning=r * gamma, coupling=xi)
-            tables.append(_noise_table(bw is not None, osc, cavity, wp, grid, cfg.constants))
+            round_trip = 0.0 if bw is None else gamma / (bw * omega_sql)
+            tables.append(_noise_table(osc, gamma, r * gamma, xi, grid, cfg.constants, round_trip))
 
     manifest: dict = {
         "schema": f"optospring.figure.{SCHEMA_VERSION}",

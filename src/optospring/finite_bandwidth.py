@@ -5,12 +5,12 @@ bandwidth: the output phase-quadrature transfer, the equivalent input
 noise spectrum, and the location and depth of the dual sensitivity dips
 that a detuned finite-bandwidth cavity develops.
 
-The transfer coefficients come from the response kernel
-:func:`optospring.core.spring_response`, the same kernel that runs the
-quasi-static chain at omega * tau = 0; the mirror coordinate is folded
-in through the effective susceptibility. A redundant per-frequency
-linear solve over the intracavity quadratures is kept as an independent
-validation oracle.
+The transfer coefficients are the response kernel
+:func:`optospring.core.spring_response` at omega * tau, and the noise is
+their real form :func:`optospring.quasistatic.noise_over_coupling`: the
+kernel and the formula that run the quasi-static chain at omega * tau =
+0. A per-frequency linear solve over the intracavity quadratures is kept
+as an independent validation oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .core import (
     mech_susceptibility,
     spring_response,
 )
-from .errors import NoDipFoundError, SingularPointError
-from .quasistatic import sql_frequency
+from .errors import NoDipFoundError
+from .quasistatic import noise_over_coupling, sql_frequency
 
 DEFAULT_GRID_DECADES = (1e-2, 1e3)
 DEFAULT_POINTS_PER_DECADE = 400
@@ -194,25 +194,21 @@ def spectrum(
 ) -> NoiseSpectrum:
     """Exact equivalent-input noise over a frequency grid.
 
-    Coherent input light: the output noise |c_q|^2 + |c_p|^2 over the
-    signal transduction |c_sig|^2 of :func:`full_transfer`. Also
-    evaluates the SQL reference curve hbar |chi| on the same grid. The
-    grid must be strictly increasing and positive. Singularities are
-    reported with the offending frequency.
+    Coherent input light: :func:`optospring.quasistatic.noise_over_coupling`
+    at omega tau = omega * round_trip, the real form of the noise of
+    :func:`full_transfer`, with the SQL reference curve hbar |chi| on the
+    same grid. The grid must be strictly increasing and positive. At a
+    real pole of chi_eff the noise takes its finite limit.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    t = full_transfer(osc, cavity, wp, grid, constants)
-    power = np.abs(t.c_q) ** 2 + np.abs(t.c_p) ** 2
-    sig2 = np.abs(t.c_sig) ** 2
-    if np.any(sig2 == 0):
-        bad = grid[np.nonzero(sig2 == 0)][0]
-        raise SingularPointError(f"no signal transduction at omega={bad!r}")
+    g, psi, tau = cavity.gamma, wp.detuning, cavity.round_trip
+    s_sig = noise_over_coupling(osc, g, psi, grid, constants, tau)(wp.coupling)
     s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
-    return NoiseSpectrum(omega=grid, s_sig=power / sig2, s_sql=s_sql)
+    return NoiseSpectrum(omega=grid, s_sig=s_sig, s_sql=s_sql)
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:

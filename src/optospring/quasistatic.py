@@ -4,11 +4,11 @@ Valid for signal frequencies well below the cavity bandwidth: the output
 phase quadrature carries the signal amplified by the mirror dynamics on
 top of the incident phase and radiation-pressure noises. The transfer is
 the response kernel :func:`optospring.core.spring_response` at omega *
-tau = 0 (static spring hbar xi^2 psi / gamma); the noise is its real
-inverse form. This module provides the output-quadrature transfer, the
-equivalent-input noise spectrum, the standard quantum limit, closed-form
-optimal working points at low and high frequency, and the
-dissipation-set ultimate limit.
+tau = 0 (static spring hbar xi^2 psi / gamma); its real noise form
+:func:`noise_over_coupling` also runs the finite-bandwidth spectrum. This
+module provides the output-quadrature transfer, the equivalent-input
+noise spectrum, the standard quantum limit, closed-form optimal working
+points at low and high frequency, and the dissipation-set ultimate limit.
 """
 
 from __future__ import annotations
@@ -91,16 +91,17 @@ def noise_over_coupling(
     detuning: float,
     omega,
     constants: Constants = NORMALIZED,
+    round_trip: float = 0.0,
 ):
-    """Quasi-static equivalent-input noise as a function of the coupling.
+    """Equivalent-input noise as a function of the coupling, at any bandwidth.
 
-    Maps a coupling, or an array of couplings elementwise, to the noise of
-    :func:`equivalent_input_noise` for coherent input: the kernel's noise
-    at omega tau = 0 in real inverse form, |chi|^2 (|chi_eff^-1|^2 / (4
-    xi^2) + hbar^2 xi^2) with chi_eff^-1 = chi^-1 + hbar xi^2 psi / gamma.
-    Only +, -, * and / enter, so a Python float and a numpy array give the
-    same bits, and the noise stays finite on the static boundary. A zero
-    coupling, scalar or in an array, raises ``NoMeasurementError``.
+    Maps a coupling, or an array of couplings elementwise, to the coherent-input
+    noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at omega tau = omega * round_trip. Each
+    kernel coefficient times chi_eff^-1 Delta / u^2 gives real cavity factors,
+    exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
+    (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array
+    give the same bits, and the noise stays finite at a real pole of chi_eff.
+    A zero coupling, scalar or in an array, raises ``NoMeasurementError``.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
@@ -110,17 +111,30 @@ def noise_over_coupling(
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
-    if np.any(mag2 == 0):
+    if not (mag2 if type(mag2) is float else np.all(mag2)):  # a float skips numpy
         mech_susceptibility(osc, omega)  # names the singular frequency
     hbar, spring = constants.hbar, constants.hbar * psi / gamma
+    u2, w = gamma * gamma + psi * psi, omega * round_trip
+    gw = gamma * w / u2  # gain Delta / u^2 = 1 - i gw
+    # Delta / u^2 = dr + i di; dr in this form stays accurate where Delta is near 0
+    dr, di = (gamma * gamma + (psi - w) * (psi + w)) / u2, -2.0 * gw
+    a_q = dr + 2.0 * gw * gw  # a_q Delta / u^2
+    a_p = -gw * w * psi / (u2 * hbar)  # a_p Delta / (2 hbar u^2)
+    jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
+    lag = 2.0 * hbar * psi * w / u2  # the phase-lag term of c_q, over xi^2
+    # qr + i qi = c_q chi_eff^-1 (Delta / u^2)^2, pr + i pi the same of c_p over 2 hbar xi^2
+    qr0, qr1, qi0 = a_q * jr0, a_q * spring - lag * gw, a_q * ji
+    pr0, pr1, pi0 = a_p * jr0, a_p * spring + (1.0 - gw * gw), a_p * ji
+    den = (dr * dr + di * di) * (1.0 + gw * gw) * mag2
 
     def noise_at(xi):
         xi2 = xi * xi
         # a Python float, as the scalar Brent polish passes, is checked without numpy
         if not (xi2 if type(xi2) is float else np.all(xi2)):
             raise NoMeasurementError(_NO_SIGNAL)
-        re = re0 + spring * xi2  # Re chi_eff^-1
-        return ((re * re + im0 * im0) / (4.0 * xi2) + hbar * hbar * xi2) / mag2
+        qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2  # qr = Re chi_eff^-1 at omega tau = 0
+        pr, pi = pr0 / xi2 + pr1, pi0 / xi2 + di
+        return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar * hbar * xi2 * (pr * pr + pi * pi)) / den
 
     return noise_at
 
@@ -139,10 +153,7 @@ def equivalent_input_noise(
     :func:`noise_over_coupling`; its closed form is
     :func:`equivalent_input_noise_closed_form`.
     """
-    if wp.coupling == 0:
-        raise NoMeasurementError(_NO_SIGNAL)
-    noise_at = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, constants)
-    return noise_at(wp.coupling)
+    return noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, constants)(wp.coupling)
 
 
 def equivalent_input_noise_closed_form(

@@ -344,6 +344,8 @@ class TestBadInputsExit2:
             (["spectrum"], "oscillator.damping = nan\n", None),
             (["stability"], "oscillator.mass = inf\n", None),
             (["spectrum"], "points.coupling = inf\n", None),
+            (["spectrum"], "points.coupling = 1e200\n", None),
+            (["spectrum"], "points.coupling = 1e-200\n", None),
             (["stability"], None, {"OPTOSPRING_OSCILATOR_MASS": "3"}),
             (["stability"], None, {"OPTOSPRING_CAVITY_WAVEVECTOR": "3.7"}),
             (["figure", "fig3", "--detunings=" + ",".join(["1"] * 27)], None, None),
@@ -364,6 +366,8 @@ class TestBadInputsExit2:
             "spectrum-nan-damping",
             "stability-inf-mass",
             "spectrum-inf-coupling",
+            "spectrum-overflowing-coupling",
+            "spectrum-underflowing-coupling",
             "env-misspelt-key",
             "env-wavevector-key",
             "figure-too-many-curves",

@@ -21,6 +21,7 @@ from optospring import (
     full_transfer_by_solve,
     log_grid,
     mech_susceptibility,
+    noise_over_coupling,
     quadrature_transfer,
     quasi_free_oscillator,
     spectrum,
@@ -113,6 +114,53 @@ class TestFullTransfer:
 
 
 class TestSpectrum:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        log_resonance=_uniform(-4, 0),
+        log_damping=_uniform(-6, -2),
+        gamma=_uniform(0.005, 0.05),
+        log_round_trip=_uniform(-4, -2),
+        psi=_uniform(-0.5, 0.5),
+        log_xi=_uniform(-1, 1),
+        log_omega=_uniform(-3, 2),
+    )
+    def test_matches_linear_solve(
+        self, log_resonance, log_damping, gamma, log_round_trip, psi, log_xi, log_omega
+    ):
+        # spectrum runs on noise_over_coupling, not on the kernel's coefficients:
+        # on the models of TestFullTransfer, it equals the noise of the raw 3x3 solve
+        osc = MechanicalOscillator(1.0, 10**log_resonance, 10**log_damping)
+        cavity = OpticalCavity(gamma=gamma, round_trip=10**log_round_trip, wavevector=1.0)
+        wp = WorkingPoint(psi, 10**log_xi)
+        omega = 10**log_omega
+        t = full_transfer_by_solve(osc, cavity, wp, omega)
+        expected = (abs(t.c_q) ** 2 + abs(t.c_p) ** 2) / abs(t.c_sig) ** 2
+        got = spectrum(osc, cavity, wp, np.array([omega, 2.0 * omega])).s_sig[0]
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        log_mass=_uniform(-2, 2),
+        log_resonance=_uniform(-2, 2),
+        log_damping=_uniform(-4, 1),
+        log_gamma=_uniform(-3, -0.05),
+        log_omega=_uniform(-2, 2),
+        log_lag=_uniform(-3, 1),
+    )
+    def test_uql_floor_past_quasistatic(
+        self, log_mass, log_resonance, log_damping, log_gamma, log_omega, log_lag
+    ):
+        # acceptance 10's floor hbar |Im chi| holds at every (psi, xi) cell also
+        # at a finite phase lag, omega tau / gamma = 10**log_lag
+        osc = MechanicalOscillator(10**log_mass, 10**log_resonance, 10**log_damping)
+        gamma, omega = 10**log_gamma, 10**log_resonance * 10**log_omega
+        chi = mech_susceptibility(osc, omega)
+        xi = np.geomspace(1e-2, 1e2, 41) / math.sqrt(2.0 * abs(chi))  # around the SQL coupling
+        tau = 10**log_lag * gamma / omega
+        for psi in np.linspace(-3.1, 3.1, 41):
+            noise = noise_over_coupling(osc, gamma, psi, omega, round_trip=tau)(xi)
+            assert np.all(noise >= abs(chi.imag) * (1.0 - 1e-12))
+
     def test_grid_validation(self, high_q_osc, cavity):
         wp = WorkingPoint(0.0, 1.0)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Package layout: no module reads a private name of a sibling module, the
-formulas shared by scalar and array routes use no ``**``, and one place
-builds a ``StabilityReport``."""
+formulas shared by scalar and array routes use no ``**``, one place
+builds a ``StabilityReport``, and no module forms a noise from the
+transfer coefficients."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,36 @@ def test_stability_report_built_in_one_place():
 def test_call_checker_sees_plain_and_qualified_calls():
     source = "a = StabilityReport(1)\nb = core.StabilityReport(2)\nc = StabilityReport\n"
     assert call_lines(source, "StabilityReport") == [1, 2]
+
+
+TRANSFER_FIELDS = ("c_q", "c_p", "c_sig")
+
+
+def transfer_reads(source: str) -> list[int]:
+    """Lines of every read of a ``QuadratureTransfer`` field as ``anything.c_*``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in TRANSFER_FIELDS
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_no_module_reads_transfer_coefficients():
+    # the noise is formed only by noise_over_coupling; the coefficients serve
+    # users and the oracles that check it
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in transfer_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def test_transfer_checker_sees_reads_not_keywords():
+    source = (
+        "t = full_transfer(o, c, w, g)\np = abs(t.c_q) ** 2 + abs(t.c_p) ** 2\n"
+        "s = QuadratureTransfer(c_q=1, c_p=0, c_sig=t.c_sig)\n"
+    )
+    assert transfer_reads(source) == [2, 2, 3]

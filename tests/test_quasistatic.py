@@ -94,7 +94,8 @@ class TestKernelAtZeroPhaseLag:
 
 
 class TestNoiseScalarArrayBitEqual:
-    """``noise_over_coupling`` on an array equals its per-element scalar calls."""
+    """``noise_over_coupling`` on an array equals its per-element scalar calls,
+    quasi-static and at a finite phase lag omega * round_trip."""
 
     def test_random_models(self, rng):
         cells = mismatches = 0
@@ -105,22 +106,28 @@ class TestNoiseScalarArrayBitEqual:
             gamma, psi = 10 ** rng.uniform(-3, -0.1), rng.uniform(-3.14, 3.14)
             constants = Constants(10 ** rng.uniform(-2, 1))
             omega = rng.choice([0.0, rng.uniform(0.0, 3.0) * osc.resonance_freq])
-            noise_at = noise_over_coupling(osc, gamma, psi, omega, constants)
-            xi = 10 ** rng.uniform(-3, 3, size=60)
-            batch = noise_at(xi)
-            scalar = [noise_at(x) for x in xi.tolist()]
-            assert all(type(v) is float for v in scalar)
-            cells += xi.size
-            mismatches += int(np.count_nonzero(batch != np.array(scalar)))
+            # the quasi-static chain, then a finite omega tau up to ~30
+            for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
+                noise_at = noise_over_coupling(osc, gamma, psi, omega, constants, round_trip)
+                xi = 10 ** rng.uniform(-3, 3, size=60)
+                batch = noise_at(xi)
+                scalar = [noise_at(x) for x in xi.tolist()]
+                assert all(type(v) is float for v in scalar)
+                cells += xi.size
+                mismatches += int(np.count_nonzero(batch != np.array(scalar)))
         assert cells >= 10_000 and mismatches == 0
 
     def test_array_over_frequency(self, high_q_osc, rng):
         omega = np.geomspace(0.01, 10.0, 500)
         for psi in rng.uniform(-0.5, 0.5, size=20):
-            noise_at = noise_over_coupling(high_q_osc, 0.01, psi, omega)
-            batch = noise_at(0.7)
-            scalar = [noise_over_coupling(high_q_osc, 0.01, psi, w)(0.7) for w in omega]
-            assert np.array_equal(batch, scalar)
+            for tau in (0.0, 10 ** rng.uniform(-4, -1)):  # bandwidth 0.01 / tau
+                noise_at = noise_over_coupling(high_q_osc, 0.01, psi, omega, round_trip=tau)
+                batch = noise_at(0.7)
+                scalar = [
+                    noise_over_coupling(high_q_osc, 0.01, psi, w, round_trip=tau)(0.7)
+                    for w in omega
+                ]
+                assert np.array_equal(batch, scalar)
 
 
 class TestEquivalentInputNoise:
