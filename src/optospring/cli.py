@@ -28,7 +28,7 @@ from . import finite_bandwidth as fb
 from . import optimize as opt
 from . import quasistatic as qs
 from .config import RunConfig, load_run_config
-from .core import WorkingPoint, mech_susceptibility, stability
+from .core import WorkingPoint, stability
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -154,8 +154,7 @@ def _out_path(cfg: RunConfig, default_stem: str) -> str:
 
 def _noise_table(osc, gamma, psi, xi, grid, constants, round_trip, scale=1.0) -> np.ndarray:
     """Columns omega / scale, s_sig, s_sql, ratio of a spectrum (quasi-static at round_trip 0)."""
-    s_sig = qs.noise_over_coupling(osc, gamma, psi, grid, constants, round_trip)(xi)
-    s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
+    s_sig, s_sql = fb.noise_and_sql(osc, gamma, psi, xi, grid, constants, round_trip)
     return np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
 
 

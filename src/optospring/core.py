@@ -35,6 +35,10 @@ HIGH_Q_RATIO = 0.1
 # A cubic root is accepted as real when |Im| < REAL_ROOT_TOL * (1 + |Re|).
 REAL_ROOT_TOL = 1e-10
 
+# Points per block of a long frequency array in :func:`blockwise`: the
+# temporaries of one block stay in cache instead of faulting in fresh pages.
+BLOCK = 1 << 14
+
 
 def wrap_phase(x: float) -> float:
     """Reduce an angle to the principal interval (-pi, pi]."""
@@ -201,6 +205,23 @@ class QuadratureTransfer:
 def _scalar(x):
     """A 0-d result as a Python complex; arrays pass through."""
     return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
+
+
+def blockwise(f, omega):
+    """``f(omega)`` for a real elementwise ``f``, in fixed blocks on long arrays.
+
+    A 1-d array of more than BLOCK points runs block by block into one
+    preallocated output, so the temporaries of ``f`` stay in cache; anything
+    else takes a single call. ``f`` acts elementwise, so the result bits, and
+    the frequency an error names, are those of the single call.
+    """
+    if np.ndim(omega) != 1 or len(omega) <= BLOCK:
+        return f(omega)
+    omega = np.asarray(omega, dtype=float)
+    out = np.empty_like(omega)
+    for start in range(0, omega.size, BLOCK):
+        out[start : start + BLOCK] = f(omega[start : start + BLOCK])
+    return out
 
 
 def mech_susceptibility(osc: MechanicalOscillator, omega):

@@ -27,6 +27,7 @@ from .core import (
     OpticalCavity,
     QuadratureTransfer,
     WorkingPoint,
+    blockwise,
     kappa_for_coupling,
     mech_susceptibility,
     spring_response,
@@ -185,6 +186,23 @@ def default_grid(omega_sql: float) -> np.ndarray:
     return log_grid(lo * omega_sql, hi * omega_sql, DEFAULT_POINTS_PER_DECADE)
 
 
+def noise_and_sql(osc, gamma, detuning, coupling, grid, constants=NORMALIZED, round_trip=0.0):
+    """Noise and SQL curve ``(s_sig, s_sql)`` over a grid, the grid unchecked.
+
+    :func:`optospring.quasistatic.noise_over_coupling` at omega tau = omega *
+    round_trip (quasi-static at 0) and hbar |chi|, each run in fixed blocks
+    (:func:`optospring.core.blockwise`) with bit-identical results.
+    """
+
+    def s_sig(w):
+        return noise_over_coupling(osc, gamma, detuning, w, constants, round_trip)(coupling)
+
+    def s_sql(w):
+        return constants.hbar * np.abs(mech_susceptibility(osc, w))
+
+    return blockwise(s_sig, grid), blockwise(s_sql, grid)
+
+
 def spectrum(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -197,17 +215,17 @@ def spectrum(
     Coherent input light: :func:`optospring.quasistatic.noise_over_coupling`
     at omega tau = omega * round_trip, the real form of the noise of
     :func:`full_transfer`, with the SQL reference curve hbar |chi| on the
-    same grid. The grid must be strictly increasing and positive. At a
-    real pole of chi_eff the noise takes its finite limit.
+    same grid (:func:`noise_and_sql`). The grid must be strictly increasing
+    and positive. At a real pole of chi_eff the noise takes its finite
+    limit. A long grid runs in fixed blocks with bit-identical results.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
-    if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
+    if grid[0] <= 0 or np.any(grid[1:] <= grid[:-1]):
         raise ValueError("grid must be strictly increasing and positive")
     g, psi, tau = cavity.gamma, wp.detuning, cavity.round_trip
-    s_sig = noise_over_coupling(osc, g, psi, grid, constants, tau)(wp.coupling)
-    s_sql = constants.hbar * np.abs(mech_susceptibility(osc, grid))
+    s_sig, s_sql = noise_and_sql(osc, g, psi, wp.coupling, grid, constants, tau)
     return NoiseSpectrum(omega=grid, s_sig=s_sig, s_sql=s_sql)
 
 
@@ -245,13 +263,8 @@ def dip_analysis(
     if wp.coupling <= 0:
         raise ValueError("dip analysis needs a positive coupling")
     grid, s = noise_spectrum.omega, noise_spectrum.s_sig
-    reference = spectrum(
-        osc,
-        cavity,
-        WorkingPoint(detuning=0.0, coupling=wp.coupling),
-        grid,
-        constants=constants,
-    ).s_sig
+    g, tau, xi = cavity.gamma, cavity.round_trip, wp.coupling
+    reference = blockwise(lambda w: noise_over_coupling(osc, g, 0.0, w, constants, tau)(xi), grid)
 
     inner = s[1:-1]
     dips = (inner < s[:-2]) & (inner < s[2:]) & (inner < reference[1:-1])
@@ -261,8 +274,8 @@ def dip_analysis(
             "no sensitivity dip below the zero-detuning reference on this grid"
         )
 
-    omega_sql = sql_frequency(osc, wp.coupling, constants)
-    g, psi = cavity.gamma, wp.detuning
+    omega_sql = sql_frequency(osc, xi, constants)
+    psi = wp.detuning
     beta = 0.5 * psi / g
     pred_minus = omega_sql * math.sqrt(beta) if psi > 0 else None
     pred_plus = cavity.bandwidth * math.sqrt(1.0 + (psi / g) ** 2)

@@ -262,23 +262,24 @@ def minimize_over_detuning(
         )
     evals = 0
 
-    def outer(psi: float) -> OptimResult:
+    def level(psi: float) -> float:
         nonlocal evals
-        r = minimize_xi_quasistatic(osc, gamma, psi, omega, spec, constants=constants)
+        r = minimize_over_xi(noise_over_coupling(osc, gamma, psi, omega, constants), spec)
         evals += r.iterations
-        return r
+        return r.level
 
     lo, hi = spec.psi_bounds
     lo = max(lo, -math.pi + 1e-9)
     hi = min(hi, math.pi)
     p = np.linspace(lo, hi, spec.seed_points)
-    seed_vals = np.array([outer(pi).level for pi in p])
-    psi_opt, _, _, ok = _seeded_search(lambda q: outer(q).level, p, seed_vals, spec)
+    seed_vals = np.array([level(pi) for pi in p])
+    psi_opt, _, _, ok = _seeded_search(level, p, seed_vals, spec)
     psi_opt = float(psi_opt)
-    best = outer(psi_opt)
+    # the SQL reference is read only at the optimum
+    best = minimize_xi_quasistatic(osc, gamma, psi_opt, omega, spec, constants)
     return replace(
         best,
-        iterations=evals,
+        iterations=evals + best.iterations,
         converged=ok and best.converged,
         at_bound=_at_bound(psi_opt, lo, hi),
     )

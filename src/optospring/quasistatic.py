@@ -26,6 +26,7 @@ from .core import (
     OpticalCavity,
     QuadratureTransfer,
     WorkingPoint,
+    blockwise,
     mech_susceptibility,
     spring_response,
 )
@@ -151,9 +152,12 @@ def equivalent_input_noise(
     Output noise power of coherent input light referred to an apparent
     cavity-length change, (|c_q|^2 + |c_p|^2) / |c_sig|^2, evaluated by
     :func:`noise_over_coupling`; its closed form is
-    :func:`equivalent_input_noise_closed_form`.
+    :func:`equivalent_input_noise_closed_form`. A long frequency array runs
+    in fixed blocks (:func:`optospring.core.blockwise`) with bit-identical
+    results.
     """
-    return noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, constants)(wp.coupling)
+    g, psi, xi = cavity.gamma, wp.detuning, wp.coupling
+    return blockwise(lambda w: noise_over_coupling(osc, g, psi, w, constants)(xi), omega)
 
 
 def equivalent_input_noise_closed_form(

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ from scipy.optimize import minimize_scalar
 from optospring import (
     MechanicalOscillator,
     NoDipFoundError,
+    NoMeasurementError,
     NoiseSpectrum,
     OpticalCavity,
+    SingularPointError,
     WorkingPoint,
     default_grid,
     dip_analysis,
@@ -26,6 +28,7 @@ from optospring import (
     quasi_free_oscillator,
     spectrum,
 )
+from optospring import core
 from optospring import finite_bandwidth as fb
 
 
@@ -272,7 +275,7 @@ class TestDipAnalysis:
             return float(x[i]), float(y[i])
 
         monkeypatch.setattr(fb, "_parabolic_refine", refine)
-        monkeypatch.setattr(fb, "spectrum", lambda *a, **k: SimpleNamespace(s_sig=case["ref"]))
+        monkeypatch.setattr(fb, "noise_over_coupling", lambda *a, **k: lambda xi: case["ref"])
         tried = 0
         for n in [2, 3] * 10 + rng.integers(2, 40, size=300).tolist():
             s = rng.integers(1, 5, size=n).astype(float)  # four levels: many ties
@@ -317,3 +320,106 @@ class TestDipAnalysis:
             sp = spectrum(osc, cavity, wp, grid)
             quasi = equivalent_input_noise(osc, cavity, wp, grid)
             assert np.all(np.abs(sp.s_sig - quasi) / quasi < 1e-6)
+
+
+BLOCK = core.BLOCK
+
+
+def block_edges(n):
+    """Indices on both sides of every block boundary of an n-point array."""
+    edges = {0, n - 1}
+    for start in range(BLOCK, n, BLOCK):
+        edges |= {start - 1, start, start + 1}
+    return sorted(i for i in edges if i < n)
+
+
+class TestBlocks:
+    """Long arrays run in fixed blocks and keep the bits of one whole-array call."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("lag", [False, True])  # omega tau = 0, or > 0
+    def test_same_bits_as_one_call(self, n, lag, monkeypatch):
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        g, psi, xi = cavity.gamma, wp.detuning, wp.coupling
+        tau = cavity.round_trip if lag else 0.0
+        grid = np.geomspace(1e-2, 1e3, n)
+        s_sig = noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+        s_sql = np.abs(mech_susceptibility(osc, grid))
+        blocked = [fb.noise_and_sql(osc, g, psi, xi, grid, round_trip=tau)]
+        if lag:
+            sp = spectrum(osc, cavity, wp, grid)
+            blocked.append((sp.s_sig, sp.s_sql))
+        else:  # the quasi-static noise has no SQL column of its own
+            blocked.append((equivalent_input_noise(osc, cavity, wp, grid), s_sql))
+        for sig, sql in blocked:
+            assert np.array_equal(sig, s_sig) and np.array_equal(sql, s_sql)
+            for i in block_edges(n):
+                om = float(grid[i])
+                assert sig[i] == noise_over_coupling(osc, g, psi, om, round_trip=tau)(xi)
+                assert sql[i] == np.abs(mech_susceptibility(osc, om))
+        if lag:
+            report = dip_analysis(sp, osc, cavity, wp)
+            monkeypatch.setattr(core, "BLOCK", n)  # one whole-grid call
+            assert dip_analysis(sp, osc, cavity, wp) == report
+
+    @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
+    def test_errors_as_one_call(self, n):
+        _, cavity, wp = fig4_setup(5.0, 2.0)
+        g, psi, xi, tau = cavity.gamma, wp.detuning, wp.coupling, cavity.round_trip
+        grid = np.geomspace(1e-2, 1e3, n)
+        # an undamped resonance on a grid point of the last block
+        osc = MechanicalOscillator(1.0, resonance_freq=float(grid[-2]), damping=0.0)
+        with pytest.raises(SingularPointError) as whole:
+            noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+        for call in (
+            lambda: spectrum(osc, cavity, wp, grid),
+            lambda: equivalent_input_noise(osc, cavity, wp, grid),
+        ):
+            with pytest.raises(SingularPointError) as blocked:
+                call()
+            assert str(blocked.value) == str(whole.value)
+        osc, off = quasi_free_oscillator(1.0), WorkingPoint(psi, 0.0)
+        with pytest.raises(NoMeasurementError):
+            spectrum(osc, cavity, off, grid)
+        with pytest.raises(NoMeasurementError):
+            equivalent_input_noise(osc, cavity, off, grid)
+
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            0.5,
+            np.float64(0.5),
+            np.array(0.5),
+            [0.5, 2.0, 3.0],
+            np.geomspace(1e-2, 1e3, BLOCK + 1).tolist(),
+            np.arange(1, BLOCK + 2),
+            np.arange(1, 4),
+        ],
+        ids=["float", "float64", "0-d", "list", "long-list", "long-int", "int"],
+    )
+    def test_result_types_kept(self, omega):
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        whole = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega)(wp.coupling)
+        blocked = equivalent_input_noise(osc, cavity, wp, omega)
+        assert type(blocked) is type(whole)
+        assert np.asarray(blocked).dtype == np.asarray(whole).dtype
+        assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("name", ["spectrum", "dip_analysis", "equivalent_input_noise"])
+    def test_peak_memory_near_output_size(self, name):
+        # a tracemalloc count, not a timing: whole-grid temporaries took 20x the grid
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        grid = np.geomspace(1e-2, 1e3, 200_000)
+        sp = spectrum(osc, cavity, wp, grid)
+        call = {
+            "spectrum": lambda: spectrum(osc, cavity, wp, grid),
+            "dip_analysis": lambda: dip_analysis(sp, osc, cavity, wp),
+            "equivalent_input_noise": lambda: equivalent_input_noise(osc, cavity, wp, grid),
+        }[name]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * grid.nbytes, peak / grid.nbytes

@@ -258,6 +258,18 @@ class TestMinimizeOverDetuning:
         with pytest.raises(DegenerateDissipationError):
             minimize_over_detuning(free, GAMMA, 0.5)
 
+    def test_sql_reference_computed_once(self, osc, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sql_point(*args, **kwargs)
+
+        monkeypatch.setattr(optospring.optimize, "sql_point", counted)
+        res = minimize_over_detuning(osc, GAMMA, 0.5)
+        assert len(calls) == 1
+        assert res.ratio_to_sql == res.level / sql_point(osc, 0.5).level
+
 
 class TestClosedFormOracleEquivalence:
     """Every closed-form optimum is matched by an independent numeric search."""
