@@ -252,11 +252,24 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return 0
 
 
+def _static_sql(osc, constants) -> tuple[float, float]:
+    """Static response chi0 = 1 / (M Omega^2) and its SQL coupling^2 1 / (2 hbar chi0)."""
+    try:  # an Omega^2 past float range raises OverflowError, one that underflows divides by 0
+        chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
+        xi_sql2 = 1.0 / (2.0 * constants.hbar * chi0)
+        if 0 < chi0 < math.inf and 0 < xi_sql2 < math.inf:
+            return chi0, xi_sql2
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise ConfigError(
+        f"oscillator mass {osc.mass!r} and resonance_freq {osc.resonance_freq!r} "
+        "give no static response or SQL coupling in float range"
+    )
+
+
 def cmd_stability(cfg: RunConfig) -> int:
     """Stability grid over (coupling^2, detuning), normalized axes."""
-    hbar = cfg.constants.hbar
-    chi0 = 1.0 / (cfg.oscillator.mass * cfg.oscillator.resonance_freq**2)
-    xi_sql2 = 1.0 / (2.0 * hbar * chi0)
+    xi_sql2 = _static_sql(cfg.oscillator, cfg.constants)[1]
     gamma = cfg.cavity.gamma
     lo, hi, nx = cfg.stability_xi2
     if lo <= 0:
@@ -325,8 +338,7 @@ def cmd_figure(
 
     osc = cfg.oscillator
     if figure == "fig2":
-        chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
-        xi_sql2 = 1.0 / (2.0 * cfg.constants.hbar * chi0)
+        chi0, xi_sql2 = _static_sql(osc, cfg.constants)
         s_sql = cfg.constants.hbar * chi0
         columns = ["xi2_norm", "s_sig", "s_sql", "ratio", "static_ok", "dynamic_ok"]
         normalization = {

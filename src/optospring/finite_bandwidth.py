@@ -252,9 +252,10 @@ def dip_analysis(
 ) -> DipReport:
     """Locate and characterize the sensitivity dips of a spectrum.
 
-    A dip is a local minimum of the equivalent-input noise that lies
-    below the zero-detuning reference spectrum at the same coupling;
-    positions and values are refined by a log-log parabola. Found dips
+    A dip is a strict local minimum of the equivalent-input noise that
+    lies below the zero-detuning reference noise at the same coupling;
+    the reference is evaluated only at the spectrum's local minima.
+    Positions and values are refined by a log-log parabola. Found dips
     are assigned to the mechanical-resonance dip (lower frequency,
     positive detuning only) and the cavity-loop dip by proximity to the
     asymptotic predictions. Raises ``NoDipFoundError`` when the spectrum
@@ -262,13 +263,16 @@ def dip_analysis(
     """
     if wp.coupling <= 0:
         raise ValueError("dip analysis needs a positive coupling")
-    grid, s = noise_spectrum.omega, noise_spectrum.s_sig
+    grid, s = np.asarray(noise_spectrum.omega), noise_spectrum.s_sig
     g, tau, xi = cavity.gamma, cavity.round_trip, wp.coupling
-    reference = blockwise(lambda w: noise_over_coupling(osc, g, 0.0, w, constants, tau)(xi), grid)
-
     inner = s[1:-1]
-    dips = (inner < s[:-2]) & (inner < s[2:]) & (inner < reference[1:-1])
-    found = [_parabolic_refine(grid, s, i) for i in np.flatnonzero(dips) + 1]
+    minima = np.flatnonzero((inner < s[:-2]) & (inner < s[2:])) + 1
+    # the noise is elementwise: the reference at the minima has the whole grid's bits
+    # (in blocks, should a jagged spectrum have many minima)
+    reference = blockwise(
+        lambda w: noise_over_coupling(osc, g, 0.0, w, constants, tau)(xi), grid[minima]
+    )
+    found = [_parabolic_refine(grid, s, i) for i in minima[s[minima] < reference]]
     if not found:
         raise NoDipFoundError(
             "no sensitivity dip below the zero-detuning reference on this grid"
@@ -300,6 +304,7 @@ def dip_analysis(
         chi = mech_susceptibility(osc, dip[0])
         return dip[1] / (constants.hbar * abs(chi))
 
+    ratio_plus = local_ratio(plus) if plus else None
     return DipReport(
         omega_sql=omega_sql,
         count=len(found),
@@ -308,8 +313,8 @@ def dip_analysis(
         depth_minus=minus[1] / s_ref if minus else None,
         depth_plus=plus[1] / s_ref if plus else None,
         ratio_local_minus=local_ratio(minus) if minus else None,
-        ratio_local_plus=local_ratio(plus) if plus else None,
-        below_sql_plus=(local_ratio(plus) < 1.0) if plus else None,
+        ratio_local_plus=ratio_plus,
+        below_sql_plus=(ratio_plus < 1.0) if plus else None,
         predicted_omega_minus=pred_minus,
         predicted_omega_plus=pred_plus,
         predicted_depth=pred_depth,

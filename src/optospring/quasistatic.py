@@ -33,6 +33,7 @@ from .core import (
 from .errors import (
     DegenerateDissipationError,
     NoMeasurementError,
+    SingularPointError,
     StabilityBoundaryError,
 )
 
@@ -102,7 +103,8 @@ def noise_over_coupling(
     exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
     (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array
     give the same bits, and the noise stays finite at a real pole of chi_eff.
-    A zero coupling, scalar or in an array, raises ``NoMeasurementError``.
+    A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
+    gamma^2 + detuning^2 that underflows to 0 raises ``SingularPointError``.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
@@ -115,7 +117,12 @@ def noise_over_coupling(
     if not (mag2 if type(mag2) is float else np.all(mag2)):  # a float skips numpy
         mech_susceptibility(osc, omega)  # names the singular frequency
     hbar, spring = constants.hbar, constants.hbar * psi / gamma
-    u2, w = gamma * gamma + psi * psi, omega * round_trip
+    u2 = gamma * gamma + psi * psi
+    if not u2 > 0:
+        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
+    # at omega tau = 0 the cavity factors below stay floats (exactly 1 or 0), not
+    # grid arrays; the -0.0 of omega * 0.0 at omega < 0 would only enter squared
+    w = omega * round_trip if round_trip else 0.0
     gw = gamma * w / u2  # gain Delta / u^2 = 1 - i gw
     # Delta / u^2 = dr + i di; dr in this form stays accurate where Delta is near 0
     dr, di = (gamma * gamma + (psi - w) * (psi + w)) / u2, -2.0 * gw

@@ -349,6 +349,8 @@ class TestBadInputsExit2:
             (["stability"], None, {"OPTOSPRING_OSCILATOR_MASS": "3"}),
             (["stability"], None, {"OPTOSPRING_CAVITY_WAVEVECTOR": "3.7"}),
             (["figure", "fig3", "--detunings=" + ",".join(["1"] * 27)], None, None),
+            (["stability"], "oscillator.resonance_freq = 1e-200\n", None),
+            (["figure", "fig2"], "oscillator.resonance_freq = 1e200\n", None),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -371,6 +373,8 @@ class TestBadInputsExit2:
             "env-misspelt-key",
             "env-wavevector-key",
             "figure-too-many-curves",
+            "stability-underflowing-resonance",
+            "fig2-overflowing-resonance",
         ],
     )
     def test_config_error(self, tmp_path, capsys, monkeypatch, args, config_text, env):
@@ -400,6 +404,22 @@ class TestBadInputsExit2:
         assert ".optospring-" not in err
         assert (tmp_path / "file").read_text() == "kept\n"
         assert not list(tmp_path.rglob(".optospring-*"))
+
+
+class TestBadInputsExit3:
+    @pytest.mark.parametrize(
+        "args",
+        [["spectrum"], ["figure", "fig2"], ["figure", "fig3"], ["figure", "fig4"]],
+        ids=["spectrum", "fig2", "fig3", "fig4"],
+    )
+    def test_gamma_underflow(self, tmp_path, capsys, args):
+        # gamma^2 + detuning^2 underflows to 0 at the zero-detuning point or curve
+        out = tmp_path / "out"
+        assert run([*args, "--out", str(out)], tmp_path, "cavity.gamma = 1e-300\n") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: singular point: ") and err.count("\n") == 1
+        assert "gamma=1e-300" in err
+        assert not out.exists()
 
 
 class TestStabilityCommand:

@@ -274,8 +274,12 @@ class TestDipAnalysis:
             case["seen"].append(i)
             return float(x[i]), float(y[i])
 
+        def reference(osc, gamma, detuning, omega, constants, round_trip):
+            # the case's reference at the grid indices of the frequencies asked for
+            return lambda xi: case["ref"][np.searchsorted(case["grid"], omega)]
+
         monkeypatch.setattr(fb, "_parabolic_refine", refine)
-        monkeypatch.setattr(fb, "noise_over_coupling", lambda *a, **k: lambda xi: case["ref"])
+        monkeypatch.setattr(fb, "noise_over_coupling", reference)
         tried = 0
         for n in [2, 3] * 10 + rng.integers(2, 40, size=300).tolist():
             s = rng.integers(1, 5, size=n).astype(float)  # four levels: many ties
@@ -287,8 +291,9 @@ class TestDipAnalysis:
                 for i in range(1, n - 1)
                 if s[i] < s[i - 1] and s[i] < s[i + 1] and s[i] < ref[i]
             ]
-            case.update(seen=[], ref=ref)
-            sp = NoiseSpectrum(np.geomspace(0.1, 100.0, n), s, s)
+            grid = np.geomspace(0.1, 100.0, n)
+            case.update(seen=[], ref=ref, grid=grid)
+            sp = NoiseSpectrum(grid, s, s)
             try:
                 assert dip_analysis(sp, osc, cavity, wp).count == len(expected)
             except NoDipFoundError:
@@ -296,6 +301,23 @@ class TestDipAnalysis:
             assert case["seen"] == expected
             tried += bool(expected)
         assert tried > 100
+
+    def test_dip_reference_read_only_at_minima(self, monkeypatch):
+        # a count, not a timing: the zero-detuning reference runs only at the
+        # spectrum's strict local minima, not over the whole grid
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        sp = spectrum(osc, cavity, wp, np.geomspace(1e-2, 1e3, 200_000))
+        points = []
+
+        def counted(osc, gamma, detuning, omega, *args):
+            points.append(np.size(omega))
+            return noise_over_coupling(osc, gamma, detuning, omega, *args)
+
+        monkeypatch.setattr(fb, "noise_over_coupling", counted)
+        report = dip_analysis(sp, osc, cavity, wp)
+        s = sp.s_sig
+        minima = np.count_nonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:]))
+        assert sum(points) == minima >= report.count == 2
 
     def test_predictions_attached(self):
         osc, cavity, wp = fig4_setup(10.0, 2.0)
@@ -357,10 +379,19 @@ class TestBlocks:
                 om = float(grid[i])
                 assert sig[i] == noise_over_coupling(osc, g, psi, om, round_trip=tau)(xi)
                 assert sql[i] == np.abs(mech_susceptibility(osc, om))
-        if lag:
+        if lag:  # the dips of the whole-grid mask, its reference from one call
+            reference = noise_over_coupling(osc, g, 0.0, grid, round_trip=tau)(xi)
+            s, inner = sp.s_sig, sp.s_sig[1:-1]
+            mask = (inner < s[:-2]) & (inner < s[2:]) & (inner < reference[1:-1])
+            seen, refine = [], fb._parabolic_refine
+
+            def recorded(x, y, i):
+                seen.append(i)
+                return refine(x, y, i)
+
+            monkeypatch.setattr(fb, "_parabolic_refine", recorded)
             report = dip_analysis(sp, osc, cavity, wp)
-            monkeypatch.setattr(core, "BLOCK", n)  # one whole-grid call
-            assert dip_analysis(sp, osc, cavity, wp) == report
+            assert seen == (np.flatnonzero(mask) + 1).tolist() and report.count == len(seen)
 
     @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
     def test_errors_as_one_call(self, n):

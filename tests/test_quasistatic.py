@@ -129,6 +129,16 @@ class TestNoiseScalarArrayBitEqual:
                 ]
                 assert np.array_equal(batch, scalar)
 
+    @pytest.mark.parametrize("psi", [-0.02, 0.03])
+    def test_quasistatic_signed_frequencies(self, high_q_osc, psi):
+        # at omega tau = 0 the cavity factors are floats; negative frequencies, -0.0
+        # and 0.0 in one array still give the bits of the per-element scalar calls
+        up = np.geomspace(0.01, 10.0, 60)
+        omega = np.concatenate([-up[::-1], [-0.0, 0.0], up, [-0.5, 0.0, -0.0, 0.5]])
+        batch = noise_over_coupling(high_q_osc, 0.01, psi, omega)(0.7)
+        scalar = [noise_over_coupling(high_q_osc, 0.01, psi, w)(0.7) for w in omega.tolist()]
+        assert batch.tobytes() == np.array(scalar).tobytes()
+
 
 class TestEquivalentInputNoise:
     def test_no_measurement(self, osc, cavity):
@@ -141,6 +151,13 @@ class TestEquivalentInputNoise:
         with pytest.raises(NoMeasurementError) as via_point:
             equivalent_input_noise(osc, cavity, WorkingPoint(0.1, 0.0), 0.5)
         assert str(direct.value) == str(via_point.value)
+
+    @pytest.mark.parametrize("omega", [0.5, np.array([0.3, 0.5])], ids=["float", "array"])
+    @pytest.mark.parametrize("round_trip", [0.0, 1e-3])
+    def test_gamma_underflow_raises(self, osc, omega, round_trip):
+        # gamma^2 + detuning^2 underflows to 0: a named error, not 0/0 or nan cells
+        with pytest.raises(SingularPointError, match=r"gamma=1e-300"):
+            noise_over_coupling(osc, 1e-300, 0.0, omega, round_trip=round_trip)
 
     @pytest.mark.parametrize(
         "xi, omega",
