@@ -8,7 +8,7 @@ full round-trip precision, files written atomically.
 
 Exit codes: 0 success, 2 configuration error (or no dissipation to
 optimize against, or an output path that cannot be written), 3
-numerical singularity, 4 non-convergence.
+numerical singularity or a non-finite result, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import core
 from . import finite_bandwidth as fb
 from . import optimize as opt
 from . import quasistatic as qs
-from .config import RunConfig, load_run_config
+from .config import KNOWN_KEYS, RunConfig, load_run_config
 from .core import WorkingPoint, stability
 from .errors import (
     ConfigError,
@@ -66,6 +66,10 @@ def _atomic_write(path: str, text: str) -> None:
         if isinstance(exc, OSError) and exc.filename == tmp:  # name the target, not tmp
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _csv_cells(col: np.ndarray) -> list[str]:
@@ -123,7 +127,32 @@ def write_table(
                 for label, table in blocks
             ],
         }
-        _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
+        _write_json(path, doc)
+
+
+def write_datasets(out_format: str, files: list[tuple]) -> None:
+    """Write ``(path, kind, param_lines, columns, blocks)`` files once all are finite.
+
+    Every float column of every file is checked first: a non-finite cell
+    raises :class:`SingularPointError` naming the file, the column and
+    the first such data row (counted from 1 over all blocks), and no file
+    is written.
+    """
+    for path, _, _, columns, blocks in files:
+        row = 0
+        for _, table in blocks:
+            floats = [(c, table[n]) for c, n in zip(columns, table.dtype.names)]
+            floats = [(c, col) for c, col in floats if col.dtype.kind == "f"]
+            finite = np.isfinite(np.column_stack([col for _, col in floats]))
+            if not finite.all():  # row-major: the first bad row, then its first bad column
+                first, j = np.argwhere(~finite)[0]
+                raise SingularPointError(
+                    f"non-finite result in {path}: "
+                    f"column {floats[j][0]!r}, data row {row + first + 1}"
+                )
+            row += len(table)
+    for path, kind, param_lines, columns, blocks in files:
+        write_table(path, kind, out_format, param_lines, columns, blocks)
 
 
 def read_table(path: str):
@@ -142,10 +171,6 @@ def read_table(path: str):
             else:
                 rows.append([float(x) for x in line.split(",")])
     return params, columns, rows
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _out_path(cfg: RunConfig, default_stem: str) -> str:
@@ -178,14 +203,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
         blocks.append((label, table))
     path = _out_path(cfg, "spectrum")
-    write_table(
-        path,
-        "spectrum",
-        cfg.out_format,
-        cfg.param_lines(),
-        ["omega_norm", "s_sig", "s_sql", "ratio"],
-        blocks,
-    )
+    columns = ["omega_norm", "s_sig", "s_sql", "ratio"]
+    write_datasets(cfg.out_format, [(path, "spectrum", cfg.param_lines(), columns, blocks)])
     print(path)
     return 0
 
@@ -289,15 +308,9 @@ def cmd_stability(cfg: RunConfig) -> int:
     axes = [np.tile(xi2_norm, psi_norm.size), np.repeat(psi_norm, xi2_norm.size)]
     table = np.rec.fromarrays(axes + cells)
     path = _out_path(cfg, "stability")
-    write_table(
-        path,
-        "stability",
-        cfg.out_format,
-        cfg.param_lines()
-        + [f"xi2_norm unit = {xi_sql2!r}", f"psi_norm unit = {gamma!r}"],
-        ["xi2_norm", "psi_norm", "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"],
-        [("", table)],
-    )
+    params = cfg.param_lines() + [f"xi2_norm unit = {xi_sql2!r}", f"psi_norm unit = {gamma!r}"]
+    columns = ["xi2_norm", "psi_norm", "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"]
+    write_datasets(cfg.out_format, [(path, "stability", params, columns, [("", table)])])
     print(path)
     return 0
 
@@ -380,6 +393,7 @@ def cmd_figure(
         "parameters": {"gamma": gamma, "oscillator": asdict(osc)},
         "curves": {},
     }
+    files = []
     for letter, r, bw, table in zip(CURVE_LETTERS, ratios, bws, tables):
         entry = {"file": f"{figure}_curve_{letter}.{cfg.out_format}", "detuning_over_gamma": r}
         label = f"curve {letter}: detuning_over_gamma={r!r}"
@@ -387,8 +401,9 @@ def cmd_figure(
             entry["bandwidth_over_omega_sql"] = bw
             label += f" bandwidth_over_omega_sql={bw!r}"
         path = os.path.join(out_dir, entry["file"])
-        write_table(path, f"{figure}-curve", cfg.out_format, [label], columns, [("", table)])
+        files.append((path, f"{figure}-curve", [label], columns, [("", table)]))
         manifest["curves"][letter] = entry
+    write_datasets(cfg.out_format, files)
     manifest_path = os.path.join(out_dir, f"{figure}_manifest.json")
     _write_json(manifest_path, manifest)
     print(manifest_path)
@@ -406,14 +421,18 @@ def _parse_ratio(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags; each one that sets a config key has that key as its ``dest``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file")
     common.add_argument("--out", metavar="PATH", help="output path (or directory for figure)")
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
+    common.add_argument("--format", dest="output.format", help="output format: csv or json")
     common.add_argument("--grid", metavar="LO:HI:PPD", help="log grid spec")
     units = common.add_mutually_exclusive_group()
-    units.add_argument("--normalized", action="store_true", help="normalized units (hbar = 1)")
-    units.add_argument("--si", action="store_true", help="SI units")
+    units.add_argument(
+        "--normalized", dest="units", action="store_const", const="normalized",
+        help="normalized units (hbar = 1)",
+    )
+    units.add_argument("--si", dest="units", action="store_const", const="si", help="SI units")
 
     parser = argparse.ArgumentParser(
         prog="optospring",
@@ -423,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", parents=[common], help="equivalent-input noise tables")
     p_opt = sub.add_parser("optimize", parents=[common], help="numeric optimum report")
-    p_opt.add_argument("--mode", choices=["xi", "detuning", "uql-sweep"])
-    p_opt.add_argument("--omega", type=float, help="evaluation frequency (rad/s)")
-    p_opt.add_argument("--detuning", type=float, help="fixed detuning for xi mode (rad)")
+    p_opt.add_argument("--mode", dest="optimize.mode", help="xi, detuning or uql-sweep")
+    p_opt.add_argument("--omega", dest="optimize.omega", help="evaluation frequency (rad/s)")
+    p_opt.add_argument("--detuning", dest="optimize.detuning", help="fixed detuning, xi mode (rad)")
     sub.add_parser("stability", parents=[common], help="stability grid")
     p_fig = sub.add_parser("figure", parents=[common], help="benchmark figure datasets")
     p_fig.add_argument("figure_id", help="fig2, fig3 or fig4")
@@ -435,50 +454,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_overrides(args) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    if args.format:
-        overrides["output.format"] = args.format
+    """The flags as config text, parsed by the config like file and env values."""
+    overrides = {k: v for k, v in vars(args).items() if k in KNOWN_KEYS and v is not None}
     if args.out and args.command != "figure":
         overrides["output.path"] = args.out
-    if getattr(args, "normalized", False):
-        overrides["units"] = "normalized"
-    if getattr(args, "si", False):
-        overrides["units"] = "si"
     if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--grid expects lo:hi:points-per-decade, got {args.grid!r}")
         overrides["grid.lo"], overrides["grid.hi"] = parts[0], parts[1]
         overrides["grid.points_per_decade"] = parts[2]
-    if args.command == "optimize":
-        if args.mode:
-            overrides["optimize.mode"] = args.mode
-        if args.omega is not None:
-            overrides["optimize.omega"] = repr(args.omega)
-        if args.detuning is not None:
-            overrides["optimize.detuning"] = repr(args.detuning)
     return overrides
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config, _config_overrides(args))
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "optimize":
-            return cmd_optimize(cfg)
-        if args.command == "stability":
-            return cmd_stability(cfg)
-        detunings = None
-        if args.detunings:
-            detunings = tuple(_parse_ratio(x) for x in args.detunings.split(","))
-        bandwidths = None
-        if args.bandwidths:
-            bandwidths = tuple(_parse_ratio(x) for x in args.bandwidths.split(","))
-        return cmd_figure(
-            cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
-        )
+        with np.errstate(all="ignore"):  # a non-finite cell is refused by name, not warned of
+            cfg = load_run_config(args.config, _config_overrides(args))
+            if args.command == "spectrum":
+                return cmd_spectrum(cfg)
+            if args.command == "optimize":
+                return cmd_optimize(cfg)
+            if args.command == "stability":
+                return cmd_stability(cfg)
+            detunings = None
+            if args.detunings:
+                detunings = tuple(_parse_ratio(x) for x in args.detunings.split(","))
+            bandwidths = None
+            if args.bandwidths:
+                bandwidths = tuple(_parse_ratio(x) for x in args.bandwidths.split(","))
+            return cmd_figure(
+                cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
+            )
     except (ConfigError, DegenerateDissipationError) as exc:
         print(f"optospring: config error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,6 @@ from .core import NORMALIZED, Constants, MechanicalOscillator
 from .errors import DegenerateDissipationError
 from .quasistatic import noise_over_coupling, sql_point
 
-# searches stop this far (relative) inside the static-stability margin
-STABILITY_CLAMP = 1e-6
-
 # an optimum this close to an end of its search range, relative to the
 # range width, is reported as stopped at a bound
 AT_BOUND_TOL = 1e-6
@@ -40,7 +37,7 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Bounds and tolerances for the working-point searches."""
+    """Bounds and tolerances for the working-point searches; the one place a range is checked."""
 
     xi2_bounds: tuple[float, float] = (1e-6, 1e6)
     psi_bounds: tuple[float, float] = (-math.pi + 1e-6, math.pi - 1e-6)
@@ -53,6 +50,10 @@ class SearchSpec:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"{name} must be finite and ordered, got {lo, hi}")
+        if not self.xi2_bounds[0] > 0:
+            raise ValueError(f"xi2_bounds must be positive, got {self.xi2_bounds}")
+        if not (-math.pi < self.psi_bounds[0] and self.psi_bounds[1] <= math.pi):
+            raise ValueError(f"psi_bounds must lie in (-pi, pi], got {self.psi_bounds}")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if self.max_iter < 1 or self.seed_points < 3:
@@ -65,7 +66,7 @@ class OptimResult:
 
     ``converged`` says the polish met its tolerance; ``at_bound`` says
     the optimum sits at an end of the range searched, where the true
-    minimum may lie beyond it.
+    minimum may lie beyond it. ``constraint_active`` is always false (report schema only).
     """
 
     coupling2: float
@@ -74,8 +75,8 @@ class OptimResult:
     ratio_to_sql: float | None
     iterations: int
     converged: bool
-    constraint_active: bool
     at_bound: bool
+    constraint_active: bool = False
 
 
 def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
@@ -183,11 +184,7 @@ def _seed_couplings(lo: float, hi: float, n: int):
     return t, seed_xi
 
 
-def minimize_over_xi(
-    objective,
-    spec: SearchSpec = SearchSpec(),
-    xi2_max_stable: float | None = None,
-) -> OptimResult:
+def minimize_over_xi(objective, spec: SearchSpec = SearchSpec()) -> OptimResult:
     """Minimize a noise objective over the coupling.
 
     ``objective`` maps a coupling value to a noise level (quasi-static or
@@ -196,33 +193,23 @@ def minimize_over_xi(
     couplings, while the polish calls it on scalars (a winning seed keeps
     its scan value). Wrap a scalar-only objective in ``np.vectorize``.
     The search runs on log(coupling^2): a deterministic seed scan
-    brackets the minimum, then a bounded Brent polish finishes. When ``xi2_max_stable`` is given the upper bound is
-    clamped just inside the static-stability margin and an optimum
-    pushed against it is flagged ``constraint_active``. ``at_bound``
-    flags an optimum at either end of the (clamped) log(coupling^2) range.
+    brackets the minimum, then a bounded Brent polish finishes.
+    ``at_bound`` flags an optimum at either end of the log(coupling^2) range.
     """
-    lo, hi = spec.xi2_bounds
-    constrained = xi2_max_stable is not None and xi2_max_stable < hi
-    if constrained:
-        hi = xi2_max_stable * (1.0 - STABILITY_CLAMP)
-        if hi <= lo:
-            raise ValueError("stability bound leaves an empty coupling bracket")
-    t, seed_xi = _seed_couplings(lo, hi, spec.seed_points)
+    t, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
     seed_vals = np.asarray(objective(seed_xi), dtype=float)
 
     def scalar(u):
         return objective(math.sqrt(math.exp(u)))
 
     u, level, nfev, ok = _seeded_search(scalar, t, seed_vals, spec)
-    xi2 = float(math.exp(u))
     return OptimResult(
-        coupling2=xi2,
+        coupling2=float(math.exp(u)),
         detuning=None,
         level=float(level),
         ratio_to_sql=None,
         iterations=spec.seed_points + nfev,
         converged=ok,
-        constraint_active=constrained and (hi - xi2) / hi < 1e-5,
         at_bound=_at_bound(u, t[0], t[-1]),
     )
 
@@ -269,8 +256,6 @@ def minimize_over_detuning(
         return r.level
 
     lo, hi = spec.psi_bounds
-    lo = max(lo, -math.pi + 1e-9)
-    hi = min(hi, math.pi)
     p = np.linspace(lo, hi, spec.seed_points)
     seed_vals = np.array([level(pi) for pi in p])
     psi_opt, _, _, ok = _seeded_search(level, p, seed_vals, spec)

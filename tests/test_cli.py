@@ -7,14 +7,14 @@ import pytest
 
 from optospring import WorkingPoint, stability
 from optospring import optimize as opt
-from optospring.cli import main, read_table, write_table
+from optospring.cli import main, read_table, write_datasets, write_table
 from optospring.config import (
     build_run_config,
     env_name,
     load_run_config,
     parse_config_text,
 )
-from optospring.errors import ConfigError
+from optospring.errors import ConfigError, SingularPointError
 
 
 def run(args, tmp_path, config_text=None, env=None, monkeypatch=None):
@@ -240,6 +240,13 @@ class TestOptimizeCommand:
         assert run(args, tmp_path) == 2
         assert calls == []
 
+    @pytest.mark.parametrize("mode", ["xi", "detuning"])
+    def test_report_keeps_constraint_active(self, tmp_path, mode):
+        # the benchmark reads this key; no search is constrained, so it is false
+        out = tmp_path / "opt.json"
+        assert run(["optimize", "--mode", mode, "--out", str(out)], tmp_path) == 0
+        assert json.loads(out.read_text())["constraint_active"] is False
+
     @pytest.mark.parametrize("mode", ["xi", "detuning", "uql-sweep"])
     def test_non_convergence_exit_4(self, tmp_path, capsys, monkeypatch, mode):
         one_step = functools.partial(opt.SearchSpec, max_iter=1)
@@ -338,6 +345,7 @@ class TestBadInputsExit2:
             (["optimize", "--mode", "detuning", "--omega", "0"], None, None),
             (["optimize", "--omega", "nan"], None, None),
             (["optimize", "--omega", "inf"], None, None),
+            (["optimize", "--mode", "bogus"], None, None),
             (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.5, nan\n", None),
             (["optimize"], "optimize.mode = uql-sweep\noptimize.omegas = 0.0, 1.0\n", None),
             (["stability"], "stability.xi2 = 0.01:inf:5\n", None),
@@ -362,6 +370,7 @@ class TestBadInputsExit2:
             "optimize-detuning-zero-omega",
             "optimize-nan-omega",
             "optimize-inf-omega",
+            "optimize-unknown-mode",
             "uql-sweep-nan-omega",
             "uql-sweep-zero-omega",
             "stability-inf-xi2-range",
@@ -419,6 +428,35 @@ class TestBadInputsExit3:
         err = capsys.readouterr().err
         assert err.startswith("optospring: singular point: ") and err.count("\n") == 1
         assert "gamma=1e-300" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, config_text, named",
+        [
+            (["spectrum"], "oscillator.mass = 1e-300\n", "out"),
+            (["spectrum"], "cavity.gamma = 1e-160\n", "out"),
+            (["spectrum"], "points.coupling = 1e150\n", "out"),
+            (["spectrum"], "cavity.round_trip = 1e300\n", "out"),
+            (["spectrum"], "oscillator.damping = 1e300\n", "out"),
+            (["figure", "fig2"], "oscillator.mass = 1e-300\n", "fig2_curve_a.csv"),
+        ],
+        ids=[
+            "spectrum-tiny-mass",
+            "spectrum-subnormal-u2",
+            "spectrum-huge-coupling",
+            "spectrum-huge-round-trip",
+            "spectrum-huge-damping",
+            "fig2-tiny-mass",
+        ],
+    )
+    def test_non_finite_result(self, tmp_path, capsys, args, config_text, named):
+        # finite inputs whose noise overflows: refused by name before any file is written
+        out = tmp_path / "out"
+        assert run([*args, "--out", str(out)], tmp_path, config_text) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: singular point: non-finite result in ")
+        assert err.count("\n") == 1
+        assert f"{named}: column 's_sig', data row 1\n" in err
         assert not out.exists()
 
 
@@ -673,3 +711,15 @@ class TestColumnarWriter:
         write_table(str(path), "test", out_format, params, self.COLUMNS, tables)
         expected = _per_row_table("test", out_format, params, self.COLUMNS, blocks)
         assert path.read_text() == expected
+
+    def test_datasets_checked_before_any_write(self, tmp_path):
+        # a non-finite cell in the last block of the last file: nothing is written
+        good = np.rec.fromarrays([np.array([1.0, 2.0, 3.0]), np.array([True, False, True])])
+        bad = np.rec.fromarrays([np.array([1.0, 2.0]), np.array([0.5, np.inf])])
+        files = [
+            (str(tmp_path / "a.csv"), "test", [], ["x", "flag"], [("", good)]),
+            (str(tmp_path / "b.csv"), "test", [], ["x", "y"], [("", good), ("two", bad)]),
+        ]
+        with pytest.raises(SingularPointError, match=r"b\.csv: column 'y', data row 5$"):
+            write_datasets("csv", files)
+        assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,7 @@
 """Package layout: no module reads a private name of a sibling module, the
 formulas shared by scalar and array routes use no ``**``, one place
-builds a ``StabilityReport``, and no module forms a noise from the
-transfer coefficients."""
+builds a ``StabilityReport``, no module forms a noise from the
+transfer coefficients, and no module imports scipy."""
 
 import ast
 from pathlib import Path
@@ -161,3 +161,37 @@ def test_transfer_checker_sees_reads_not_keywords():
         "s = QuadratureTransfer(c_q=1, c_p=0, c_sig=t.c_sig)\n"
     )
     assert transfer_reads(source) == [2, 2, 3]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of every absolute import of ``scipy`` or a scipy submodule in ``source``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test-only extra in pyproject.toml: it serves the tests as an
+    # independent oracle, and the package runs on numpy alone
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in scipy_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def test_scipy_checker_sees_every_import_form():
+    source = (
+        "import scipy\nimport numpy, scipy.optimize as so\nfrom scipy.optimize import brent\n"
+        "def f():\n    import scipy.special\nimport scipyx\nfrom . import scipy\n"
+    )
+    assert scipy_imports(source) == [1, 2, 3, 5]
