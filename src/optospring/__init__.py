@@ -24,9 +24,7 @@ from .core import (
     kappa_for_coupling,
     loop_denominator,
     mech_susceptibility,
-    optical_spring,
     solve_self_consistent_detuning,
-    spring_response,
     stability,
     stability_margins,
     stability_map,
@@ -49,7 +47,6 @@ from .finite_bandwidth import (
     NoiseSpectrum,
     default_grid,
     dip_analysis,
-    full_transfer,
     full_transfer_by_solve,
     log_grid,
     quasi_free_oscillator,
@@ -72,7 +69,6 @@ from .quasistatic import (
     highfreq_optimum,
     lowfreq_optimum,
     noise_over_coupling,
-    quadrature_transfer,
     sql_frequency,
     sql_point,
     ultimate_quantum_limit,

@@ -69,7 +69,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:  # an inf or nan anywhere in a report or manifest: refused before any write
+        raise SingularPointError(f"non-finite result in {path}") from None
+    _atomic_write(path, text + "\n")
 
 
 def _csv_cells(col: np.ndarray) -> list[str]:
@@ -127,7 +131,8 @@ def write_table(
                 for label, table in blocks
             ],
         }
-        _write_json(path, doc)
+        # a dataset is checked cell by cell in write_datasets, which names the bad cell
+        _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def write_datasets(out_format: str, files: list[tuple]) -> None:
@@ -273,12 +278,12 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 def _static_sql(osc, constants) -> tuple[float, float]:
     """Static response chi0 = 1 / (M Omega^2) and its SQL coupling^2 1 / (2 hbar chi0)."""
-    try:  # an Omega^2 past float range raises OverflowError, one that underflows divides by 0
-        chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
+    try:  # an M Omega^2 that underflows to 0 or overflows to inf divides by 0
+        chi0 = core.static_susceptibility(osc)
         xi_sql2 = 1.0 / (2.0 * constants.hbar * chi0)
         if 0 < chi0 < math.inf and 0 < xi_sql2 < math.inf:
             return chi0, xi_sql2
-    except (ZeroDivisionError, OverflowError):
+    except ZeroDivisionError:
         pass
     raise ConfigError(
         f"oscillator mass {osc.mass!r} and resonance_freq {osc.resonance_freq!r} "

@@ -179,8 +179,8 @@ class StabilityReport:
 
     Margins are the left-hand sides of the respective conditions; a
     working point is stable when both are strictly positive. Fields are
-    scalars at one working point and arrays over a grid, as
-    :class:`QuadratureTransfer`'s; ``gamma_eff`` is the dynamic margin.
+    scalars at one working point and arrays over a grid; ``gamma_eff`` is
+    the dynamic margin.
     """
 
     static_ok: bool
@@ -246,46 +246,19 @@ def loop_denominator(cavity: OpticalCavity, detuning: float, omega):
     return _scalar(lag * lag + detuning * detuning)
 
 
-def optical_spring(gamma, omtau, psi, xi, hbar):
-    """Optical-spring term of the inverse mirror susceptibility, with u^2 and Delta.
-
-    The static spring hbar xi^2 psi / gamma filtered by the cavity loop
-    u^2 / Delta, u^2 = gamma^2 + psi^2, Delta = (gamma - i omega tau)^2 + psi^2.
-    u^2 takes gamma * gamma, the real part of the complex square, so that
-    u^2 / Delta is exactly 1 at omega tau = 0.
-    """
-    u2 = gamma * gamma + psi**2
-    delta = (gamma - 1j * omtau) ** 2 + psi**2
-    return hbar * xi**2 * psi / gamma * (u2 / delta), u2, delta
+def static_susceptibility(osc: MechanicalOscillator) -> float:
+    """Static response chi(0) = 1 / (M Omega^2), the square written as a product."""
+    return 1.0 / (osc.mass * (osc.resonance_freq * osc.resonance_freq))
 
 
-def spring_response(chi, gamma, omtau, psi, xi, hbar):
-    """The response kernel: ``(chi_eff, QuadratureTransfer)`` of the cavity.
-
-    Broadcasts over free susceptibility ``chi``, cavity damping ``gamma``,
-    phase lag ``omtau`` = omega * round_trip, detuning ``psi``, coupling
-    ``xi`` and ``hbar``; the quasi-static chain is omtau = 0. The mirror
-    coordinate is eliminated through chi_eff = 1 / (1/chi + spring) and
-    folded into the exact input-output relation for the phase quadrature.
-    Raises where 1/chi_eff vanishes, the signature of a stability boundary.
-    """
-    spring, u2, delta = optical_spring(gamma, omtau, psi, xi, hbar)
-    inv = np.asarray(1.0 / chi + spring)
+def invert_susceptibility(inv):
+    """``1 / inv`` of an inverse susceptibility; raises where it is 0, a stability boundary."""
+    inv = np.asarray(inv)
     zero = inv == 0
     if zero.any():
         at = f" at grid index {int(np.argmax(zero))}" if inv.ndim else ""
-        msg = f"effective susceptibility diverges{at} (stability boundary)"
-        raise SingularPointError(msg)
-    chi_eff = _scalar(1.0 / inv)
-    del inv, zero  # lowers the peak memory on long grids
-    gain = (u2 - 1j * gamma * omtau) / delta  # cavity-filtered transduction
-    a_q = (u2 + omtau**2 * (gamma**2 - psi**2) / u2) / delta
-    a_p = -(2.0 * omtau**2 * gamma * psi / u2) / delta
-    # mirror response to the force channels, folded into the output
-    c_p = 2.0 * hbar * xi**2 * chi_eff * gain**2 + a_p
-    c_q = a_q + 2.0 * xi * gain * chi_eff * (-1j * hbar * xi * psi * omtau / delta)
-    c_sig = 2.0 * xi * gain * chi_eff / chi
-    return chi_eff, QuadratureTransfer(_scalar(c_q), _scalar(c_p), _scalar(c_sig))
+        raise SingularPointError(f"effective susceptibility diverges{at} (stability boundary)")
+    return _scalar(1.0 / inv)
 
 
 def steady_state(
@@ -342,7 +315,7 @@ def solve_self_consistent_detuning(
     if input_magnitude < 0:
         raise ValueError("input_magnitude must be >= 0")
     g = cavity.gamma
-    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
+    chi0 = static_susceptibility(osc)
     drive = 8.0 * constants.hbar * chi0 * cavity.wavevector**2 * g * input_magnitude**2
     # (psi - psi0)(gamma^2 + psi^2) = drive  ->  monic cubic in psi
     coeffs = [1.0, -bare_detuning, g**2, -(bare_detuning * g**2 + drive)]
@@ -375,19 +348,16 @@ def effective_susceptibility(
     """Mirror susceptibility including the optical-spring back-action.
 
     The radiation-pressure force proportional to the mirror position adds
-    2 hbar kappa^2 psi / Delta(omega) to the inverse susceptibility (see
-    :func:`optical_spring`). For a resonant cavity (detuning 0) the free
+    2 hbar kappa^2 psi / Delta(omega) to the inverse susceptibility, Delta the
+    :func:`loop_denominator`. For a resonant cavity (detuning 0) the free
     susceptibility is returned unchanged. Diverges (and raises) if the
     inverse vanishes at a real frequency, which is the signature of a
     stability boundary.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    g = cavity.gamma
-    xi = kappa * math.sqrt(2.0 * g / (g**2 + detuning**2))
-    omtau = np.asarray(omega, dtype=float) * cavity.round_trip
-    chi = mech_susceptibility(osc, omega)
-    return spring_response(chi, g, omtau, detuning, xi, constants.hbar)[0]
+    spring = 2.0 * constants.hbar * kappa**2 * detuning / loop_denominator(cavity, detuning, omega)
+    return invert_susceptibility(1.0 / mech_susceptibility(osc, omega) + spring)
 
 
 def effective_damping(
@@ -459,7 +429,7 @@ def stability_margins(
     the effective damping. Detuning and coupling broadcast against each
     other, so one call covers a whole working-point grid.
     """
-    chi0 = 1.0 / (osc.mass * (osc.resonance_freq * osc.resonance_freq))
+    chi0 = static_susceptibility(osc)
     factor = 1.0 + constants.hbar * (coupling * coupling) * (detuning / cavity.gamma) * chi0
     static = (cavity.gamma * cavity.gamma + detuning * detuning) * factor
     kappa = kappa_for_coupling(cavity, detuning, coupling)
@@ -475,8 +445,7 @@ def static_coupling2_bound(
     """Largest statically stable coupling^2 at a detuning (inf if none)."""
     if detuning >= 0:
         return math.inf
-    chi0 = 1.0 / (osc.mass * osc.resonance_freq**2)
-    return gamma / (constants.hbar * chi0 * abs(detuning))
+    return gamma / (constants.hbar * static_susceptibility(osc) * abs(detuning))
 
 
 def _stability_report(static, dynamic) -> StabilityReport:

@@ -5,12 +5,11 @@ bandwidth: the output phase-quadrature transfer, the equivalent input
 noise spectrum, and the location and depth of the dual sensitivity dips
 that a detuned finite-bandwidth cavity develops.
 
-The transfer coefficients are the response kernel
-:func:`optospring.core.spring_response` at omega * tau, and the noise is
-their real form :func:`optospring.quasistatic.noise_over_coupling`: the
-kernel and the formula that run the quasi-static chain at omega * tau =
-0. A per-frequency linear solve over the intracavity quadratures is kept
-as an independent validation oracle.
+The noise is :func:`optospring.quasistatic.noise_over_coupling` at
+omega * tau, the one real formula that runs the quasi-static chain at
+omega * tau = 0. The transfer coefficients come from a per-frequency
+linear solve over the intracavity quadratures, kept as the independent
+validation oracle of that formula.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .core import (
     blockwise,
     kappa_for_coupling,
     mech_susceptibility,
-    spring_response,
 )
 from .errors import NoDipFoundError
 from .quasistatic import noise_over_coupling, sql_frequency
@@ -100,25 +98,6 @@ def quasi_free_oscillator(omega_sql: float) -> MechanicalOscillator:
     )
 
 
-def full_transfer(
-    osc: MechanicalOscillator,
-    cavity: OpticalCavity,
-    wp: WorkingPoint,
-    omega,
-    constants: Constants = NORMALIZED,
-) -> QuadratureTransfer:
-    """Exact output phase-quadrature coefficients at ``omega``.
-
-    The response kernel at omega * tau; reduces to the quasi-static
-    transfer as omega * round_trip -> 0. Raises if the effective
-    susceptibility diverges at a real grid frequency.
-    """
-    omega = np.asarray(omega, dtype=float)
-    chi, omtau = mech_susceptibility(osc, omega), omega * cavity.round_trip
-    psi, xi = wp.detuning, wp.coupling
-    return spring_response(chi, cavity.gamma, omtau, psi, xi, constants.hbar)[1]
-
-
 def full_transfer_by_solve(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -130,8 +109,8 @@ def full_transfer_by_solve(
 
     Unknowns are the intracavity quadratures and the mirror displacement;
     the output quadrature is then formed from the input-output relation.
-    Independent of the hand-eliminated closed form used by
-    :func:`full_transfer`.
+    Independent of the hand-eliminated noise formula it checks; at omega =
+    0 it is the quasi-static chain.
     """
     hbar = constants.hbar
     g, tau = cavity.gamma, cavity.round_trip
@@ -213,10 +192,10 @@ def spectrum(
     """Exact equivalent-input noise over a frequency grid.
 
     Coherent input light: :func:`optospring.quasistatic.noise_over_coupling`
-    at omega tau = omega * round_trip, the real form of the noise of
-    :func:`full_transfer`, with the SQL reference curve hbar |chi| on the
-    same grid (:func:`noise_and_sql`). The grid must be strictly increasing
-    and positive. At a real pole of chi_eff the noise takes its finite
+    at omega tau = omega * round_trip, the noise of the transfer that
+    :func:`full_transfer_by_solve` solves for, with the SQL curve hbar |chi|
+    on the same grid (:func:`noise_and_sql`). The grid must be strictly
+    increasing and positive. At a real pole of chi_eff the noise takes its finite
     limit. A long grid runs in fixed blocks with bit-identical results.
     """
     grid = np.asarray(grid, dtype=float)

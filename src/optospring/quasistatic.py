@@ -2,13 +2,13 @@
 
 Valid for signal frequencies well below the cavity bandwidth: the output
 phase quadrature carries the signal amplified by the mirror dynamics on
-top of the incident phase and radiation-pressure noises. The transfer is
-the response kernel :func:`optospring.core.spring_response` at omega *
-tau = 0 (static spring hbar xi^2 psi / gamma); its real noise form
-:func:`noise_over_coupling` also runs the finite-bandwidth spectrum. This
-module provides the output-quadrature transfer, the equivalent-input
-noise spectrum, the standard quantum limit, closed-form optimal working
-points at low and high frequency, and the dissipation-set ultimate limit.
+top of the incident phase and radiation-pressure noises, through the
+static spring hbar xi^2 psi / gamma. The one real noise formula
+:func:`noise_over_coupling` is this chain at omega * tau = 0 and also runs
+the finite-bandwidth spectrum. This module provides the equivalent-input
+noise spectrum and its closed form, the standard quantum limit,
+closed-form optimal working points at low and high frequency, and the
+dissipation-set ultimate limit.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .core import (
     Constants,
     MechanicalOscillator,
     OpticalCavity,
-    QuadratureTransfer,
     WorkingPoint,
     blockwise,
+    invert_susceptibility,
     mech_susceptibility,
-    spring_response,
 )
 from .errors import (
     DegenerateDissipationError,
@@ -68,25 +67,6 @@ class OptimumPoint:
     balanced_ratio: float | None = None
 
 
-def quadrature_transfer(
-    osc: MechanicalOscillator,
-    cavity: OpticalCavity,
-    wp: WorkingPoint,
-    omega,
-    constants: Constants = NORMALIZED,
-) -> QuadratureTransfer:
-    """Output phase-quadrature coefficients at ``omega``.
-
-    The incident phase noise passes through unchanged; the incident
-    amplitude noise drives the mirror through radiation pressure; and the
-    signal is transduced with the mirror-dynamics amplification factor
-    chi_eff / chi. Caller is responsible for omega << cavity bandwidth
-    (see :mod:`optospring.finite_bandwidth` for the general case).
-    """
-    chi, psi, xi = mech_susceptibility(osc, omega), wp.detuning, wp.coupling
-    return spring_response(chi, cavity.gamma, 0.0, psi, xi, constants.hbar)[1]
-
-
 def noise_over_coupling(
     osc: MechanicalOscillator,
     gamma: float,
@@ -99,12 +79,12 @@ def noise_over_coupling(
 
     Maps a coupling, or an array of couplings elementwise, to the coherent-input
     noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at omega tau = omega * round_trip. Each
-    kernel coefficient times chi_eff^-1 Delta / u^2 gives real cavity factors,
+    output coefficient times chi_eff^-1 Delta / u^2 gives real cavity factors,
     exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
     (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array
     give the same bits, and the noise stays finite at a real pole of chi_eff.
     A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
-    gamma^2 + detuning^2 that underflows to 0 raises ``SingularPointError``.
+    gamma^2 + detuning^2 or a float denominator underflowing to 0 raises ``SingularPointError``.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
@@ -117,6 +97,7 @@ def noise_over_coupling(
     if not (mag2 if type(mag2) is float else np.all(mag2)):  # a float skips numpy
         mech_susceptibility(osc, omega)  # names the singular frequency
     hbar, spring = constants.hbar, constants.hbar * psi / gamma
+    hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
     u2 = gamma * gamma + psi * psi
     if not u2 > 0:
         raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
@@ -142,7 +123,10 @@ def noise_over_coupling(
             raise NoMeasurementError(_NO_SIGNAL)
         qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2  # qr = Re chi_eff^-1 at omega tau = 0
         pr, pi = pr0 / xi2 + pr1, pi0 / xi2 + di
-        return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar * hbar * xi2 * (pr * pr + pi * pi)) / den
+        try:  # a float den that underflows to 0 raises here; an array one gives inf
+            return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar2 * xi2 * (pr * pr + pi * pi)) / den
+        except ZeroDivisionError:
+            raise SingularPointError(f"noise denominator underflows at omega={omega!r}") from None
 
     return noise_at
 
@@ -176,14 +160,14 @@ def equivalent_input_noise_closed_form(
 ):
     """Closed form of the coherent-input equivalent noise.
 
-    hbar |chi| |chi/chi_eff| (zeta + 1/zeta)/2 with
-    zeta = 2 hbar xi^2 |chi_eff|. Kept as an independent route for
-    validating the coefficient-based computation.
+    hbar |chi| |chi/chi_eff| (zeta + 1/zeta)/2 with zeta = 2 hbar xi^2 |chi_eff|
+    and chi_eff = 1 / (1/chi + hbar xi^2 psi / gamma), which raises where it
+    diverges. Kept as an independent route for validating the noise.
     """
     if wp.coupling == 0:
         raise NoMeasurementError(_NO_SIGNAL)
     chi, psi, xi = mech_susceptibility(osc, omega), wp.detuning, wp.coupling
-    chi_eff = spring_response(chi, cavity.gamma, 0.0, psi, xi, constants.hbar)[0]
+    chi_eff = invert_susceptibility(1.0 / chi + constants.hbar * xi**2 * psi / cavity.gamma)
     zeta = 2.0 * constants.hbar * wp.coupling**2 * np.abs(chi_eff)
     out = (
         constants.hbar
@@ -255,7 +239,7 @@ def lowfreq_optimum(
 ) -> OptimumPoint:
     """Best coupling and noise at zero frequency for a given detuning.
 
-    Closed forms for the true optimum and for the balanced-noise point.
+    :func:`coupling_optimum` at omega = 0 and the balanced-noise point.
     Negative detuning amplifies the signal here (the static response is
     positive); a positive detuning is accepted but cannot beat the SQL.
     """
@@ -264,21 +248,15 @@ def lowfreq_optimum(
             "positive detuning does not improve the low-frequency sensitivity",
             stacklevel=2,
         )
+    best = coupling_optimum(osc, 0.0, detuning, gamma, constants)
     beta = 0.5 * detuning / gamma
-    root = math.sqrt(1.0 + beta**2)
+    if beta >= 1:  # the balanced (equal-noise) point only exists for beta < 1
+        return best
     ref = sql_point(osc, 0.0, constants)
-    ratio = root + beta
-    # the balanced (equal-noise) point only exists for beta < 1
-    balanced_coupling = ref.coupling / math.sqrt(1.0 - beta) if beta < 1 else None
-    balanced_ratio = 1.0 / (1.0 - beta) if beta < 1 else None
-    return OptimumPoint(
-        coupling=ref.coupling / root**0.5,
-        detuning=detuning,
-        omega=None,
-        level=ratio * ref.level,
-        ratio_to_sql=ratio,
-        balanced_coupling=balanced_coupling,
-        balanced_ratio=balanced_ratio,
+    return replace(
+        best,
+        balanced_coupling=ref.coupling / math.sqrt(1.0 - beta),
+        balanced_ratio=1.0 / (1.0 - beta),
     )
 
 

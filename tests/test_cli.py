@@ -460,6 +460,33 @@ class TestBadInputsExit3:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "mode, config_text, named",
+        [
+            ("detuning", "cavity.gamma = 1e-160\n", "report.json\n"),
+            ("uql-sweep", "cavity.gamma = 1e-160\n", "report.json\n"),
+            ("xi", "oscillator.mass = 1e-300\n", "at omega=0.5\n"),
+            ("detuning", "oscillator.mass = 1e-300\n", "at omega=0.5\n"),
+            ("uql-sweep", "oscillator.mass = 1e-300\n", "at omega=0.3\n"),
+        ],
+        ids=[
+            "detuning-infinite-level",
+            "uql-sweep-infinite-level",
+            "xi-tiny-mass",
+            "detuning-tiny-mass",
+            "uql-sweep-tiny-mass",
+        ],
+    )
+    def test_optimize_singular(self, tmp_path, capsys, mode, config_text, named):
+        # an inf in the report, or a scalar noise whose denominator underflows to 0
+        out = tmp_path / "report.json"
+        assert run(["optimize", "--mode", mode, "--out", str(out)], tmp_path, config_text) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: singular point: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob(".optospring-*"))
+
+
 class TestStabilityCommand:
     def test_grid_contents(self, tmp_path):
         out = tmp_path / "stab.csv"

@@ -19,12 +19,10 @@ from optospring import (
     default_grid,
     dip_analysis,
     equivalent_input_noise,
-    full_transfer,
     full_transfer_by_solve,
     log_grid,
     mech_susceptibility,
     noise_over_coupling,
-    quadrature_transfer,
     quasi_free_oscillator,
     spectrum,
 )
@@ -47,30 +45,13 @@ def _uniform(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _solve_noise(t):
+    """Coherent-input noise of a solved transfer."""
+    return (abs(t.c_q) ** 2 + abs(t.c_p) ** 2) / abs(t.c_sig) ** 2
+
+
 class TestFullTransfer:
-    @settings(derandomize=True, deadline=None)
-    @given(
-        log_resonance=_uniform(-4, 0),
-        log_damping=_uniform(-6, -2),
-        gamma=_uniform(0.005, 0.05),
-        log_round_trip=_uniform(-4, -2),
-        psi=_uniform(-0.5, 0.5),
-        log_xi=_uniform(-1, 1),
-        log_omega=_uniform(-3, 2),
-    )
-    def test_matches_linear_solve(
-        self, log_resonance, log_damping, gamma, log_round_trip, psi, log_xi, log_omega
-    ):
-        # the response kernel against the raw 3x3 solve
-        osc = MechanicalOscillator(1.0, 10**log_resonance, 10**log_damping)
-        cavity = OpticalCavity(gamma=gamma, round_trip=10**log_round_trip, wavevector=1.0)
-        wp = WorkingPoint(psi, 10**log_xi)
-        omega = 10**log_omega
-        a = full_transfer(osc, cavity, wp, omega)
-        b = full_transfer_by_solve(osc, cavity, wp, omega)
-        assert a.c_q == pytest.approx(b.c_q, rel=1e-9)
-        assert a.c_p == pytest.approx(b.c_p, rel=1e-9)
-        assert a.c_sig == pytest.approx(b.c_sig, rel=1e-9)
+    """The raw 3x3 solve, the oracle of noise_over_coupling, one frequency per call."""
 
     def test_vacuum_unitarity_without_light(self, high_q_osc, rng):
         # a lossless cavity rotates vacuum noise but cannot create it
@@ -81,39 +62,36 @@ class TestFullTransfer:
                 wavevector=1.0,
             )
             wp = WorkingPoint(rng.uniform(-0.5, 0.5), 0.0)
-            omega = np.geomspace(1e-3, 1e3, 60)
-            t = full_transfer(high_q_osc, cavity, wp, omega)
-            assert np.allclose(
-                np.abs(t.c_q) ** 2 + np.abs(t.c_p) ** 2, 1.0, rtol=0, atol=1e-12
-            )
+            for omega in np.geomspace(1e-3, 1e3, 60):
+                t = full_transfer_by_solve(high_q_osc, cavity, wp, omega)
+                assert np.allclose(abs(t.c_q) ** 2 + abs(t.c_p) ** 2, 1.0, rtol=0, atol=1e-12)
 
     def test_quasistatic_reduction_of_coefficients(self, high_q_osc):
+        # the solve's noise at omega tau -> 0 is the quasi-static noise (omega tau = 0)
         for ratio in (1.5, -2.0):
             cavity = OpticalCavity(gamma=0.01, round_trip=1e-3, wavevector=1.0)
             wp = WorkingPoint(ratio * cavity.gamma, 0.4)
             omega = 1e-6 * cavity.bandwidth
-            full = full_transfer(high_q_osc, cavity, wp, omega)
-            quasi = quadrature_transfer(high_q_osc, cavity, wp, omega)
-            assert abs(full.c_q - quasi.c_q) / abs(quasi.c_q) < 1e-6
-            assert abs(full.c_p - quasi.c_p) / abs(quasi.c_p) < 1e-6
-            assert abs(full.c_sig - quasi.c_sig) / abs(quasi.c_sig) < 1e-6
+            full = _solve_noise(full_transfer_by_solve(high_q_osc, cavity, wp, omega))
+            quasi = noise_over_coupling(high_q_osc, cavity.gamma, wp.detuning, omega)(0.4)
+            assert abs(full - quasi) / abs(quasi) < 1e-6
 
     def test_signal_lowpass_on_resonance(self, high_q_osc, cavity):
         # detuning 0: |c_sig| scales as gamma/|gamma - i omega tau|
         wp = WorkingPoint(0.0, 0.8)
-        omega = np.geomspace(0.1, 1e3, 50)
-        t = full_transfer(high_q_osc, cavity, wp, omega)
         g, tau = cavity.gamma, cavity.round_trip
-        expected = 2.0 * wp.coupling * g / np.hypot(g, omega * tau)
-        assert np.allclose(np.abs(t.c_sig), expected, rtol=1e-12)
+        for omega in np.geomspace(0.1, 1e3, 50):
+            t = full_transfer_by_solve(high_q_osc, cavity, wp, omega)
+            expected = 2.0 * wp.coupling * g / math.hypot(g, omega * tau)
+            assert np.allclose(abs(t.c_sig), expected, rtol=1e-12)
 
     def test_reality_symmetry(self, high_q_osc, cavity, rng):
         wp = WorkingPoint(0.08, 1.2)
-        omega = rng.uniform(0.1, 100.0, size=20)
-        t = full_transfer(high_q_osc, cavity, wp, omega)
-        s = full_transfer(high_q_osc, cavity, wp, -omega)
-        for a, b in ((t.c_q, s.c_q), (t.c_p, s.c_p), (t.c_sig, s.c_sig)):
-            assert np.allclose(b, np.conj(a), rtol=1e-12)
+        for omega in rng.uniform(0.1, 100.0, size=20):
+            t = full_transfer_by_solve(high_q_osc, cavity, wp, omega)
+            s = full_transfer_by_solve(high_q_osc, cavity, wp, -omega)
+            for a, b in ((t.c_q, s.c_q), (t.c_p, s.c_p), (t.c_sig, s.c_sig)):
+                assert np.allclose(b, np.conj(a), rtol=1e-12)
 
 
 class TestSpectrum:
@@ -130,14 +108,13 @@ class TestSpectrum:
     def test_matches_linear_solve(
         self, log_resonance, log_damping, gamma, log_round_trip, psi, log_xi, log_omega
     ):
-        # spectrum runs on noise_over_coupling, not on the kernel's coefficients:
-        # on the models of TestFullTransfer, it equals the noise of the raw 3x3 solve
+        # spectrum runs on noise_over_coupling: on random models it equals the
+        # noise of the raw 3x3 solve
         osc = MechanicalOscillator(1.0, 10**log_resonance, 10**log_damping)
         cavity = OpticalCavity(gamma=gamma, round_trip=10**log_round_trip, wavevector=1.0)
         wp = WorkingPoint(psi, 10**log_xi)
         omega = 10**log_omega
-        t = full_transfer_by_solve(osc, cavity, wp, omega)
-        expected = (abs(t.c_q) ** 2 + abs(t.c_p) ** 2) / abs(t.c_sig) ** 2
+        expected = _solve_noise(full_transfer_by_solve(osc, cavity, wp, omega))
         got = spectrum(osc, cavity, wp, np.array([omega, 2.0 * omega])).s_sig[0]
         assert got == pytest.approx(expected, rel=1e-9)
 

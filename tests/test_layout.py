@@ -78,6 +78,7 @@ def test_checker_allows_public_and_own_names():
 SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
     ("core", "stability_margins"),
+    ("core", "static_susceptibility"),
     ("core", "kappa_for_coupling"),
     ("core", "loop_denominator"),
     ("core", "effective_damping"),
@@ -157,7 +158,7 @@ def test_no_module_reads_transfer_coefficients():
 
 def test_transfer_checker_sees_reads_not_keywords():
     source = (
-        "t = full_transfer(o, c, w, g)\np = abs(t.c_q) ** 2 + abs(t.c_p) ** 2\n"
+        "t = full_transfer_by_solve(o, c, w, g)\np = abs(t.c_q) ** 2 + abs(t.c_p) ** 2\n"
         "s = QuadratureTransfer(c_q=1, c_p=0, c_sig=t.c_sig)\n"
     )
     assert transfer_reads(source) == [2, 2, 3]

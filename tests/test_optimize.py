@@ -19,7 +19,6 @@ from optospring import (
     WorkingPoint,
     coupling_optimum,
     equivalent_input_noise,
-    full_transfer,
     highfreq_optimum,
     lowfreq_optimum,
     mech_susceptibility,
@@ -183,14 +182,9 @@ class TestMinimizeOverXi:
         # minimize the exact spectrum over the coupling at the spring-dip
         # frequency: the result sits below the local quasi-static SQL
         osc = quasi_free_oscillator(1.0)
-        cavity = OpticalCavity(gamma=GAMMA, round_trip=GAMMA / 2.0, wavevector=1.0)
         omega = 2.2957  # spring dip of the detuning = 10 gamma spectrum
-
-        def objective(xi):
-            t = full_transfer(osc, cavity, WorkingPoint(10.0 * GAMMA, xi), omega)
-            return (abs(t.c_q) ** 2 + abs(t.c_p) ** 2) / abs(t.c_sig) ** 2
-
-        res = minimize_over_xi(np.vectorize(objective))
+        objective = noise_over_coupling(osc, GAMMA, 10.0 * GAMMA, omega, round_trip=GAMMA / 2.0)
+        res = minimize_over_xi(objective)
         assert res.converged
         assert res.level < sql_point(osc, omega).level
 

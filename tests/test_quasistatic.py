@@ -8,7 +8,6 @@ from optospring import (
     DegenerateDissipationError,
     MechanicalOscillator,
     NoMeasurementError,
-    OpticalCavity,
     SingularPointError,
     StabilityBoundaryError,
     WorkingPoint,
@@ -16,13 +15,11 @@ from optospring import (
     coupling_optimum,
     equivalent_input_noise,
     equivalent_input_noise_closed_form,
+    full_transfer_by_solve,
     highfreq_optimum,
     lowfreq_optimum,
     mech_susceptibility,
     noise_over_coupling,
-    optical_spring,
-    quadrature_transfer,
-    spring_response,
     sql_frequency,
     sql_point,
     ultimate_quantum_limit,
@@ -32,14 +29,16 @@ SQRT26_M5 = 0.09901951359278449  # sqrt(26) - 5
 
 
 class TestQuadratureTransfer:
+    """The solve at omega = 0, where it is the quasi-static chain (no cavity phase)."""
+
     def test_dark_port(self, osc, cavity):
-        t = quadrature_transfer(osc, cavity, WorkingPoint(0.0, 0.0), 0.7)
+        t = full_transfer_by_solve(osc, cavity, WorkingPoint(0.0, 0.0), 0.0)
         assert t.c_q == 1.0 and t.c_p == 0.0 and t.c_sig == 0.0
 
     def test_resonant_cavity(self, osc, cavity):
         xi = 0.8
-        t = quadrature_transfer(osc, cavity, WorkingPoint(0.0, xi), 0.4)
-        chi = mech_susceptibility(osc, 0.4)
+        t = full_transfer_by_solve(osc, cavity, WorkingPoint(0.0, xi), 0.0)
+        chi = mech_susceptibility(osc, 0.0)
         assert t.c_q == 1.0
         assert t.c_p == pytest.approx(2.0 * xi**2 * chi, rel=1e-14)
         assert t.c_sig == pytest.approx(2.0 * xi, rel=1e-14)
@@ -47,50 +46,8 @@ class TestQuadratureTransfer:
     def test_amplified_signal(self, high_q_osc, cavity):
         # chi_eff/chi = 2 at xi^2 = 0.5, detuning = -gamma
         xi = math.sqrt(0.5)
-        t = quadrature_transfer(high_q_osc, cavity, WorkingPoint(-cavity.gamma, xi), 0.0)
+        t = full_transfer_by_solve(high_q_osc, cavity, WorkingPoint(-cavity.gamma, xi), 0.0)
         assert t.c_sig == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
-
-
-class TestKernelAtZeroPhaseLag:
-    """The quasi-static chain against the response kernel at omega tau = 0.
-
-    The transfer coefficients and the closed form are the kernel's, bit
-    for bit. The noise is an independent route, the kernel's noise in
-    real inverse form, and agrees with it to rounding; its scalar and
-    array calls are compared bit for bit in
-    :class:`TestNoiseScalarArrayBitEqual`.
-    """
-
-    # 0.044379486491512826**2 != 0.044379486491512826 * 0.044379486491512826
-    GAMMAS = (0.01, 0.044379486491512826, 0.3)
-
-    def test_static_spring(self, rng):
-        for gamma in self.GAMMAS:
-            for _ in range(200):
-                psi, xi = rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-2, 2)
-                spring, _, _ = optical_spring(gamma, 0.0, psi, xi, 1.0)
-                assert spring == xi**2 * psi / gamma
-
-    def test_quasistatic_routes_equal_kernel(self, osc, rng):
-        for gamma in self.GAMMAS:
-            cavity = OpticalCavity(gamma=gamma, round_trip=1e-3, wavevector=1.0)
-            for _ in range(50):
-                wp = WorkingPoint(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-1.5, 1.5))
-                for omega in (rng.uniform(0.0, 3.0), np.geomspace(0.01, 3.0, 7)):
-                    chi = mech_susceptibility(osc, omega)
-                    chi_eff, k = spring_response(
-                        chi, gamma, 0.0, wp.detuning, wp.coupling, 1.0
-                    )
-                    t = quadrature_transfer(osc, cavity, wp, omega)
-                    for got, want in ((t.c_q, k.c_q), (t.c_p, k.c_p), (t.c_sig, k.c_sig)):
-                        assert np.array_equal(got, want)
-                    noise = (np.abs(k.c_q) ** 2 + np.abs(k.c_p) ** 2) / np.abs(k.c_sig) ** 2
-                    got = equivalent_input_noise(osc, cavity, wp, omega)
-                    np.testing.assert_allclose(got, noise, rtol=1e-13, atol=0)
-                    zeta = 2.0 * wp.coupling**2 * np.abs(chi_eff)
-                    closed = np.abs(chi) * np.abs(chi / chi_eff) * 0.5 * (zeta + 1.0 / zeta)
-                    got = equivalent_input_noise_closed_form(osc, cavity, wp, omega)
-                    assert np.array_equal(got, closed)
 
 
 class TestNoiseScalarArrayBitEqual:
