@@ -70,6 +70,7 @@ from .quasistatic import (
     lowfreq_optimum,
     noise_over_coupling,
     sql_frequency,
+    sql_level,
     sql_point,
     ultimate_quantum_limit,
 )

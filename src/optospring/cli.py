@@ -182,12 +182,6 @@ def _out_path(cfg: RunConfig, default_stem: str) -> str:
     return cfg.out_path or f"{default_stem}.{cfg.out_format}"
 
 
-def _noise_table(osc, gamma, psi, xi, grid, constants, round_trip, scale=1.0) -> np.ndarray:
-    """Columns omega / scale, s_sig, s_sql, ratio of a spectrum (quasi-static at round_trip 0)."""
-    s_sig, s_sql = fb.noise_and_sql(osc, gamma, psi, xi, grid, constants, round_trip)
-    return np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
-
-
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
@@ -204,7 +198,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if not (0 < omega_sql < math.inf and 0 < lo < hi < math.inf):
             raise ConfigError(f"coupling {xi!r} gives no balance frequency or grid in float range")
         grid = fb.log_grid(lo, hi, cfg.grid_points_per_decade)
-        table = _noise_table(osc, gamma, psi, xi, grid, constants, round_trip, scale)
+        s_sig = qs.noise_over_coupling(osc, gamma, psi, grid, constants, round_trip)(xi)
+        s_sql = qs.sql_level(osc, grid, constants)
+        table = np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
         label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
         blocks.append((label, table))
     path = _out_path(cfg, "spectrum")
@@ -227,6 +223,7 @@ def _detuning_optimum(cfg: RunConfig, omega: float, spec: opt.SearchSpec):
 def cmd_optimize(cfg: RunConfig) -> int:
     """Numeric optimum report (JSON), with closed-form comparison."""
     osc, gamma, spec = cfg.oscillator, cfg.cavity.gamma, opt.SearchSpec()
+    _static_sql(osc, cfg.constants)  # a static response outside float range is a config error
     report: dict = {"mode": cfg.optimize_mode, "units": cfg.units}
     if cfg.optimize_mode == "uql-sweep":
         rows = []
@@ -381,13 +378,15 @@ def cmd_figure(
         normalization = {
             "x": "frequency over the balance frequency omega_sql",
             "omega_sql": omega_sql,
-            "s_ref": cfg.constants.hbar / (osc.mass * omega_sql**2),
+            "s_ref": qs.free_mass_sql_level(osc, omega_sql, cfg.constants),
             "coupling2": xi**2,
         }
+        s_sql = qs.sql_level(osc, grid, cfg.constants)  # one SQL column for every curve
         tables = []
         for r, bw in zip(ratios, bws):  # a bandwidth makes the curve finite-bandwidth
             round_trip = 0.0 if bw is None else gamma / (bw * omega_sql)
-            tables.append(_noise_table(osc, gamma, r * gamma, xi, grid, cfg.constants, round_trip))
+            s = qs.noise_over_coupling(osc, gamma, r * gamma, grid, cfg.constants, round_trip)(xi)
+            tables.append(np.rec.fromarrays([grid, s, s_sql, s / s_sql]))
 
     manifest: dict = {
         "schema": f"optospring.figure.{SCHEMA_VERSION}",

@@ -231,7 +231,8 @@ def mech_susceptibility(osc: MechanicalOscillator, omega):
     scalar or an array of frequencies.
     """
     omega = np.asarray(omega, dtype=float)
-    den = osc.mass * (osc.resonance_freq**2 - omega**2 - 1j * osc.damping * omega)
+    om = osc.resonance_freq
+    den = osc.mass * (om * om - omega * omega - 1j * osc.damping * omega)
     if np.any(den == 0):
         bad = omega if omega.ndim == 0 else omega[np.nonzero(den == 0)][0]
         raise SingularPointError(
@@ -423,9 +424,9 @@ def stability_margins(
 
     The static margin is the bistability condition
     gamma^2 + psi^2 + 2 hbar kappa^2 chi[0] psi, evaluated in its
-    equivalent factored form (gamma^2 + psi^2)(1 + hbar xi^2 chi[0]
-    psi / gamma) so that its zero set coincides bit-for-bit with the
-    divergence of the signal amplification factor. The dynamic margin is
+    equivalent factored form (gamma^2 + psi^2)(1 + hbar xi^2 chi[0] psi / gamma),
+    squares written as products in the order of the signal amplification factor,
+    so its zero set is that factor's divergence at omega = 0 bit for bit. The dynamic margin is
     the effective damping. Detuning and coupling broadcast against each
     other, so one call covers a whole working-point grid.
     """

@@ -26,12 +26,11 @@ from .core import (
     OpticalCavity,
     QuadratureTransfer,
     WorkingPoint,
-    blockwise,
     kappa_for_coupling,
     mech_susceptibility,
 )
 from .errors import NoDipFoundError
-from .quasistatic import noise_over_coupling, sql_frequency
+from .quasistatic import free_mass_sql_level, noise_over_coupling, sql_frequency, sql_level
 
 DEFAULT_GRID_DECADES = (1e-2, 1e3)
 DEFAULT_POINTS_PER_DECADE = 400
@@ -120,32 +119,25 @@ def full_transfer_by_solve(
     cth, sth = g / r, psi / r  # cos/sin of the input mean-field phase
     chi = mech_susceptibility(osc, omega)
     root2g = math.sqrt(2.0 * g)
-
-    coeffs = []
-    for p_in, q_in, x_sig in np.eye(3):
-        a = np.array(
-            [
-                [g - 1j * omega * tau, psi, 0.0],
-                [-psi, g - 1j * omega * tau, -2.0 * kappa],
-                [-hbar * kappa * chi, 0.0, 1.0],
-            ],
-            dtype=complex,
-        )
-        b = np.array(
-            [
-                root2g * (cth * p_in + sth * q_in),
-                root2g * (cth * q_in - sth * p_in) + 2.0 * kappa * x_sig,
-                0.0,
-            ],
-            dtype=complex,
-        )
-        p_c, q_c, _ = np.linalg.solve(a, b)
-        # output field = -input + sqrt(2 gamma) * intracavity, rotated to
-        # the output mean-field phase (the opposite of the input phase)
-        v1 = -(cth * p_in + sth * q_in) + root2g * p_c
-        v2 = -(cth * q_in - sth * p_in) + root2g * q_c
-        coeffs.append(-sth * v1 + cth * v2)
-    c_p, c_q, c_sig = coeffs
+    a = np.array(
+        [
+            [g - 1j * omega * tau, psi, 0.0],
+            [-psi, g - 1j * omega * tau, -2.0 * kappa],
+            [-hbar * kappa * chi, 0.0, 1.0],
+        ],
+        dtype=complex,
+    )
+    # one right-hand side column per unit input (p_in, q_in, x_sig); rot holds the
+    # input quadratures (p, q) they give at the mean-field phase
+    rot = np.array([[cth, sth, 0.0], [-sth, cth, 0.0]])
+    b = np.zeros((3, 3), dtype=complex)
+    b[:2] = root2g * rot
+    b[1, 2] = 2.0 * kappa  # the signal enters the phase quadrature
+    p_c, q_c, _ = np.linalg.solve(a, b)
+    # output field = -input + sqrt(2 gamma) * intracavity, rotated to
+    # the output mean-field phase (the opposite of the input phase)
+    v1, v2 = root2g * np.array([p_c, q_c]) - rot
+    c_p, c_q, c_sig = -sth * v1 + cth * v2
     return QuadratureTransfer(c_q=c_q, c_p=c_p, c_sig=c_sig)
 
 
@@ -165,23 +157,6 @@ def default_grid(omega_sql: float) -> np.ndarray:
     return log_grid(lo * omega_sql, hi * omega_sql, DEFAULT_POINTS_PER_DECADE)
 
 
-def noise_and_sql(osc, gamma, detuning, coupling, grid, constants=NORMALIZED, round_trip=0.0):
-    """Noise and SQL curve ``(s_sig, s_sql)`` over a grid, the grid unchecked.
-
-    :func:`optospring.quasistatic.noise_over_coupling` at omega tau = omega *
-    round_trip (quasi-static at 0) and hbar |chi|, each run in fixed blocks
-    (:func:`optospring.core.blockwise`) with bit-identical results.
-    """
-
-    def s_sig(w):
-        return noise_over_coupling(osc, gamma, detuning, w, constants, round_trip)(coupling)
-
-    def s_sql(w):
-        return constants.hbar * np.abs(mech_susceptibility(osc, w))
-
-    return blockwise(s_sig, grid), blockwise(s_sql, grid)
-
-
 def spectrum(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -193,10 +168,10 @@ def spectrum(
 
     Coherent input light: :func:`optospring.quasistatic.noise_over_coupling`
     at omega tau = omega * round_trip, the noise of the transfer that
-    :func:`full_transfer_by_solve` solves for, with the SQL curve hbar |chi|
-    on the same grid (:func:`noise_and_sql`). The grid must be strictly
-    increasing and positive. At a real pole of chi_eff the noise takes its finite
-    limit. A long grid runs in fixed blocks with bit-identical results.
+    :func:`full_transfer_by_solve` solves for, with the SQL curve
+    :func:`optospring.quasistatic.sql_level` on the same grid. The grid must be
+    strictly increasing and positive. At a real pole of chi_eff the noise takes
+    its finite limit. A long grid runs in fixed blocks with bit-identical results.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -204,8 +179,8 @@ def spectrum(
     if grid[0] <= 0 or np.any(grid[1:] <= grid[:-1]):
         raise ValueError("grid must be strictly increasing and positive")
     g, psi, tau = cavity.gamma, wp.detuning, cavity.round_trip
-    s_sig, s_sql = noise_and_sql(osc, g, psi, wp.coupling, grid, constants, tau)
-    return NoiseSpectrum(omega=grid, s_sig=s_sig, s_sql=s_sql)
+    s_sig = noise_over_coupling(osc, g, psi, grid, constants, tau)(wp.coupling)
+    return NoiseSpectrum(omega=grid, s_sig=s_sig, s_sql=sql_level(osc, grid, constants))
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
@@ -247,10 +222,7 @@ def dip_analysis(
     inner = s[1:-1]
     minima = np.flatnonzero((inner < s[:-2]) & (inner < s[2:])) + 1
     # the noise is elementwise: the reference at the minima has the whole grid's bits
-    # (in blocks, should a jagged spectrum have many minima)
-    reference = blockwise(
-        lambda w: noise_over_coupling(osc, g, 0.0, w, constants, tau)(xi), grid[minima]
-    )
+    reference = noise_over_coupling(osc, g, 0.0, grid[minima], constants, tau)(xi)
     found = [_parabolic_refine(grid, s, i) for i in minima[s[minima] < reference]]
     if not found:
         raise NoDipFoundError(
@@ -263,7 +235,7 @@ def dip_analysis(
     pred_minus = omega_sql * math.sqrt(beta) if psi > 0 else None
     pred_plus = cavity.bandwidth * math.sqrt(1.0 + (psi / g) ** 2)
     pred_depth = 2.0 * (g / psi) ** 2 if psi != 0 else math.inf
-    s_ref = constants.hbar / (osc.mass * omega_sql**2)
+    s_ref = free_mass_sql_level(osc, omega_sql, constants)
 
     def distance(cand, pred):
         return abs(math.log(cand[0] / pred))
@@ -280,8 +252,7 @@ def dip_analysis(
         minus = found[0]
 
     def local_ratio(dip):
-        chi = mech_susceptibility(osc, dip[0])
-        return dip[1] / (constants.hbar * abs(chi))
+        return dip[1] / sql_level(osc, dip[0], constants)
 
     ratio_plus = local_ratio(plus) if plus else None
     return DipReport(

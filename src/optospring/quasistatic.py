@@ -19,13 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import core
 from .core import (
     NORMALIZED,
     Constants,
     MechanicalOscillator,
     OpticalCavity,
     WorkingPoint,
-    blockwise,
     invert_susceptibility,
     mech_susceptibility,
 )
@@ -85,12 +85,18 @@ def noise_over_coupling(
     give the same bits, and the noise stays finite at a real pole of chi_eff.
     A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
     gamma^2 + detuning^2 or a float denominator underflowing to 0 raises ``SingularPointError``.
+    A 1-d frequency array longer than ``core.BLOCK`` runs in blocks (:func:`core.blockwise`),
+    with the bits and messages of one whole-array call; its coupling must be a scalar.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
     psi = WorkingPoint(detuning, 0.0).detuning
     # a scalar frequency stays a Python float, so the scalar Brent polish runs on floats
     omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    if type(omega) is not float and omega.ndim == 1 and omega.size > core.BLOCK:
+        return lambda xi: core.blockwise(
+            lambda w: noise_over_coupling(osc, gamma, psi, w, constants, round_trip)(xi), omega
+        )
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
@@ -143,12 +149,9 @@ def equivalent_input_noise(
     Output noise power of coherent input light referred to an apparent
     cavity-length change, (|c_q|^2 + |c_p|^2) / |c_sig|^2, evaluated by
     :func:`noise_over_coupling`; its closed form is
-    :func:`equivalent_input_noise_closed_form`. A long frequency array runs
-    in fixed blocks (:func:`optospring.core.blockwise`) with bit-identical
-    results.
+    :func:`equivalent_input_noise_closed_form`.
     """
-    g, psi, xi = cavity.gamma, wp.detuning, wp.coupling
-    return blockwise(lambda w: noise_over_coupling(osc, g, psi, w, constants)(xi), omega)
+    return noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, constants)(wp.coupling)
 
 
 def equivalent_input_noise_closed_form(
@@ -179,20 +182,32 @@ def equivalent_input_noise_closed_form(
     return float(out) if np.asarray(out).ndim == 0 else out
 
 
+def sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED):
+    """SQL level hbar |chi| at ``omega``, a frequency or an array of them.
+
+    The one |chi| arithmetic, numpy's complex abs for a float and an array
+    alike, so a point and a grid give the same bits. A 1-d array longer than
+    ``core.BLOCK`` runs in blocks (:func:`core.blockwise`).
+    """
+    out = core.blockwise(lambda w: constants.hbar * np.abs(mech_susceptibility(osc, w)), omega)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def free_mass_sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED):
+    """SQL level hbar / (M omega^2) of a free mass, the reference of the free-mass regime."""
+    return constants.hbar / (osc.mass * omega**2)
+
+
 def sql_point(
     osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED
 ) -> SqlPoint:
     """Standard quantum limit at ``omega`` for a resonant cavity.
 
     The coupling at which phase and back-action noises balance, and the
-    corresponding minimum noise level hbar |chi|.
+    corresponding minimum noise level :func:`sql_level`.
     """
-    chi = mech_susceptibility(osc, omega)
-    mag = abs(chi)
-    return SqlPoint(
-        coupling=1.0 / math.sqrt(2.0 * constants.hbar * mag),
-        level=constants.hbar * mag,
-    )
+    level = sql_level(osc, omega, constants)
+    return SqlPoint(coupling=1.0 / math.sqrt(2.0 * level), level=level)
 
 
 def sql_frequency(
@@ -221,7 +236,8 @@ def amplification_factor(
     signal. Diverges exactly on the static stability boundary.
     """
     chi = mech_susceptibility(osc, omega)
-    term = 1.0 + constants.hbar * wp.coupling**2 * (wp.detuning / cavity.gamma) * chi
+    # the order and products of the static margin in core.stability_margins
+    term = 1.0 + constants.hbar * (wp.coupling * wp.coupling) * (wp.detuning / cavity.gamma) * chi
     mag = np.abs(term)
     if np.any(mag == 0):
         raise StabilityBoundaryError(
@@ -284,7 +300,7 @@ def highfreq_optimum(
     omega_ref = sql_frequency(osc, coupling, constants)
     omega_min = omega_ref * root**0.5
     ratio = root - beta
-    level = ratio * constants.hbar / (osc.mass * omega_min**2)
+    level = ratio * free_mass_sql_level(osc, omega_min, constants)
     return OptimumPoint(
         coupling=coupling,
         detuning=detuning,
@@ -309,11 +325,10 @@ def coupling_optimum(
     exactly on the mechanical resonance.
     """
     chi = mech_susceptibility(osc, omega)
-    mag = abs(chi)
     beta = 0.5 * detuning / gamma
     root = math.sqrt(1.0 + beta**2)
     ref = sql_point(osc, omega, constants)
-    ratio = root + beta * chi.real / mag
+    ratio = root + beta * chi.real / float(np.abs(chi))  # the |chi| of sql_level
     return OptimumPoint(
         coupling=ref.coupling / root**0.5,
         detuning=detuning,
@@ -347,5 +362,5 @@ def ultimate_quantum_limit(
     return replace(
         coupling_optimum(osc, omega, detuning_min, gamma, constants),
         level=constants.hbar * abs(chi.imag),
-        ratio_to_sql=abs(chi.imag) / abs(chi),
+        ratio_to_sql=abs(chi.imag) / float(np.abs(chi)),
     )

@@ -359,6 +359,12 @@ class TestBadInputsExit2:
             (["figure", "fig3", "--detunings=" + ",".join(["1"] * 27)], None, None),
             (["stability"], "oscillator.resonance_freq = 1e-200\n", None),
             (["figure", "fig2"], "oscillator.resonance_freq = 1e200\n", None),
+            (["optimize", "--mode", "xi"], "oscillator.resonance_freq = 1e-200\n", None),
+            (["optimize", "--mode", "detuning"], "oscillator.resonance_freq = 1e-200\n", None),
+            (["optimize", "--mode", "uql-sweep"], "oscillator.resonance_freq = 1e-200\n", None),
+            (["optimize", "--mode", "xi"], "oscillator.resonance_freq = 1e200\n", None),
+            (["optimize", "--mode", "detuning"], "oscillator.resonance_freq = 1e200\n", None),
+            (["optimize", "--mode", "uql-sweep"], "oscillator.resonance_freq = 1e200\n", None),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -384,6 +390,12 @@ class TestBadInputsExit2:
             "figure-too-many-curves",
             "stability-underflowing-resonance",
             "fig2-overflowing-resonance",
+            "xi-underflowing-resonance",
+            "detuning-underflowing-resonance",
+            "uql-sweep-underflowing-resonance",
+            "xi-overflowing-resonance",
+            "detuning-overflowing-resonance",
+            "uql-sweep-overflowing-resonance",
         ],
     )
     def test_config_error(self, tmp_path, capsys, monkeypatch, args, config_text, env):
@@ -439,6 +451,7 @@ class TestBadInputsExit3:
             (["spectrum"], "cavity.round_trip = 1e300\n", "out"),
             (["spectrum"], "oscillator.damping = 1e300\n", "out"),
             (["figure", "fig2"], "oscillator.mass = 1e-300\n", "fig2_curve_a.csv"),
+            (["spectrum"], "oscillator.resonance_freq = 1e200\n", "out"),
         ],
         ids=[
             "spectrum-tiny-mass",
@@ -447,6 +460,7 @@ class TestBadInputsExit3:
             "spectrum-huge-round-trip",
             "spectrum-huge-damping",
             "fig2-tiny-mass",
+            "spectrum-huge-resonance",
         ],
     )
     def test_non_finite_result(self, tmp_path, capsys, args, config_text, named):

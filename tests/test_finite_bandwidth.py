@@ -25,6 +25,8 @@ from optospring import (
     noise_over_coupling,
     quasi_free_oscillator,
     spectrum,
+    sql_level,
+    sql_point,
 )
 from optospring import core
 from optospring import finite_bandwidth as fb
@@ -95,6 +97,14 @@ class TestFullTransfer:
 
 
 class TestSpectrum:
+    def test_sql_column_is_sql_point(self):
+        # one |chi| arithmetic for points and grids: Python's complex abs rounds
+        # apart from numpy's at hundreds of the default fig4 grid's points
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        grid = log_grid(1e-2, 1e3, 400)
+        s_sql = spectrum(osc, cavity, wp, grid).s_sql
+        assert [sql_point(osc, w).level for w in grid.tolist()] == s_sql.tolist()
+
     @settings(derandomize=True, deadline=None)
     @given(
         log_resonance=_uniform(-4, 0),
@@ -342,22 +352,26 @@ class TestBlocks:
         g, psi, xi = cavity.gamma, wp.detuning, wp.coupling
         tau = cavity.round_trip if lag else 0.0
         grid = np.geomspace(1e-2, 1e3, n)
-        s_sig = noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
-        s_sql = np.abs(mech_susceptibility(osc, grid))
-        blocked = [fb.noise_and_sql(osc, g, psi, xi, grid, round_trip=tau)]
+        noise = noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+        blocked = [(noise, sql_level(osc, grid))]
         if lag:
             sp = spectrum(osc, cavity, wp, grid)
             blocked.append((sp.s_sig, sp.s_sql))
         else:  # the quasi-static noise has no SQL column of its own
-            blocked.append((equivalent_input_noise(osc, cavity, wp, grid), s_sql))
+            blocked.append((equivalent_input_noise(osc, cavity, wp, grid), blocked[0][1]))
+        with monkeypatch.context() as one_call:  # a block as long as the grid: a single call
+            one_call.setattr(core, "BLOCK", n)
+            s_sig = noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+            s_sql = sql_level(osc, grid)
+            reference = noise_over_coupling(osc, g, 0.0, grid, round_trip=tau)(xi)
+        assert np.array_equal(s_sql, np.abs(mech_susceptibility(osc, grid)))
         for sig, sql in blocked:
             assert np.array_equal(sig, s_sig) and np.array_equal(sql, s_sql)
             for i in block_edges(n):
                 om = float(grid[i])
                 assert sig[i] == noise_over_coupling(osc, g, psi, om, round_trip=tau)(xi)
-                assert sql[i] == np.abs(mech_susceptibility(osc, om))
+                assert sql[i] == sql_level(osc, om)
         if lag:  # the dips of the whole-grid mask, its reference from one call
-            reference = noise_over_coupling(osc, g, 0.0, grid, round_trip=tau)(xi)
             s, inner = sp.s_sig, sp.s_sig[1:-1]
             mask = (inner < s[:-2]) & (inner < s[2:]) & (inner < reference[1:-1])
             seen, refine = [], fb._parabolic_refine

@@ -77,6 +77,8 @@ def test_checker_allows_public_and_own_names():
 # scalar and array routes equal bit for bit.
 SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
+    ("quasistatic", "amplification_factor"),
+    ("core", "mech_susceptibility"),
     ("core", "stability_margins"),
     ("core", "static_susceptibility"),
     ("core", "kappa_for_coupling"),

@@ -8,6 +8,7 @@ from optospring import (
     DegenerateDissipationError,
     MechanicalOscillator,
     NoMeasurementError,
+    OpticalCavity,
     SingularPointError,
     StabilityBoundaryError,
     WorkingPoint,
@@ -22,6 +23,7 @@ from optospring import (
     noise_over_coupling,
     sql_frequency,
     sql_point,
+    stability,
     ultimate_quantum_limit,
 )
 
@@ -233,6 +235,22 @@ class TestAmplification:
         wp = WorkingPoint(-2.0 * cavity.gamma, 0.5)
         with pytest.raises(StabilityBoundaryError):
             amplification_factor(soft, cavity, wp, 0.0)
+
+    @pytest.mark.parametrize("om", [0.19587630973323938, 0.9129130701075421])
+    def test_divergence_exactly_at_zero_static_margin(self, om):
+        # psi = -gamma and xi = Omega put the point on the boundary up to rounding. With
+        # Omega^2 as pow in one route and as a product in the other, the routes disagree
+        # here: margin 5.6e-17 with a divergence at the first Omega, 0 without one at the second
+        osc = MechanicalOscillator(mass=1.0, resonance_freq=om, damping=0.01)
+        cavity = OpticalCavity(gamma=0.5, round_trip=1e-3, wavevector=1.0)
+        wp = WorkingPoint(-0.5, om)
+        on_boundary = stability(osc, cavity, wp).static_margin == 0
+        try:
+            amplification_factor(osc, cavity, wp, 0.0)
+            diverges = False
+        except StabilityBoundaryError:
+            diverges = True
+        assert diverges == on_boundary
 
 
 class TestLowFreqOptimum:
