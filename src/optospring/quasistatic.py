@@ -77,7 +77,7 @@ def noise_over_coupling(
 ):
     """Equivalent-input noise as a function of the coupling, at any bandwidth.
 
-    Maps a coupling, or an array of couplings elementwise, to the coherent-input
+    Maps a coupling, or an array of couplings broadcast with omega, to the coherent-input
     noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at omega tau = omega * round_trip. Each
     output coefficient times chi_eff^-1 Delta / u^2 gives real cavity factors,
     exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
@@ -85,18 +85,22 @@ def noise_over_coupling(
     give the same bits, and the noise stays finite at a real pole of chi_eff.
     A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
     gamma^2 + detuning^2 or a float denominator underflowing to 0 raises ``SingularPointError``.
-    A 1-d frequency array longer than ``core.BLOCK`` runs in blocks (:func:`core.blockwise`),
-    with the bits and messages of one whole-array call; its coupling must be a scalar.
+    A 1-d omega longer than ``core.BLOCK`` runs in blocks (:func:`core.blockwise`) with the bits
+    of one call, an array coupling broadcast to its shape. To hold memory near the output size,
+    each call redoes the setup per block, so the call, not the build, names a singular frequency.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
     psi = WorkingPoint(detuning, 0.0).detuning
+    u2 = gamma * gamma + psi * psi
+    if not u2 > 0:
+        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
     # a scalar frequency stays a Python float, so the scalar Brent polish runs on floats
     omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
     if type(omega) is not float and omega.ndim == 1 and omega.size > core.BLOCK:
-        return lambda xi: core.blockwise(
-            lambda w: noise_over_coupling(osc, gamma, psi, w, constants, round_trip)(xi), omega
-        )
+        def block(w, xi):
+            return noise_over_coupling(osc, gamma, psi, w, constants, round_trip)(xi)
+        return lambda xi: core.blockwise(block, omega, xi)
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
@@ -104,9 +108,6 @@ def noise_over_coupling(
         mech_susceptibility(osc, omega)  # names the singular frequency
     hbar, spring = constants.hbar, constants.hbar * psi / gamma
     hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
-    u2 = gamma * gamma + psi * psi
-    if not u2 > 0:
-        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
     # at omega tau = 0 the cavity factors below stay floats (exactly 1 or 0), not
     # grid arrays; the -0.0 of omega * 0.0 at omega < 0 would only enter squared
     w = omega * round_trip if round_trip else 0.0
@@ -195,7 +196,7 @@ def sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZE
 
 def free_mass_sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED):
     """SQL level hbar / (M omega^2) of a free mass, the reference of the free-mass regime."""
-    return constants.hbar / (osc.mass * omega**2)
+    return constants.hbar / (osc.mass * (omega * omega))
 
 
 def sql_point(

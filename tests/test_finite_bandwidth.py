@@ -385,15 +385,17 @@ class TestBlocks:
             assert seen == (np.flatnonzero(mask) + 1).tolist() and report.count == len(seen)
 
     @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
-    def test_errors_as_one_call(self, n):
+    def test_errors_as_one_call(self, n, monkeypatch):
         _, cavity, wp = fig4_setup(5.0, 2.0)
         g, psi, xi, tau = cavity.gamma, wp.detuning, wp.coupling, cavity.round_trip
         grid = np.geomspace(1e-2, 1e3, n)
         # an undamped resonance on a grid point of the last block
         osc = MechanicalOscillator(1.0, resonance_freq=float(grid[-2]), damping=0.0)
-        with pytest.raises(SingularPointError) as whole:
+        with monkeypatch.context() as one_call, pytest.raises(SingularPointError) as whole:
+            one_call.setattr(core, "BLOCK", n)  # a block as long as the grid: a single call
             noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
         for call in (
+            lambda: noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi),
             lambda: spectrum(osc, cavity, wp, grid),
             lambda: equivalent_input_noise(osc, cavity, wp, grid),
         ):
@@ -419,13 +421,29 @@ class TestBlocks:
         ],
         ids=["float", "float64", "0-d", "list", "long-list", "long-int", "int"],
     )
-    def test_result_types_kept(self, omega):
+    def test_result_types_kept(self, omega, monkeypatch):
         osc, cavity, wp = fig4_setup(5.0, 2.0)
-        whole = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega)(wp.coupling)
+        with monkeypatch.context() as one_call:  # a block as long as the grid: a single call
+            one_call.setattr(core, "BLOCK", max(np.size(omega), BLOCK))
+            whole = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega)(wp.coupling)
         blocked = equivalent_input_noise(osc, cavity, wp, omega)
         assert type(blocked) is type(whole)
         assert np.asarray(blocked).dtype == np.asarray(whole).dtype
         assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("n", [BLOCK, 3 * BLOCK + 7])
+    def test_array_coupling_sliced_with_grid(self, n, monkeypatch):
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        grid = np.geomspace(1e-2, 1e3, n)
+        xi = wp.coupling * np.geomspace(0.5, 2.0, n)
+        noise = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=1e-3)
+        with monkeypatch.context() as one_call:  # a block as long as the grid: a single call
+            one_call.setattr(core, "BLOCK", n)
+            whole = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=1e-3)
+            assert np.array_equal(noise(xi), whole(xi))
+        assert np.array_equal(noise(xi[-1]), whole(xi[-1]))
+        with pytest.raises(ValueError):  # a coupling array that is not the grid's shape
+            noise(xi[:-1])
 
     @pytest.mark.parametrize("name", ["spectrum", "dip_analysis", "equivalent_input_noise"])
     def test_peak_memory_near_output_size(self, name):

@@ -78,6 +78,7 @@ def test_checker_allows_public_and_own_names():
 SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
     ("quasistatic", "amplification_factor"),
+    ("quasistatic", "free_mass_sql_level"),
     ("core", "mech_susceptibility"),
     ("core", "stability_margins"),
     ("core", "static_susceptibility"),
