@@ -189,9 +189,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     round_trip = cfg.cavity.round_trip if cfg.model == "finite" else 0.0
     for wp in cfg.points:
         psi, xi = wp.detuning, wp.coupling
-        try:  # a zero coupling raises ValueError, one past ~1e154 OverflowError (from **)
+        try:  # a zero coupling raises ValueError; one past ~1e154 gives omega_sql = inf
             omega_sql = qs.sql_frequency(osc, xi, constants)
-        except (ValueError, OverflowError):
+        except ValueError:
             omega_sql = math.nan
         scale = omega_sql if cfg.grid_units == "omega_sql" else 1.0
         lo, hi = cfg.grid_lo * scale, cfg.grid_hi * scale

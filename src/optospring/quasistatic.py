@@ -84,10 +84,11 @@ def noise_over_coupling(
     (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array
     give the same bits, and the noise stays finite at a real pole of chi_eff.
     A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
-    gamma^2 + detuning^2 or a float denominator underflowing to 0 raises ``SingularPointError``.
-    A 1-d omega longer than ``core.BLOCK`` runs in blocks (:func:`core.blockwise`) with the bits
-    of one call, an array coupling broadcast to its shape. To hold memory near the output size,
-    each call redoes the setup per block, so the call, not the build, names a singular frequency.
+    gamma^2 + detuning^2 underflowing to 0 raises ``SingularPointError`` at the build.
+    A float omega is set up and checked at the build, an array omega at the call, in blocks
+    (:func:`core.blockwise`), with an array coupling broadcast to its shape. A noise denominator
+    of 0, at an undamped resonance or by underflow, raises ``SingularPointError`` naming the
+    first omega where it occurs.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
@@ -95,17 +96,19 @@ def noise_over_coupling(
     u2 = gamma * gamma + psi * psi
     if not u2 > 0:
         raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
-    # a scalar frequency stays a Python float, so the scalar Brent polish runs on floats
-    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
-    if type(omega) is not float and omega.ndim == 1 and omega.size > core.BLOCK:
-        def block(w, xi):
-            return noise_over_coupling(osc, gamma, psi, w, constants, round_trip)(xi)
-        return lambda xi: core.blockwise(block, omega, xi)
+    if np.ndim(omega) == 0:  # a scalar frequency stays a Python float for the scalar Brent polish
+        return _noise_closure(osc, gamma, psi, u2, float(omega), constants, round_trip)
+    omega = np.asarray(omega, dtype=float)
+    def block(w, xi):
+        return _noise_closure(osc, gamma, psi, u2, w, constants, round_trip)(xi)
+    return lambda xi: core.blockwise(block, omega, xi)
+
+
+def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
+    """The setup of :func:`noise_over_coupling` at a float or an array omega, and its closure."""
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
-    if not (mag2 if type(mag2) is float else np.all(mag2)):  # a float skips numpy
-        mech_susceptibility(osc, omega)  # names the singular frequency
     hbar, spring = constants.hbar, constants.hbar * psi / gamma
     hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
     # at omega tau = 0 the cavity factors below stay floats (exactly 1 or 0), not
@@ -122,6 +125,9 @@ def noise_over_coupling(
     qr0, qr1, qi0 = a_q * jr0, a_q * spring - lag * gw, a_q * ji
     pr0, pr1, pi0 = a_p * jr0, a_p * spring + (1.0 - gw * gw), a_p * ji
     den = (dr * dr + di * di) * (1.0 + gw * gw) * mag2
+    if not (den if type(den) is float else np.all(den)):  # a float skips numpy
+        bad = omega if type(omega) is float else omega[den == 0][0]
+        raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
 
     def noise_at(xi):
         xi2 = xi * xi
@@ -130,10 +136,7 @@ def noise_over_coupling(
             raise NoMeasurementError(_NO_SIGNAL)
         qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2  # qr = Re chi_eff^-1 at omega tau = 0
         pr, pi = pr0 / xi2 + pr1, pi0 / xi2 + di
-        try:  # a float den that underflows to 0 raises here; an array one gives inf
-            return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar2 * xi2 * (pr * pr + pi * pi)) / den
-        except ZeroDivisionError:
-            raise SingularPointError(f"noise denominator underflows at omega={omega!r}") from None
+        return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar2 * xi2 * (pr * pr + pi * pi)) / den
 
     return noise_at
 
@@ -221,7 +224,7 @@ def sql_frequency(
     """
     if coupling <= 0:
         raise ValueError("coupling must be > 0")
-    return math.sqrt(2.0 * constants.hbar * coupling**2 / osc.mass)
+    return math.sqrt(2.0 * constants.hbar * (coupling * coupling) / osc.mass)
 
 
 def amplification_factor(
@@ -297,7 +300,7 @@ def highfreq_optimum(
             stacklevel=2,
         )
     beta = 0.5 * detuning / gamma
-    root = math.sqrt(1.0 + beta**2)
+    root = math.sqrt(1.0 + beta * beta)
     omega_ref = sql_frequency(osc, coupling, constants)
     omega_min = omega_ref * root**0.5
     ratio = root - beta
@@ -327,7 +330,7 @@ def coupling_optimum(
     """
     chi = mech_susceptibility(osc, omega)
     beta = 0.5 * detuning / gamma
-    root = math.sqrt(1.0 + beta**2)
+    root = math.sqrt(1.0 + beta * beta)
     ref = sql_point(osc, omega, constants)
     ratio = root + beta * chi.real / float(np.abs(chi))  # the |chi| of sql_level
     return OptimumPoint(

@@ -1,9 +1,17 @@
+import contextlib
 import functools
+import io
 import json
 import math
+import pathlib
+import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optospring import WorkingPoint, stability
 from optospring import optimize as opt
@@ -450,7 +458,6 @@ class TestBadInputsExit3:
             (["spectrum"], "points.coupling = 1e150\n", "out"),
             (["spectrum"], "cavity.round_trip = 1e300\n", "out"),
             (["spectrum"], "oscillator.damping = 1e300\n", "out"),
-            (["figure", "fig2"], "oscillator.mass = 1e-300\n", "fig2_curve_a.csv"),
             (["spectrum"], "oscillator.resonance_freq = 1e200\n", "out"),
         ],
         ids=[
@@ -459,7 +466,6 @@ class TestBadInputsExit3:
             "spectrum-huge-coupling",
             "spectrum-huge-round-trip",
             "spectrum-huge-damping",
-            "fig2-tiny-mass",
             "spectrum-huge-resonance",
         ],
     )
@@ -473,6 +479,13 @@ class TestBadInputsExit3:
         assert f"{named}: column 's_sig', data row 1\n" in err
         assert not out.exists()
 
+    def test_fig2_tiny_mass(self, tmp_path, capsys):
+        # the zero-frequency noise denominator underflows to 0: named at omega, no file written
+        out = tmp_path / "out"
+        assert run(["figure", "fig2", "--out", str(out)], tmp_path, "oscillator.mass = 1e-300\n") == 3
+        err = capsys.readouterr().err
+        assert err == "optospring: singular point: noise denominator is 0 at omega=0.0\n"
+        assert not out.exists() and not list(tmp_path.rglob(".optospring-*"))
 
     @pytest.mark.parametrize(
         "mode, config_text, named",
@@ -499,6 +512,78 @@ class TestBadInputsExit3:
         assert err.startswith("optospring: singular point: ") and err.count("\n") == 1
         assert named in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob(".optospring-*"))
+
+
+# Every number key of the config, with the commands that read it, on small grids.
+NUMBER_KEYS = [
+    "oscillator.mass",
+    "oscillator.resonance_freq",
+    "oscillator.damping",
+    "cavity.gamma",
+    "cavity.round_trip",
+    "points.detuning",
+    "points.coupling",
+    "optimize.omega",
+    "optimize.detuning",
+    "grid.lo",
+    "grid.hi",
+]
+SIGNED_KEYS = {"points.detuning", "optimize.detuning"}
+COMMANDS = [
+    ["spectrum"],
+    ["stability"],
+    ["figure", "fig2"],
+    ["figure", "fig3"],
+    ["figure", "fig4"],
+    ["optimize", "--mode", "xi"],
+    ["optimize", "--mode", "detuning"],
+    ["optimize", "--mode", "uql-sweep"],
+]
+SMALL_RUN = "stability.xi2 = 0.01:100:4\nstability.psi = -12:2:3\noptimize.omegas = 0.5, 1.5\n"
+NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+
+
+class TestEveryNumberKey:
+    """Any one number key over 1e-300..1e300 ends in a clean exit: no traceback,
+    one stderr line on failure, no file left behind and no non-finite number written."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        command=st.sampled_from(COMMANDS),
+        key=st.sampled_from(NUMBER_KEYS),
+        log_value=st.floats(-300.0, 300.0),
+        negative=st.booleans(),
+    )
+    @example(command=COMMANDS[6], key="oscillator.damping", log_value=-300.0, negative=False)
+    @example(command=COMMANDS[7], key="oscillator.damping", log_value=-300.0, negative=False)
+    def test_clean_exit(self, command, key, log_value, negative):
+        value = 10.0**log_value * (-1.0 if negative and key in SIGNED_KEYS else 1.0)
+        lo, hi = {"grid.lo": (value, 2.0), "grid.hi": (0.5, value)}.get(key, (0.5, 2.0))
+        config_text = SMALL_RUN + ("" if key.startswith("grid.") else f"{key} = {value!r}\n")
+        with tempfile.TemporaryDirectory() as work:
+            work = pathlib.Path(work)
+            (work / "run.cfg").write_text(config_text)
+            argv = [*command, "--config", str(work / "run.cfg"), "--grid", f"{lo!r}:{hi!r}:3"]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+                err
+            ), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main([*argv, "--out", str(work / "out")])
+            written = [p for p in work.rglob("*") if p.is_file() and p.name != "run.cfg"]
+            texts = [p.read_text() for p in written]
+        # the one warning a run may raise: the high-Q picture of the stability report
+        for w in caught:
+            assert w.category is UserWarning and "high-Q" in str(w.message), str(w.message)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("optospring: "), err.getvalue()
+            assert written == []
+        for path, text in zip(written, texts):
+            assert NON_FINITE.search(text) is None, path.name
 
 
 class TestStabilityCommand:

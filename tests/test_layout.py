@@ -77,6 +77,7 @@ def test_checker_allows_public_and_own_names():
 # scalar and array routes equal bit for bit.
 SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
+    ("quasistatic", "_noise_closure"),
     ("quasistatic", "amplification_factor"),
     ("quasistatic", "free_mass_sql_level"),
     ("core", "mech_susceptibility"),

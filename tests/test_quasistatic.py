@@ -26,6 +26,7 @@ from optospring import (
     stability,
     ultimate_quantum_limit,
 )
+from optospring.core import BLOCK
 
 SQRT26_M5 = 0.09901951359278449  # sqrt(26) - 5
 
@@ -117,6 +118,35 @@ class TestEquivalentInputNoise:
         # gamma^2 + detuning^2 underflows to 0: a named error, not 0/0 or nan cells
         with pytest.raises(SingularPointError, match=r"gamma=1e-300"):
             noise_over_coupling(osc, 1e-300, 0.0, omega, round_trip=round_trip)
+
+    @pytest.mark.parametrize("round_trip", [0.0, 1e-3])
+    @pytest.mark.parametrize(
+        "omega",
+        [1.0, np.array([1.0]), np.linspace(0.0, 2.0, BLOCK + 1)],  # the grid holds 1.0
+        ids=["float", "1-point", "long-grid"],
+    )
+    def test_undamped_resonance_named_alike(self, omega, round_trip):
+        undamped = MechanicalOscillator(1.0, 1.0, 0.0)
+        with pytest.raises(SingularPointError) as err:
+            noise_over_coupling(undamped, 0.01, 0.005, omega, round_trip=round_trip)(0.7)
+        assert str(err.value) == "noise denominator is 0 at omega=1.0"
+
+    @pytest.mark.parametrize("omega", [0.5, np.array([0.5])], ids=["float", "1-point"])
+    def test_underflowing_denominator_named_alike(self, osc, omega):
+        # 1/|chi|^2 ~ M^2 underflows to 0 at M = 1e-300: named, not an inf cell
+        tiny = MechanicalOscillator(1e-300, osc.resonance_freq, osc.damping)
+        with pytest.raises(SingularPointError) as err:
+            noise_over_coupling(tiny, 0.01, 0.005, omega)(0.7)
+        assert str(err.value) == "noise denominator is 0 at omega=0.5"
+
+    @pytest.mark.parametrize("n", [1, 3, BLOCK + 1])
+    def test_array_omega_checked_at_call(self, n):
+        undamped = MechanicalOscillator(1.0, 1.0, 0.0)
+        with pytest.raises(SingularPointError):  # a float frequency is checked at the build
+            noise_over_coupling(undamped, 0.01, 0.005, 1.0)
+        noise = noise_over_coupling(undamped, 0.01, 0.005, np.full(n, 1.0))
+        with pytest.raises(SingularPointError):
+            noise(0.7)
 
     @pytest.mark.parametrize(
         "xi, omega",
