@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -76,16 +77,30 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-def _csv_cells(col: np.ndarray) -> list[str]:
-    """A column's CSV cells: floats at full round-trip precision, flags as 0/1."""
-    if col.dtype.kind == "f":
-        return list(map(repr, col.tolist()))
-    return list(map(str, col.astype(int).tolist()))
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_cells(col: np.ndarray) -> list:
-    """A column's JSON values: flags stay booleans, integers become floats."""
-    return col.tolist() if col.dtype.kind in "fb" else col.astype(float).tolist()
+def _cells(col: np.ndarray, out_format: str) -> list[str]:
+    """A column's cells as text, a float as its shortest round-trip ``repr``.
+
+    Flags are 0/1 in CSV and true/false in JSON; an integer is ``str(int)``
+    in CSV and a float in JSON. JSON spells inf, -inf and nan as
+    ``json.dumps`` does: Infinity, -Infinity and NaN.
+    """
+    kind = col.dtype.kind
+    if out_format == "csv" and kind != "f":
+        return list(map(str, col.astype(int).tolist()))
+    if out_format == "json" and kind == "b":
+        return [("false", "true")[v] for v in col.tolist()]
+    cells = list(map(repr, col.astype(float, copy=False).tolist()))
+    if out_format == "json" and not np.isfinite(col).all():
+        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+    return cells
+
+
+def _column_key(col: np.ndarray) -> tuple[str, bytes]:
+    """Equal keys are equal bits, so equal cells; -0.0 and 0.0 differ."""
+    return col.dtype.str, col.tobytes()
 
 
 def write_table(
@@ -95,17 +110,37 @@ def write_table(
     param_lines: list[str],
     columns: list[str],
     blocks: list[tuple[str, np.ndarray]],
+    memo: dict | None = None,
 ) -> None:
     """Emit a dataset as CSV (comment header + rows) or its JSON mirror.
 
     Each block is a ``(label, table)`` pair: ``table`` is a numpy
     structured array, one row per data row and one field per entry of
     ``columns``, in order, as built by ``np.rec.fromarrays(columns)``.
-    Each field is formatted once as a column by its dtype: a float field
-    by ``repr`` (shortest round trip), a bool or integer field as 0/1 in
-    CSV; in JSON a bool field stays boolean and an integer field turns
-    float.
+    Each field is turned into text as a column by :func:`_cells`, and
+    both formats are joined from those strings: a JSON number is the
+    CSV's ``repr`` cell, and only the text fields (schema, params,
+    columns, labels) go through ``json.dumps``, so the JSON equals
+    ``json.dumps(doc, sort_keys=True)`` of the same document. ``memo``
+    holds the cells of the columns to reuse, by :func:`_column_key`,
+    ``None`` until first formatted; any other column is formatted where
+    it is met.
     """
+    memo = {} if memo is None else memo
+
+    def cells(table: np.ndarray) -> list[list[str]]:
+        out = []
+        for name in table.dtype.names:
+            col = table[name]
+            key = _column_key(col)
+            text = memo.get(key)
+            if text is None:
+                text = _cells(col, out_format)
+                if key in memo:
+                    memo[key] = text
+            out.append(text)
+        return out
+
     if out_format == "csv":
         lines = [f"# optospring {kind} {SCHEMA_VERSION}"]
         lines += [f"# {p}" for p in param_lines]
@@ -113,26 +148,21 @@ def write_table(
         for label, table in blocks:
             if label:
                 lines.append(f"# {label}")
-            cells = [_csv_cells(table[name]) for name in table.dtype.names]
-            lines += map(",".join, zip(*cells))
+            lines += map(",".join, zip(*cells(table)))
         _atomic_write(path, "\n".join(lines) + "\n")
     else:
-        doc = {
-            "schema": f"optospring.{kind}.{SCHEMA_VERSION}",
-            "params": param_lines,
-            "columns": columns,
-            "blocks": [
-                {
-                    "label": label,
-                    "rows": list(
-                        map(list, zip(*(_json_cells(table[n]) for n in table.dtype.names)))
-                    ),
-                }
-                for label, table in blocks
-            ],
-        }
-        # a dataset is checked cell by cell in write_datasets, which names the bad cell
-        _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
+        # the keys in sort_keys order with json.dumps' default separators
+        texts = []
+        for label, table in blocks:
+            rows = "], [".join(map(", ".join, zip(*cells(table))))
+            rows = f"[[{rows}]]" if len(table) else "[]"
+            texts.append(f'{{"label": {json.dumps(label)}, "rows": {rows}}}')
+        schema = f"optospring.{kind}.{SCHEMA_VERSION}"
+        text = (
+            f'{{"blocks": [{", ".join(texts)}], "columns": {json.dumps(columns)}, '
+            f'"params": {json.dumps(param_lines)}, "schema": {json.dumps(schema)}}}\n'
+        )
+        _atomic_write(path, text)
 
 
 def write_datasets(out_format: str, files: list[tuple]) -> None:
@@ -141,7 +171,9 @@ def write_datasets(out_format: str, files: list[tuple]) -> None:
     Every float column of every file is checked first: a non-finite cell
     raises :class:`SingularPointError` naming the file, the column and
     the first such data row (counted from 1 over all blocks), and no file
-    is written.
+    is written. A column with the same bits in several places is
+    formatted once: the files share a ``write_table`` memo of those
+    columns.
     """
     for path, _, _, columns, blocks in files:
         row = 0
@@ -156,8 +188,12 @@ def write_datasets(out_format: str, files: list[tuple]) -> None:
                     f"column {floats[j][0]!r}, data row {row + first + 1}"
                 )
             row += len(table)
+    keys = (
+        _column_key(t[name]) for *_, blocks in files for _, t in blocks for name in t.dtype.names
+    )
+    memo = {key: None for key, uses in Counter(keys).items() if uses > 1}  # shared columns only
     for path, kind, param_lines, columns, blocks in files:
-        write_table(path, kind, out_format, param_lines, columns, blocks)
+        write_table(path, kind, out_format, param_lines, columns, blocks, memo)
 
 
 def read_table(path: str):

@@ -303,7 +303,7 @@ def highfreq_optimum(
     root = math.sqrt(1.0 + beta * beta)
     omega_ref = sql_frequency(osc, coupling, constants)
     omega_min = omega_ref * root**0.5
-    ratio = root - beta
+    ratio = 1.0 / (root + beta) if beta > 0 else root - beta  # root - beta cancels for beta > 0
     level = ratio * free_mass_sql_level(osc, omega_min, constants)
     return OptimumPoint(
         coupling=coupling,
@@ -332,7 +332,13 @@ def coupling_optimum(
     beta = 0.5 * detuning / gamma
     root = math.sqrt(1.0 + beta * beta)
     ref = sql_point(osc, omega, constants)
-    ratio = root + beta * chi.real / float(np.abs(chi))  # the |chi| of sql_level
+    mag = float(np.abs(chi))  # the |chi| of sql_level
+    bc = beta * chi.real / mag
+    if bc < 0:  # root + bc cancels; rationalised with root^2 - bc^2 = 1 + (beta Im chi/|chi|)^2
+        bs = beta * chi.imag / mag
+        ratio = (1.0 + bs * bs) / (root - bc)
+    else:
+        ratio = root + bc
     return OptimumPoint(
         coupling=ref.coupling / root**0.5,
         detuning=detuning,

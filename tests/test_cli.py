@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optospring import WorkingPoint, stability
+from optospring import cli as cli_module
 from optospring import optimize as opt
 from optospring.cli import main, read_table, write_datasets, write_table
 from optospring.config import (
@@ -808,6 +809,21 @@ def _per_row_table(kind, out_format, param_lines, columns, blocks) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
+def _table(rows, dtypes) -> np.ndarray:
+    """A structured array of ``rows``, one field per dtype; no rows gives an empty table."""
+    cols = list(zip(*rows)) or [()] * len(dtypes)
+    return np.rec.fromarrays([np.array(col, dtype=t) for col, t in zip(cols, dtypes)])
+
+
+@pytest.fixture
+def format_calls(monkeypatch):
+    """The ``out_format`` of every ``cli._cells`` call, one entry per formatted column."""
+    calls = []
+    cells = cli_module._cells
+    monkeypatch.setattr(cli_module, "_cells", lambda col, fmt: calls.append(fmt) or cells(col, fmt))
+    return calls
+
+
 class TestColumnarWriter:
     SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e16, -2.5e-300)
     COLUMNS = ["x", "flag", "count", "y"]
@@ -849,3 +865,47 @@ class TestColumnarWriter:
         with pytest.raises(SingularPointError, match=r"b\.csv: column 'y', data row 5$"):
             write_datasets("csv", files)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_shared_columns_and_escaped_text(self, tmp_path, out_format):
+        # two files in one call share the x column; -0.0 and 0.0 columns side by side
+        x = [0.1 * i for i in range(5)]
+        first = [
+            ("label \"a\" \\ ψ", [(v, 0.0, -0.0, i % 2 == 0) for i, v in enumerate(x)]),
+            ("empty ψ", []),
+            ("", [(v, -0.0, 0.0, False) for v in x[:2]]),
+        ]
+        second = [("b", [(v, v * v) for v in x])]
+        files, expected = [], []
+        for name, columns, dtypes, blocks in (
+            ("a", ["x", "pos", "neg", "flag"], [float, float, float, bool], first),
+            ("b", ["x", "y"], [float, float], second),
+        ):
+            tables = [(label, _table(rows, dtypes)) for label, rows in blocks]
+            params = [f'quote " backslash \\ psi ψ in {name}']
+            path = tmp_path / f"{name}.{out_format}"
+            files.append((str(path), "test", params, columns, tables))
+            expected.append((path, _per_row_table("test", out_format, params, columns, blocks)))
+        write_datasets(out_format, files)
+        for path, text in expected:
+            assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("figure, formatted", [("fig4", 14), ("fig3", 10)])
+    def test_each_distinct_column_formatted_once(
+        self, tmp_path, format_calls, out_format, figure, formatted
+    ):
+        # fig4: 6 curves x 4 columns, of which omega and s_sql are shared; fig3: 4 curves
+        argv = ["figure", figure, "--grid", "0.5:50:10", "--format", out_format]
+        assert run([*argv, "--out", str(tmp_path / "out")], tmp_path) == 0
+        assert format_calls == [out_format] * formatted
+
+    def test_no_memo_shared_between_calls(self, tmp_path, format_calls):
+        rows = [(0.5, True), (-0.0, False)]
+        table = np.rec.fromarrays([np.array(col) for col in zip(*rows)])
+        for out_format in ("csv", "json"):
+            path = tmp_path / f"t.{out_format}"
+            write_datasets(out_format, [(str(path), "test", [], ["x", "flag"], [("", table)])])
+            expected = _per_row_table("test", out_format, [], ["x", "flag"], [("", rows)])
+            assert path.read_text() == expected
+        assert format_calls == ["csv", "csv", "json", "json"]

@@ -1,4 +1,6 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -352,6 +354,45 @@ class TestCouplingOptimum:
             beta = 0.5 * psi / cavity.gamma
             assert got.ratio_to_sql == pytest.approx(math.sqrt(1.0 + beta**2), rel=1e-12)
             assert got.ratio_to_sql >= 1.0
+
+
+class TestCancellingClosedForms:
+    """root -/+ beta c at |beta| = 1e6 and 1e8 against a 50-digit decimal oracle."""
+
+    BETAS = (1e6, -1e6, 1e8, -1e8)
+    GAMMA = 0.01
+
+    @staticmethod
+    def _oracle(beta: float, re: float = -1.0, im: float = 0.0) -> float:
+        """sqrt(1 + beta^2) + beta re / |re + i im|, in 50 digits."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            b, re, im = Decimal(beta), Decimal(re), Decimal(im)
+            return float((1 + b * b).sqrt() + b * re / (re * re + im * im).sqrt())
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_highfreq_optimum(self, beta):
+        osc = MechanicalOscillator(1.0, 1e-6, 1e-9)
+        detuning = 2.0 * self.GAMMA * beta
+        with warnings.catch_warnings():  # a negative detuning warns; its ratio is checked too
+            warnings.simplefilter("ignore", UserWarning)
+            best = highfreq_optimum(osc, 1.0, detuning, self.GAMMA)
+        ratio = self._oracle(0.5 * detuning / self.GAMMA)  # root - beta: c = -1
+        assert best.ratio_to_sql == pytest.approx(ratio, rel=1e-12)
+        free_mass_sql = 1.0 / (osc.mass * (best.omega * best.omega))
+        assert best.level == pytest.approx(ratio * free_mass_sql, rel=1e-12)
+
+    @pytest.mark.parametrize("damping", (0.0, 1e-9))
+    @pytest.mark.parametrize("omega", (0.5, 2.0))  # Re chi > 0, then Re chi < 0
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_coupling_optimum(self, beta, omega, damping):
+        osc = MechanicalOscillator(1.0, 1.0, damping)
+        detuning = 2.0 * self.GAMMA * beta
+        got = coupling_optimum(osc, omega, detuning, self.GAMMA)
+        chi = complex(mech_susceptibility(osc, omega))
+        ratio = self._oracle(0.5 * detuning / self.GAMMA, chi.real, chi.imag)
+        assert got.ratio_to_sql == pytest.approx(ratio, rel=1e-12)
+        assert got.level == pytest.approx(ratio * sql_point(osc, omega).level, rel=1e-12)
 
 
 class TestUltimateQuantumLimit:
