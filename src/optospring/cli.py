@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateDissipationError,
+    NoMeasurementError,
     SingularPointError,
 )
 
@@ -215,14 +216,14 @@ def read_table(path: str):
 
 
 def _out_path(cfg: RunConfig, default_stem: str) -> str:
-    return cfg.out_path or f"{default_stem}.{cfg.out_format}"
+    return cfg.output_path or f"{default_stem}.{cfg.output_format}"
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
     osc, gamma, constants = cfg.oscillator, cfg.cavity.gamma, cfg.constants
-    round_trip = cfg.cavity.round_trip if cfg.model == "finite" else 0.0
+    round_trip = cfg.cavity.round_trip if cfg.spectrum_model == "finite" else 0.0
     for wp in cfg.points:
         psi, xi = wp.detuning, wp.coupling
         try:  # a zero coupling raises ValueError; one past ~1e154 gives omega_sql = inf
@@ -241,7 +242,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         blocks.append((label, table))
     path = _out_path(cfg, "spectrum")
     columns = ["omega_norm", "s_sig", "s_sql", "ratio"]
-    write_datasets(cfg.out_format, [(path, "spectrum", cfg.param_lines(), columns, blocks)])
+    write_datasets(cfg.output_format, [(path, "spectrum", cfg.param_lines(), columns, blocks)])
     print(path)
     return 0
 
@@ -303,7 +304,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
             closed_form=closed_form,
             stability=asdict(stability(osc, cfg.cavity, wp_min, cfg.constants)),
         )
-    path = cfg.out_path or "optimize.json"
+    path = cfg.output_path or "optimize.json"
     _write_json(path, report)
     print(path)
     return 0
@@ -328,17 +329,10 @@ def cmd_stability(cfg: RunConfig) -> int:
     """Stability grid over (coupling^2, detuning), normalized axes."""
     xi_sql2 = _static_sql(cfg.oscillator, cfg.constants)[1]
     gamma = cfg.cavity.gamma
-    lo, hi, nx = cfg.stability_xi2
-    if lo <= 0:
-        raise ConfigError("stability.xi2 bounds must be positive")
-    xi2_norm = np.geomspace(lo, hi, int(nx))
-    plo, phi, npsi = cfg.stability_psi
-    psi_norm = np.linspace(plo, phi, int(npsi))
-    psi_abs = psi_norm * gamma
-    if psi_abs.min() <= -math.pi or psi_abs.max() > math.pi:
-        raise ConfigError("stability.psi window leaves the principal interval")
+    xi2_norm = np.geomspace(*cfg.stability_xi2)
+    psi_norm = np.linspace(*cfg.stability_psi)
     grid = core.stability_map(
-        cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_abs, cfg.constants
+        cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_norm * gamma, cfg.constants
     )
     # rows run over psi, then xi2; the flags are written as integers
     flags = [grid.static_ok.astype(int), grid.dynamic_ok.astype(int)]
@@ -348,7 +342,7 @@ def cmd_stability(cfg: RunConfig) -> int:
     path = _out_path(cfg, "stability")
     params = cfg.param_lines() + [f"xi2_norm unit = {xi_sql2!r}", f"psi_norm unit = {gamma!r}"]
     columns = ["xi2_norm", "psi_norm", "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"]
-    write_datasets(cfg.out_format, [(path, "stability", params, columns, [("", table)])])
+    write_datasets(cfg.output_format, [(path, "stability", params, columns, [("", table)])])
     print(path)
     return 0
 
@@ -379,8 +373,10 @@ def cmd_figure(
             raise ConfigError("--bandwidths must match --detunings in length")
         if not all(0 < b < math.inf for b in bws):
             raise ConfigError(f"--bandwidths must be finite and > 0, got {bws!r}")
-    if not all(-math.pi < r * gamma <= math.pi for r in ratios):
-        raise ConfigError(f"--detunings times gamma must lie in (-pi, pi], got {ratios!r}")
+    try:
+        core.check_detuning("--detunings times gamma", [r * gamma for r in ratios])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if len(ratios) > len(CURVE_LETTERS):
         raise ConfigError(f"a figure has at most {len(CURVE_LETTERS)} curves")
     if grid_flag is not None:  # the flag went through the config checks as grid.* overrides
@@ -428,14 +424,14 @@ def cmd_figure(
         "schema": f"optospring.figure.{SCHEMA_VERSION}",
         "figure": figure,
         "units": "normalized",
-        "format": cfg.out_format,
+        "format": cfg.output_format,
         "normalization": normalization,
         "parameters": {"gamma": gamma, "oscillator": asdict(osc)},
         "curves": {},
     }
     files = []
     for letter, r, bw, table in zip(CURVE_LETTERS, ratios, bws, tables):
-        entry = {"file": f"{figure}_curve_{letter}.{cfg.out_format}", "detuning_over_gamma": r}
+        entry = {"file": f"{figure}_curve_{letter}.{cfg.output_format}", "detuning_over_gamma": r}
         label = f"curve {letter}: detuning_over_gamma={r!r}"
         if bw is not None:
             entry["bandwidth_over_omega_sql"] = bw
@@ -443,7 +439,7 @@ def cmd_figure(
         path = os.path.join(out_dir, entry["file"])
         files.append((path, f"{figure}-curve", [label], columns, [("", table)]))
         manifest["curves"][letter] = entry
-    write_datasets(cfg.out_format, files)
+    write_datasets(cfg.output_format, files)
     manifest_path = os.path.join(out_dir, f"{figure}_manifest.json")
     _write_json(manifest_path, manifest)
     print(manifest_path)
@@ -518,16 +514,14 @@ def main(argv=None) -> int:
                 return cmd_optimize(cfg)
             if args.command == "stability":
                 return cmd_stability(cfg)
-            detunings = None
-            if args.detunings:
-                detunings = tuple(_parse_ratio(x) for x in args.detunings.split(","))
-            bandwidths = None
-            if args.bandwidths:
-                bandwidths = tuple(_parse_ratio(x) for x in args.bandwidths.split(","))
+            detunings, bandwidths = (  # a flag given empty is a bad ratio, not unset
+                None if text is None else tuple(_parse_ratio(x) for x in text.split(","))
+                for text in (args.detunings, args.bandwidths)
+            )
             return cmd_figure(
                 cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
             )
-    except (ConfigError, DegenerateDissipationError) as exc:
+    except (ConfigError, DegenerateDissipationError, NoMeasurementError) as exc:
         print(f"optospring: config error: {exc}", file=sys.stderr)
         return 2
     except SingularPointError as exc:

@@ -20,6 +20,7 @@ from .core import (
     MechanicalOscillator,
     OpticalCavity,
     WorkingPoint,
+    check_detuning,
 )
 from .errors import ConfigError
 
@@ -96,7 +97,11 @@ KNOWN_KEYS: dict[str, tuple] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters with the built domain objects."""
+    """Validated run parameters with the built domain objects.
+
+    A key not built into ``oscillator``, ``cavity`` or ``points`` is the field
+    ``key.replace(".", "_")``; ``output_path`` is ``""`` when unset.
+    """
 
     units: str
     constants: Constants
@@ -107,15 +112,15 @@ class RunConfig:
     grid_hi: float
     grid_points_per_decade: int
     grid_units: str
-    model: str
+    spectrum_model: str
     optimize_mode: str
     optimize_omega: float
     optimize_detuning: float
     optimize_omegas: tuple[float, ...]
     stability_xi2: tuple[float, float, int]
     stability_psi: tuple[float, float, int]
-    out_format: str
-    out_path: str | None
+    output_format: str
+    output_path: str
     raw: dict
 
     def param_lines(self) -> list[str]:
@@ -173,6 +178,8 @@ def build_run_config(
 
     ``values`` come from the config file (already env-overridden);
     ``overrides`` come from command-line flags and win over everything.
+    Every key is checked here, whichever command reads it, so a bad key is
+    a :class:`ConfigError` on every command.
     """
     raw = {key: default for key, (_, default) in KNOWN_KEYS.items()}
     raw.update(values or {})
@@ -187,7 +194,21 @@ def build_run_config(
         except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
-    constants = NORMALIZED if parsed["units"] == "normalized" else SI
+    detunings = parsed["points.detuning"]
+    couplings = parsed["points.coupling"]
+    if len(detunings) != len(couplings):
+        raise ConfigError(
+            "points.detuning and points.coupling must have the same length "
+            f"({len(detunings)} vs {len(couplings)})"
+        )
+    if not detunings:
+        raise ConfigError("working-point list is empty")
+    if not 0 < parsed["grid.lo"] < parsed["grid.hi"]:
+        raise ConfigError("grid bounds must satisfy 0 < lo < hi")
+    if parsed["grid.points_per_decade"] < 1:
+        raise ConfigError("grid.points_per_decade must be >= 1")
+    if not parsed["stability.xi2"][0] > 0:
+        raise ConfigError("stability.xi2 bounds must be positive")
     try:
         oscillator = MechanicalOscillator(
             mass=parsed["oscillator.mass"],
@@ -199,63 +220,22 @@ def build_run_config(
             round_trip=parsed["cavity.round_trip"],
             wavevector=1.0,  # no output depends on it: the coupling absorbs it
         )
+        points = tuple(WorkingPoint(d, c) for d, c in zip(detunings, couplings))
+        check_detuning("optimize.detuning", parsed["optimize.detuning"])
+        # linspace keeps the window's ends exactly, and gamma > 0 keeps their order
+        plo, phi, _ = parsed["stability.psi"]
+        check_detuning("stability.psi times cavity.gamma", (plo * cavity.gamma, phi * cavity.gamma))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    detunings = parsed["points.detuning"]
-    couplings = parsed["points.coupling"]
-    if len(detunings) != len(couplings):
-        raise ConfigError(
-            "points.detuning and points.coupling must have the same length "
-            f"({len(detunings)} vs {len(couplings)})"
-        )
-    if not detunings:
-        raise ConfigError("working-point list is empty")
-    try:
-        points = tuple(
-            WorkingPoint(detuning=d, coupling=c)
-            for d, c in zip(detunings, couplings)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        WorkingPoint(detuning=parsed["optimize.detuning"], coupling=0.0)
-    except ValueError as exc:
-        raise ConfigError(f"optimize.detuning: {exc}") from None
-
-    if not 0 < parsed["grid.lo"] < parsed["grid.hi"]:
-        raise ConfigError("grid bounds must satisfy 0 < lo < hi")
-    if parsed["grid.points_per_decade"] < 1:
-        raise ConfigError("grid.points_per_decade must be >= 1")
-
-    omegas = parsed["optimize.omegas"]
-    if not omegas:
-        # default sweep: a decade around the mechanical resonance
+    if not parsed["optimize.omegas"]:  # default sweep: a decade around the resonance
         om = oscillator.resonance_freq
-        omegas = tuple(
-            0.3 * om * (10.0 ** (i / 9.0)) for i in range(10)
-        )
-
+        parsed["optimize.omegas"] = tuple(0.3 * om * (10.0 ** (i / 9.0)) for i in range(10))
+    built = ("oscillator.", "cavity.", "points.")
+    fields = {k.replace(".", "_"): v for k, v in parsed.items() if not k.startswith(built)}
+    constants = NORMALIZED if parsed["units"] == "normalized" else SI
     return RunConfig(
-        units=parsed["units"],
-        constants=constants,
-        oscillator=oscillator,
-        cavity=cavity,
-        points=points,
-        grid_lo=parsed["grid.lo"],
-        grid_hi=parsed["grid.hi"],
-        grid_points_per_decade=parsed["grid.points_per_decade"],
-        grid_units=parsed["grid.units"],
-        model=parsed["spectrum.model"],
-        optimize_mode=parsed["optimize.mode"],
-        optimize_omega=parsed["optimize.omega"],
-        optimize_detuning=parsed["optimize.detuning"],
-        optimize_omegas=omegas,
-        stability_xi2=parsed["stability.xi2"],
-        stability_psi=parsed["stability.psi"],
-        out_format=parsed["output.format"],
-        out_path=parsed["output.path"] or None,
-        raw=raw,
+        constants=constants, oscillator=oscillator, cavity=cavity, points=points, raw=raw, **fields
     )
 
 

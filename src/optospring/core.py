@@ -13,7 +13,7 @@ Conventions
   output mean fields then carry the phases ``theta_in``/``theta_out``.
 * Field amplitudes are normalized so that |amplitude|^2 is a photon flux.
 * Detunings are round-trip phases reduced to (-pi, pi]; reduction is the
-  caller's job (see :func:`wrap_phase`) and is enforced at construction.
+  caller's job (see :func:`wrap_phase`); :func:`check_detuning` checks it.
 """
 
 from __future__ import annotations
@@ -48,11 +48,18 @@ def wrap_phase(x: float) -> float:
     return r
 
 
-def _check_phase(name: str, value: float) -> None:
-    if not (-math.pi < value <= math.pi):
-        raise ValueError(
-            f"{name} must lie in (-pi, pi]; got {value!r} (use wrap_phase)"
-        )
+def check_detuning(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value``, or each element of an array, lies in (-pi, pi].
+
+    The one range check of a detuning (:func:`wrap_phase` reduces into it).
+    A Python float in range, as the scalar Brent polish passes, skips numpy.
+    """
+    if type(value) is float and -math.pi < value <= math.pi:
+        return
+    value = np.asarray(value, dtype=float)
+    bad = value[~((-math.pi < value) & (value <= math.pi))].tolist()
+    if bad:
+        raise ValueError(f"{name} must lie in (-pi, pi], got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ class WorkingPoint:
     def __post_init__(self):
         object.__setattr__(self, "detuning", float(self.detuning))
         object.__setattr__(self, "coupling", float(self.coupling))
-        _check_phase("detuning", self.detuning)
+        check_detuning("detuning", self.detuning)
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling!r}")
 
@@ -492,8 +499,7 @@ def stability_map(
     """
     coupling2 = np.asarray(coupling2, dtype=float)
     detunings = np.asarray(detunings, dtype=float)
-    if not np.all((-math.pi < detunings) & (detunings <= math.pi)):
-        raise ValueError("detunings must lie in (-pi, pi] (use wrap_phase)")
+    check_detuning("detunings", detunings)
     if np.any(coupling2 < 0):
         raise ValueError("coupling2 must be >= 0")
     margins = stability_margins(osc, cavity, detunings[:, None], np.sqrt(coupling2), constants)

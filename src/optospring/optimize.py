@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NORMALIZED, Constants, MechanicalOscillator
+from .core import NORMALIZED, Constants, MechanicalOscillator, check_detuning
 from .errors import DegenerateDissipationError
 from .quasistatic import noise_over_coupling, sql_point
 
@@ -52,8 +52,7 @@ class SearchSpec:
                 raise ValueError(f"{name} must be finite and ordered, got {lo, hi}")
         if not self.xi2_bounds[0] > 0:
             raise ValueError(f"xi2_bounds must be positive, got {self.xi2_bounds}")
-        if not (-math.pi < self.psi_bounds[0] and self.psi_bounds[1] <= math.pi):
-            raise ValueError(f"psi_bounds must lie in (-pi, pi], got {self.psi_bounds}")
+        check_detuning("psi_bounds", self.psi_bounds)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if self.max_iter < 1 or self.seed_points < 3:

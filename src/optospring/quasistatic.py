@@ -92,7 +92,8 @@ def noise_over_coupling(
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
-    psi = WorkingPoint(detuning, 0.0).detuning
+    psi = float(detuning)
+    core.check_detuning("detuning", psi)
     u2 = gamma * gamma + psi * psi
     if not u2 > 0:
         raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")

@@ -102,7 +102,7 @@ class TestConfig:
     def test_flag_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(env_name("output.format"), "json")
         cfg = load_run_config(None, {"output.format": "csv"})
-        assert cfg.out_format == "csv"
+        assert cfg.output_format == "csv"
 
     def test_invalid_domain_value(self):
         with pytest.raises(ConfigError):
@@ -118,7 +118,7 @@ class TestConfig:
         assert reparsed.cavity == cfg.cavity
         assert reparsed.oscillator == cfg.oscillator
         assert reparsed.points == cfg.points
-        assert reparsed.model == cfg.model
+        assert reparsed.spectrum_model == cfg.spectrum_model
 
 
 class TestSpectrumCommand:
@@ -374,6 +374,9 @@ class TestBadInputsExit2:
             (["optimize", "--mode", "xi"], "oscillator.resonance_freq = 1e200\n", None),
             (["optimize", "--mode", "detuning"], "oscillator.resonance_freq = 1e200\n", None),
             (["optimize", "--mode", "uql-sweep"], "oscillator.resonance_freq = 1e200\n", None),
+            (["figure", "fig2", "--grid", "1e-300:1e-299:2"], "oscillator.mass = 1e-30\n", None),
+            (["figure", "fig4", "--detunings="], None, None),
+            (["figure", "fig4", "--bandwidths="], None, None),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -405,12 +408,31 @@ class TestBadInputsExit2:
             "xi-overflowing-resonance",
             "detuning-overflowing-resonance",
             "uql-sweep-overflowing-resonance",
+            "fig2-underflowing-coupling",
+            "fig4-empty-detunings",
+            "fig4-empty-bandwidths",
         ],
     )
     def test_config_error(self, tmp_path, capsys, monkeypatch, args, config_text, env):
         out = tmp_path / "out"
         assert run([*args, "--out", str(out)], tmp_path, config_text, env, monkeypatch) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config_text",
+        ["stability.xi2 = 0:1:11\n", "stability.psi = -400:0:11\n"],
+        ids=["xi2-from-zero", "psi-window-outside"],
+    )
+    @pytest.mark.parametrize(
+        "args", [["spectrum"], ["optimize"], ["figure", "fig3"]], ids=["spectrum", "optimize", "fig3"]
+    )
+    def test_every_key_checked_on_every_command(self, tmp_path, capsys, args, config_text):
+        # the stability keys are checked when the config is built, not by the stability command
+        out = tmp_path / "out"
+        assert run([*args, "--out", str(out)], tmp_path, config_text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: config error: stability.") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

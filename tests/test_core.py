@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optospring
+from optospring import core
 from optospring import (
     MechanicalOscillator,
     OpticalCavity,
@@ -56,6 +58,34 @@ class TestTypes:
 
     def test_bandwidth(self, cavity):
         assert cavity.bandwidth == pytest.approx(10.0)
+
+
+class TestCheckDetuning:
+    """``core.check_detuning``: the one (-pi, pi] check, for scalars and arrays alike."""
+
+    PI = math.pi
+    INSIDE = [math.nextafter(-PI, 0.0), 0.0, -0.0, PI, math.nextafter(PI, 0.0)]
+    OUTSIDE = [-PI, math.nextafter(-PI, -4.0), math.nextafter(PI, 4.0), 4.0, math.nan, math.inf]
+
+    @pytest.mark.parametrize("value", INSIDE)
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    def test_accepts_inside(self, kind, value):
+        assert core.check_detuning("psi", kind(value)) is None
+
+    @pytest.mark.parametrize("value", OUTSIDE)
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    def test_rejects_outside_naming_it(self, kind, value):
+        with pytest.raises(ValueError, match=re.escape(f"psi must lie in (-pi, pi], got {value!r}")):
+            core.check_detuning("psi", kind(value))
+
+    def test_array_names_first_value_outside(self):
+        core.check_detuning("psi", np.array(self.INSIDE).reshape(5, 1))
+        core.check_detuning("psi", tuple(self.INSIDE))
+        values = np.array([[0.5, -self.PI], [4.0, self.PI]])
+        with pytest.raises(ValueError, match=re.escape("got -3.141592653589793")):
+            core.check_detuning("psi", values)
+        with pytest.raises(ValueError, match="got 4.0"):
+            core.check_detuning("psi", [0.5, 4.0, math.nan])
 
 
 class TestSusceptibility:

@@ -1,9 +1,13 @@
 """Package layout: no module reads a private name of a sibling module, the
 formulas shared by scalar and array routes use no ``**``, one place
 builds a ``StabilityReport``, no module forms a noise from the
-transfer coefficients, and no module imports scipy."""
+transfer coefficients, no module imports scipy, one function checks the
+detuning range, and the names the benchmark harness reads still exist."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -200,3 +204,72 @@ def test_scipy_checker_sees_every_import_form():
         "def f():\n    import scipy.special\nimport scipyx\nfrom . import scipy\n"
     )
     assert scipy_imports(source) == [1, 2, 3, 5]
+
+
+def pi_comparisons(source: str, module: str) -> list[tuple[str, int]]:
+    """``(module.name, line)`` of every comparison with ``pi`` in ``source``.
+
+    ``name`` is the top-level function or class holding the comparison,
+    ``<module>`` outside any; ``pi`` is any ``x.pi`` or a bare ``pi``.
+    """
+    hits = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                (isinstance(n, ast.Attribute) and n.attr == "pi")
+                or (isinstance(n, ast.Name) and n.id == "pi")
+                for operand in (node.left, *node.comparators)
+                for n in ast.walk(operand)
+            ):
+                hits.append((f"{module}.{getattr(top, 'name', '<module>')}", node.lineno))
+    return hits
+
+
+def test_one_detuning_range_check():
+    # the (-pi, pi] rule lives in check_detuning; wrap_phase reduces into it
+    hits = [
+        hit
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in pi_comparisons(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert {name for name, _ in hits} == {"core.wrap_phase", "core.check_detuning"}, hits
+
+
+def test_pi_checker_sees_every_comparison_form():
+    source = (
+        "def f(x):\n    return -math.pi < x <= math.pi\n"
+        "class C:\n    def g(self, x):\n        return x > 2 * np.pi\n"
+        "y = 2.0 * math.pi\nz = [v for v in w if v <= pi]\nok = x < p.ip\n"
+    )
+    assert pi_comparisons(source, "m") == [("m.f", 2), ("m.C", 5), ("m.<module>", 7)]
+
+
+# Names that bench/tracer.py and bench/workloads.py read by attribute or
+# parameter name: a rename breaks traced benchmark runs, not any other test.
+BENCH_CONFIG_FIELDS = (
+    "cavity", "constants", "oscillator", "points", "grid_lo", "grid_hi",
+    "grid_points_per_decade", "optimize_omega", "stability_xi2", "stability_psi",
+)
+BENCH_PARAMETERS = [
+    ("quasistatic", "equivalent_input_noise", "omega"),
+    ("optimize", "minimize_xi_quasistatic", "spec"),
+    ("optimize", "minimize_over_detuning", "spec"),
+    ("cli", "write_table", "blocks"),
+    ("cli", "_atomic_write", "text"),
+]
+
+
+def test_names_the_benchmark_reads():
+    from optospring import core, optimize
+    from optospring.config import RunConfig
+
+    def field_names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(BENCH_CONFIG_FIELDS) <= field_names(RunConfig)
+    assert "wavevector" in field_names(core.OpticalCavity)
+    assert "constraint_active" in field_names(optimize.OptimResult)
+    assert core.OpticalCavity(0.01, 1e-3, wavevector=2.0).wavevector == 2.0
+    for module, name, parameter in BENCH_PARAMETERS:
+        func = getattr(importlib.import_module(f"optospring.{module}"), name)
+        assert parameter in inspect.signature(func).parameters, (module, name, parameter)
