@@ -329,11 +329,13 @@ def cmd_stability(cfg: RunConfig) -> int:
     """Stability grid over (coupling^2, detuning), normalized axes."""
     xi_sql2 = _static_sql(cfg.oscillator, cfg.constants)[1]
     gamma = cfg.cavity.gamma
-    xi2_norm = np.geomspace(*cfg.stability_xi2)
-    psi_norm = np.linspace(*cfg.stability_psi)
-    grid = core.stability_map(
-        cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_norm * gamma, cfg.constants
-    )
+    xi2_norm, psi_norm = np.geomspace(*cfg.stability_xi2), np.linspace(*cfg.stability_psi)
+    try:  # stability_map checks the window times gamma against (-pi, pi]
+        grid = core.stability_map(
+            cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_norm * gamma, cfg.constants
+        )
+    except ValueError as exc:
+        raise ConfigError(f"stability.psi times cavity.gamma: {exc}") from None
     # rows run over psi, then xi2; the flags are written as integers
     flags = [grid.static_ok.astype(int), grid.dynamic_ok.astype(int)]
     cells = [a.ravel() for a in (*flags, grid.static_margin, grid.dynamic_margin)]

@@ -420,19 +420,36 @@ class TestBadInputsExit2:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "config_text",
-        ["stability.xi2 = 0:1:11\n", "stability.psi = -400:0:11\n"],
-        ids=["xi2-from-zero", "psi-window-outside"],
-    )
-    @pytest.mark.parametrize(
         "args", [["spectrum"], ["optimize"], ["figure", "fig3"]], ids=["spectrum", "optimize", "fig3"]
     )
-    def test_every_key_checked_on_every_command(self, tmp_path, capsys, args, config_text):
-        # the stability keys are checked when the config is built, not by the stability command
+    def test_every_key_checked_on_every_command(self, tmp_path, capsys, args):
+        # stability.xi2 is checked when the config is built, not by the stability command
         out = tmp_path / "out"
-        assert run([*args, "--out", str(out)], tmp_path, config_text) == 2
+        assert run([*args, "--out", str(out)], tmp_path, "stability.xi2 = 0:1:11\n") == 2
         err = capsys.readouterr().err
-        assert err.startswith("optospring: config error: stability.") and err.count("\n") == 1
+        assert err.startswith("optospring: config error: stability.xi2") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "gamma, args",
+        [
+            (0.5, ["spectrum"]),
+            (0.5, ["optimize"]),
+            (0.5, ["figure", "fig3", "--detunings=0,2,5"]),
+            (0.3, ["figure", "fig3"]),
+        ],
+        ids=["spectrum", "optimize", "fig3-detunings", "fig3"],
+    )
+    def test_psi_window_checked_only_by_stability(self, tmp_path, capsys, gamma, args):
+        # the default window -12:2 times a gamma above pi/12 leaves (-pi, pi]: a rule
+        # of two keys, refused by the one command that reads the window
+        config_text = f"cavity.gamma = {gamma}\n"
+        assert run([*args, "--out", str(tmp_path / "out")], tmp_path, config_text) == 0
+        capsys.readouterr()
+        out = tmp_path / "stability.csv"
+        assert run(["stability", "--out", str(out)], tmp_path, config_text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: config error: stability.psi") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
