@@ -375,8 +375,12 @@ def cmd_figure(
             raise ConfigError("--bandwidths must match --detunings in length")
         if not all(0 < b < math.inf for b in bws):
             raise ConfigError(f"--bandwidths must be finite and > 0, got {bws!r}")
+    # without the flag, the ratios out of range are the figure's own
+    name = "--detunings times gamma"
+    if detunings is None:
+        name = f"{figure} default detuning/gamma ratios times cavity.gamma"
     try:
-        core.check_detuning("--detunings times gamma", [r * gamma for r in ratios])
+        core.check_detuning(name, [r * gamma for r in ratios])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if len(ratios) > len(CURVE_LETTERS):

@@ -221,6 +221,7 @@ def build_run_config(
             round_trip=parsed["cavity.round_trip"],
             wavevector=1.0,  # no output depends on it: the coupling absorbs it
         )
+        check_detuning("points.detuning", detunings)
         points = tuple(WorkingPoint(d, c) for d, c in zip(detunings, couplings))
         check_detuning("optimize.detuning", parsed["optimize.detuning"])
     except ValueError as exc:

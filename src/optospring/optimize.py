@@ -13,6 +13,8 @@ where the objective spans decades but is nearly quadratic around its
 minimum. A coupling objective must broadcast over an array of couplings
 (wrap a scalar-only one in ``np.vectorize``), so each pre-scan is one
 call; the quasi-static noise gives the same bits on arrays and scalars.
+A detuning search makes the coupling pre-scans of all its seed detunings
+in one call, on a column of detunings, and polishes each one alone.
 """
 
 from __future__ import annotations
@@ -168,7 +170,9 @@ def _seeded_search(f, nodes, seed_vals, spec: SearchSpec):
     """
     j = int(np.argmin(seed_vals))
     i = min(max(j, 1), len(nodes) - 2)
-    x, fx, nfev, ok = _bounded_brent(f, nodes[i - 1], nodes[i + 1], spec.rel_tol, spec.max_iter)
+    # a Python-float bracket keeps the polish off numpy scalar arithmetic (same bits)
+    a, b = float(nodes[i - 1]), float(nodes[i + 1])
+    x, fx, nfev, ok = _bounded_brent(f, a, b, spec.rel_tol, spec.max_iter)
     if seed_vals[j] < fx:  # polish must never lose to its own seed
         return nodes[j], seed_vals[j], nfev, ok
     return x, fx, nfev, ok
@@ -183,7 +187,7 @@ def _seed_couplings(lo: float, hi: float, n: int):
     return t, seed_xi
 
 
-def minimize_over_xi(objective, spec: SearchSpec = SearchSpec()) -> OptimResult:
+def minimize_over_xi(objective, spec: SearchSpec = SearchSpec(), *, seed_vals=None) -> OptimResult:
     """Minimize a noise objective over the coupling.
 
     ``objective`` maps a coupling value to a noise level (quasi-static or
@@ -191,12 +195,17 @@ def minimize_over_xi(objective, spec: SearchSpec = SearchSpec()) -> OptimResult:
     couplings elementwise: the seed scan is one call on all seed
     couplings, while the polish calls it on scalars (a winning seed keeps
     its scan value). Wrap a scalar-only objective in ``np.vectorize``.
+    ``seed_vals``, when given, is that seed scan computed by the caller:
+    ``objective`` at the ``spec.seed_points`` seed couplings, which a
+    detuning search takes for all its detunings in one call.
     The search runs on log(coupling^2): a deterministic seed scan
     brackets the minimum, then a bounded Brent polish finishes.
     ``at_bound`` flags an optimum at either end of the log(coupling^2) range.
     """
     t, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
-    seed_vals = np.asarray(objective(seed_xi), dtype=float)
+    seed_vals = np.asarray(objective(seed_xi) if seed_vals is None else seed_vals, dtype=float)
+    if seed_vals.shape != t.shape:
+        raise ValueError(f"seed_vals must hold {t.size} values, got shape {seed_vals.shape}")
 
     def scalar(u):
         return objective(math.sqrt(math.exp(u)))
@@ -248,15 +257,19 @@ def minimize_over_detuning(
         )
     evals = 0
 
-    def level(psi: float) -> float:
+    def level(psi: float, seed_vals=None) -> float:
         nonlocal evals
-        r = minimize_over_xi(noise_over_coupling(osc, gamma, psi, omega, constants), spec)
+        objective = noise_over_coupling(osc, gamma, psi, omega, constants)
+        r = minimize_over_xi(objective, spec, seed_vals=seed_vals)
         evals += r.iterations
         return r.level
 
     lo, hi = spec.psi_bounds
     p = np.linspace(lo, hi, spec.seed_points)
-    seed_vals = np.array([level(pi) for pi in p])
+    # the coupling seed scans of all seed detunings in one call, row i at p[i]
+    _, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
+    scans = noise_over_coupling(osc, gamma, p[:, None], omega, constants)(seed_xi)
+    seed_vals = np.array([level(psi, row) for psi, row in zip(p.tolist(), scans)])
     psi_opt, _, _, ok = _seeded_search(level, p, seed_vals, spec)
     psi_opt = float(psi_opt)
     # the SQL reference is read only at the optimum

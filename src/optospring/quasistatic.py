@@ -88,14 +88,23 @@ def noise_over_coupling(
     A float omega is set up and checked at the build, an array omega at the call, in blocks
     (:func:`core.blockwise`), with an array coupling broadcast to its shape. A noise denominator
     of 0, at an undamped resonance or by underflow, raises ``SingularPointError`` naming the
-    first omega where it occurs.
+    first omega where it occurs. An array detuning takes a float omega only (else
+    ``ValueError``) and broadcasts against the coupling, each cell the bits of its scalar
+    detuning's closure: ``detuning[:, None]`` and a coupling row give one scan per detuning.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
-    psi = float(detuning)
+    # a scalar detuning stays a Python float for the scalar Brent polish; the type
+    # test first, since np.ndim of a float costs about 1 us on every build
+    if type(detuning) is float or np.ndim(detuning) == 0:
+        psi = float(detuning)
+    elif np.ndim(omega) == 0:
+        psi = np.asarray(detuning, dtype=float)
+    else:
+        raise ValueError("an array detuning needs a float omega")
     core.check_detuning("detuning", psi)
     u2 = gamma * gamma + psi * psi
-    if not u2 > 0:
+    if not (u2 > 0 if type(u2) is float else np.all(u2 > 0)):
         raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
     if np.ndim(omega) == 0:  # a scalar frequency stays a Python float for the scalar Brent polish
         return _noise_closure(osc, gamma, psi, u2, float(omega), constants, round_trip)
@@ -106,7 +115,10 @@ def noise_over_coupling(
 
 
 def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
-    """The setup of :func:`noise_over_coupling` at a float or an array omega, and its closure."""
+    """The setup of :func:`noise_over_coupling` at a float or an array omega, and its closure.
+
+    ``psi`` is a float, or an array of detunings when ``omega`` is a float.
+    """
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2

@@ -431,6 +431,34 @@ class TestBadInputsExit2:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, config_text, message",
+        [
+            (
+                ["spectrum"],
+                "points.detuning = 4\n",
+                "points.detuning must lie in (-pi, pi], got 4.0",
+            ),
+            (
+                ["figure", "fig3"],
+                "cavity.gamma = 0.35\n",
+                "fig3 default detuning/gamma ratios times cavity.gamma must lie in (-pi, pi], "
+                "got 3.5",
+            ),
+            (
+                ["figure", "fig3", "--detunings=0,20"],
+                "cavity.gamma = 0.35\n",
+                "--detunings times gamma must lie in (-pi, pi], got 7.0",
+            ),
+        ],
+        ids=["points-detuning", "figure-default-ratios", "figure-detunings-flag"],
+    )
+    def test_detuning_error_names_its_source(self, tmp_path, capsys, args, config_text, message):
+        out = tmp_path / "out"
+        assert run([*args, "--out", str(out)], tmp_path, config_text) == 2
+        assert capsys.readouterr().err == f"optospring: config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "gamma, args",
         [
             (0.5, ["spectrum"]),

@@ -2,7 +2,8 @@
 formulas shared by scalar and array routes use no ``**``, one place
 builds a ``StabilityReport``, no module forms a noise from the
 transfer coefficients, no module imports scipy, one function checks the
-detuning range, and the names the benchmark harness reads still exist."""
+detuning range, each checking route shares no code with what it checks,
+and the names the benchmark harness reads still exist."""
 
 import ast
 import dataclasses
@@ -242,6 +243,123 @@ def test_pi_checker_sees_every_comparison_form():
         "y = 2.0 * math.pi\nz = [v for v in w if v <= pi]\nok = x < p.ip\n"
     )
     assert pi_comparisons(source, "m") == [("m.f", 2), ("m.C", 5), ("m.<module>", 7)]
+
+
+def call_graph(sources) -> tuple[dict[str, set[str]], set[str]]:
+    """Name-level call graph of the top-level functions and classes in ``sources``.
+
+    Maps each name to the names it calls, as ``f()`` or ``anything.f()``, kept
+    only where they are defined in ``sources``; a class calls what its methods
+    and fields call, a repeated name what each of its bodies calls. Also
+    returns the names that are functions, as opposed to classes.
+    """
+    graph, functions = {}, set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(top, ast.FunctionDef):
+                    functions.add(top.name)
+                graph.setdefault(top.name, set()).update(
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call)
+                )
+    return {name: calls & graph.keys() for name, calls in graph.items()}, functions
+
+
+# Primitives that a checking route may share with what it checks: the
+# detuning range, the free response, the coupling-to-field conversion and
+# the SQL reference. The walk stops at them.
+SHARED_PRIMITIVES = frozenset(
+    {"check_detuning", "mech_susceptibility", "kappa_for_coupling", "sql_point", "sql_level"}
+)
+
+
+def reach(graph: dict[str, set[str]], start: str) -> set[str]:
+    """Every name ``start`` calls, directly or through others, not entering a shared primitive."""
+    seen, todo = set(), [start]
+    while todo:
+        for callee in graph[todo.pop()]:
+            if callee not in seen:
+                seen.add(callee)
+                if callee not in SHARED_PRIMITIVES:
+                    todo.append(callee)
+    return seen
+
+
+def shared_code(sources, checker: str, checked) -> list[str]:
+    """Functions that ``checker`` reaches and ``checked`` is or reaches, shared primitives aside.
+
+    Classes are records and errors: their construction is followed, not counted.
+    """
+    graph, functions = call_graph(sources)
+    other = set(checked).union(*(reach(graph, name) for name in checked))
+    return sorted((reach(graph, checker) & other & functions) - SHARED_PRIMITIVES)
+
+
+CLOSED_OPTIMA = (
+    "coupling_optimum",
+    "lowfreq_optimum",
+    "highfreq_optimum",
+    "ultimate_quantum_limit",
+    "equivalent_input_noise_closed_form",
+)
+# each numeric or oracle route, and the closed forms it checks and must not reach
+INDEPENDENT_ROUTES = [
+    ("minimize_over_xi", CLOSED_OPTIMA),
+    ("minimize_xi_quasistatic", CLOSED_OPTIMA),
+    ("minimize_over_detuning", CLOSED_OPTIMA),
+    (
+        "full_transfer_by_solve",
+        ("noise_over_coupling", "equivalent_input_noise", "equivalent_input_noise_closed_form"),
+    ),
+    (
+        "effective_susceptibility_poles",
+        ("stability", "stability_margins", "stability_map", "effective_damping",
+         "static_coupling2_bound"),
+    ),
+    ("equivalent_input_noise_closed_form", ("noise_over_coupling", "equivalent_input_noise")),
+]
+
+
+def package_sources() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+
+
+@pytest.mark.parametrize("checker, checked", INDEPENDENT_ROUTES)
+def test_routes_independent_of_what_they_check(checker, checked):
+    sources = package_sources()
+    graph, _ = call_graph(sources)
+    assert {checker, *checked} <= graph.keys()
+    assert shared_code(sources, checker, checked) == []
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "def minimize_over_detuning(osc, gamma, omega):\n    return coupling_optimum(osc, omega)\n",
+        "def _polish(f):\n    return ultimate_quantum_limit(f)\n"
+        "def minimize_over_xi(objective):\n    return opt._polish(objective)\n",
+        "def minimize_xi_quasistatic(osc, gamma):\n    return invert_susceptibility(osc)\n",
+    ],
+    ids=["direct", "through-helper", "shared-helper"],
+)
+def test_independence_checker_flags_a_closed_form_reached(extra):
+    # each extra body adds its calls to the package function of that name
+    checker = ast.parse(extra).body[-1].name
+    assert shared_code([*package_sources(), extra], checker, CLOSED_OPTIMA) != []
+
+
+def test_independence_checker_stops_at_shared_primitives():
+    source = (
+        "def sql_point(osc):\n    return helper(osc)\n"
+        "def helper(osc):\n    return osc\n"
+        "def closed(osc):\n    return sql_point(osc), helper(osc)\n"
+        "def search(osc):\n    return sql_point(osc)\n"
+    )
+    assert shared_code([source], "search", ("closed",)) == []
+    helper_call = "def search(osc):\n    return helper(osc)\n"
+    assert shared_code([source, helper_call], "search", ("closed",)) == ["helper"]
 
 
 # Names that bench/tracer.py and bench/workloads.py read by attribute or

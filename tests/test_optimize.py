@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from optospring import (
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
-from optospring.optimize import _bounded_brent
+from optospring.optimize import AT_BOUND_TOL, OptimResult, _bounded_brent
 
 GAMMA = 0.01
 
@@ -216,8 +217,78 @@ class TestMinimizeOverXi:
         res = minimize_xi_quasistatic(osc, GAMMA, -0.05, 0.5)
         assert res.converged and not res.at_bound
 
+    def test_given_seed_scan_replaces_the_call(self, osc):
+        objective = noise_over_coupling(osc, GAMMA, -0.05, 0.5)
+        xi = np.sqrt(np.exp(np.linspace(*map(math.log, SearchSpec().xi2_bounds), 60)))
+        given_scan = minimize_over_xi(objective, seed_vals=objective(xi).tolist())
+        assert given_scan == minimize_over_xi(objective)
+
+    @pytest.mark.parametrize("n", [0, 59, 61])
+    def test_seed_vals_of_wrong_length_refused(self, osc, n):
+        objective = noise_over_coupling(osc, GAMMA, -0.05, 0.5)
+        with pytest.raises(ValueError, match="seed_vals must hold 60 values"):
+            minimize_over_xi(objective, seed_vals=np.ones(n))
+
+
+def _per_seed_detuning_search(osc, gamma, omega, spec=SearchSpec()):
+    """Reference route: each seed detuning runs its own coupling seed scan, and
+    the detuning polish runs between numpy-scalar seed nodes."""
+    evals = 0
+
+    def level(psi):
+        nonlocal evals
+        res = minimize_over_xi(noise_over_coupling(osc, gamma, psi, omega), spec)
+        evals += res.iterations
+        return res.level
+
+    lo, hi = spec.psi_bounds
+    p = np.linspace(lo, hi, spec.seed_points)
+    seed_vals = np.array([level(psi) for psi in p])
+    j = int(np.argmin(seed_vals))
+    i = min(max(j, 1), len(p) - 2)
+    psi, fx, _, ok = _bounded_brent(level, p[i - 1], p[i + 1], spec.rel_tol, spec.max_iter)
+    psi = float(p[j] if seed_vals[j] < fx else psi)
+    best = minimize_xi_quasistatic(osc, gamma, psi, omega, spec)
+    return replace(
+        best,
+        iterations=evals + best.iterations,
+        converged=ok and best.converged,
+        at_bound=min(psi - lo, hi - psi) <= AT_BOUND_TOL * (hi - lo),
+    )
+
 
 class TestMinimizeOverDetuning:
+    @pytest.mark.parametrize(
+        "omega, spec",
+        [
+            (0.5, SearchSpec()),  # the closed-form detuning lies outside (-pi, pi)
+            (2.0, SearchSpec()),
+            (0.95, SearchSpec()),  # inside
+            (1.05, SearchSpec()),
+            (0.97, SearchSpec(psi_bounds=(-0.5, 1.0), seed_points=17)),
+        ],
+    )
+    def test_equals_per_seed_route(self, high_q_osc, omega, spec):
+        # the one-call seed scan and the Python-float bracket give every field of
+        # the per-seed route, iterations and types included
+        got = minimize_over_detuning(high_q_osc, GAMMA, omega, spec)
+        ref = _per_seed_detuning_search(high_q_osc, GAMMA, omega, spec)
+        for field in fields(OptimResult):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            assert a == b and type(a) is type(b), field.name
+
+    def test_polish_bracket_is_python_floats(self, high_q_osc, monkeypatch):
+        brackets = []
+
+        def recorded(f, a, b, xatol, maxiter):
+            brackets.append((type(a), type(b)))
+            return _bounded_brent(f, a, b, xatol, maxiter)
+
+        monkeypatch.setattr(optospring.optimize, "_bounded_brent", recorded)
+        minimize_over_detuning(high_q_osc, GAMMA, 0.95)
+        assert len(brackets) > SearchSpec().seed_points + 1
+        assert set(brackets) == {(float, float)}
+
     def test_zero_detuning_on_resonance(self, osc):
         res = minimize_over_detuning(osc, GAMMA, 1.0)
         assert res.converged

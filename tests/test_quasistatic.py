@@ -102,6 +102,54 @@ class TestNoiseScalarArrayBitEqual:
         assert batch.tobytes() == np.array(scalar).tobytes()
 
 
+class TestNoiseOverDetuningColumn:
+    """An array detuning at a float omega, broadcast against the coupling: each
+    cell has the bits of its scalar detuning's closure, as a detuning search needs."""
+
+    def test_rows_equal_scalar_closures(self, rng):
+        cells = 0
+        for _ in range(50):
+            osc = MechanicalOscillator(
+                10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
+            )
+            gamma, constants = 10 ** rng.uniform(-3, -0.1), Constants(10 ** rng.uniform(-2, 1))
+            omega = float(rng.choice([0.0, rng.uniform(0.0, 3.0) * osc.resonance_freq]))
+            psi = np.concatenate([rng.uniform(-3.14, 3.14, size=20), [-0.0, 0.0, math.pi]])
+            xi = 10 ** rng.uniform(-3, 3, size=60)
+            for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
+                grid = noise_over_coupling(osc, gamma, psi[:, None], omega, constants, round_trip)
+                rows = [
+                    noise_over_coupling(osc, gamma, p, omega, constants, round_trip)(xi)
+                    for p in psi.tolist()
+                ]
+                out = grid(xi)
+                assert out.shape == (psi.size, xi.size)
+                assert out.tobytes() == np.array(rows).tobytes()
+                cells += out.size
+        assert cells >= 100_000
+
+    def test_array_omega_refused(self, high_q_osc):
+        with pytest.raises(ValueError, match="array detuning needs a float omega"):
+            noise_over_coupling(high_q_osc, 0.01, np.array([[0.0], [0.1]]), np.array([0.5, 1.0]))
+
+    def test_checks_every_detuning(self, high_q_osc):
+        with pytest.raises(ValueError, match=r"detuning must lie in \(-pi, pi\], got 4.0"):
+            noise_over_coupling(high_q_osc, 0.01, np.array([0.1, 4.0]), 0.5)
+        with pytest.raises(SingularPointError, match=r"gamma=1e-300"):
+            noise_over_coupling(high_q_osc, 1e-300, np.array([0.1, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("psi", [0.3, np.float64(0.3), -0.0])
+    def test_scalar_detuning_skips_numpy_checks(self, high_q_osc, monkeypatch, psi):
+        # a scalar detuning at a float omega is built on Python floats: no check calls np.all
+        calls = []
+        np_all = np.all
+        monkeypatch.setattr(np, "all", lambda *a, **k: calls.append(a) or np_all(*a, **k))
+        noise_over_coupling(high_q_osc, 0.01, psi, 0.5)
+        assert calls == []
+        noise_over_coupling(high_q_osc, 0.01, np.array([psi]), 0.5)
+        assert calls != []
+
+
 class TestEquivalentInputNoise:
     def test_no_measurement(self, osc, cavity):
         with pytest.raises(NoMeasurementError):
