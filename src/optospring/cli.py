@@ -14,6 +14,7 @@ numerical singularity or a non-finite result, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,7 +82,7 @@ def _write_json(path: str, doc: dict) -> None:
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _cells(col: np.ndarray, out_format: str) -> list[str]:
+def _text(col: np.ndarray, out_format: str) -> list[str]:
     """A column's cells as text, a float as its shortest round-trip ``repr``.
 
     Flags are 0/1 in CSV and true/false in JSON; an integer is ``str(int)``
@@ -97,6 +98,24 @@ def _cells(col: np.ndarray, out_format: str) -> list[str]:
     if out_format == "json" and not np.isfinite(col).all():
         cells = [_JSON_NONFINITE.get(c, c) for c in cells]
     return cells
+
+
+def _cells(col: np.ndarray, out_format: str) -> list[str]:
+    """A column's cells as :func:`_text` writes them, each distinct value formatted once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 get their own
+    cells. A column of distinct values is formatted as it stands; any
+    other has its distinct values formatted and scattered back by a
+    binary search of its sorted bits.
+    """
+    bits = col.view(f"u{col.dtype.itemsize}")
+    ordered = np.sort(bits)
+    new = ordered[1:] != ordered[:-1]
+    if new.all():  # also a column of fewer than two cells
+        return _text(col, out_format)
+    distinct = ordered[np.concatenate(([True], new))]
+    text = np.array(_text(distinct.view(col.dtype), out_format), dtype=object)
+    return text[np.searchsorted(distinct, bits)].tolist()
 
 
 def _column_key(col: np.ndarray) -> tuple[str, bytes]:
@@ -118,10 +137,11 @@ def write_table(
     Each block is a ``(label, table)`` pair: ``table`` is a numpy
     structured array, one row per data row and one field per entry of
     ``columns``, in order, as built by ``np.rec.fromarrays(columns)``.
-    Each field is turned into text as a column by :func:`_cells`, and
-    both formats are joined from those strings: a JSON number is the
-    CSV's ``repr`` cell, and only the text fields (schema, params,
-    columns, labels) go through ``json.dumps``, so the JSON equals
+    Each field is turned into text as a column by :func:`_cells`, which
+    formats each distinct value of the column once, and both formats
+    are joined from those strings: a JSON number is the CSV's ``repr``
+    cell, and only the text fields (schema, params, columns, labels) go
+    through ``json.dumps``, so the JSON equals
     ``json.dumps(doc, sort_keys=True)`` of the same document. ``memo``
     holds the cells of the columns to reuse, by :func:`_column_key`,
     ``None`` until first formatted; any other column is formatted where
@@ -462,8 +482,14 @@ def _parse_ratio(text: str) -> float:
         raise ConfigError(f"bad ratio {text!r}: {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The flags; each one that sets a config key has that key as its ``dest``."""
+    """The flags; each one that sets a config key has that key as its ``dest``.
+
+    Built on the first call and shared after it: :func:`main` parses every
+    argv of a process with one parser, since ``parse_args`` keeps no state
+    on it and returns a fresh namespace each time.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file")
     common.add_argument("--out", metavar="PATH", help="output path (or directory for figure)")

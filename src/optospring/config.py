@@ -95,6 +95,13 @@ KNOWN_KEYS: dict[str, tuple] = {
 }
 
 
+def env_name(key: str) -> str:
+    return ENV_PREFIX + key.upper().replace(".", "_")
+
+
+ENV_KEYS = {env_name(key): key for key in KNOWN_KEYS}  # OPTOSPRING_* name -> key
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters with the built domain objects.
@@ -155,19 +162,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
-def env_name(key: str) -> str:
-    return ENV_PREFIX + key.upper().replace(".", "_")
-
-
 def apply_env_overrides(values: dict[str, str], environ=None) -> dict[str, str]:
     environ = os.environ if environ is None else environ
-    keys = {env_name(key): key for key in KNOWN_KEYS}
     out = dict(values)
-    for name, value in environ.items():
+    for name in environ:  # only a prefixed name has its value read
         if name.startswith(ENV_PREFIX):
-            if name not in keys:
+            if name not in ENV_KEYS:
                 raise ConfigError(f"unknown environment variable {name!r}")
-            out[keys[name]] = value
+            out[ENV_KEYS[name]] = environ[name]
     return out
 
 

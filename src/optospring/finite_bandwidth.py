@@ -60,10 +60,11 @@ class DipReport:
     """Positions and depths of the sensitivity dips of one spectrum.
 
     Depths are referenced to the SQL level at the balance frequency
-    ``omega_sql``; ``ratio_local_*`` compare against the SQL at the dip
-    itself. Predicted values are the large-detuning asymptotics: the
-    spring dip at omega_sql * sqrt(detuning / 2 gamma) (positive detuning
-    only), the optical dip at the loop resonance
+    ``omega_sql``; ``ratio_local_plus`` compares the loop (plus) dip
+    against the SQL at the dip itself, and ``below_sql_plus`` says whether
+    it lies below it. Predicted values are the large-detuning asymptotics:
+    the spring dip at omega_sql * sqrt(detuning / 2 gamma) (positive
+    detuning only), the optical dip at the loop resonance
     bandwidth * sqrt(1 + (detuning/gamma)^2), and a common depth
     2 (gamma / detuning)^2.
     """
@@ -74,7 +75,6 @@ class DipReport:
     omega_plus: float | None
     depth_minus: float | None
     depth_plus: float | None
-    ratio_local_minus: float | None
     ratio_local_plus: float | None
     below_sql_plus: bool | None
     predicted_omega_minus: float | None
@@ -251,10 +251,7 @@ def dip_analysis(
     else:
         minus = found[0]
 
-    def local_ratio(dip):
-        return dip[1] / sql_level(osc, dip[0], constants)
-
-    ratio_plus = local_ratio(plus) if plus else None
+    ratio_plus = plus[1] / sql_level(osc, plus[0], constants) if plus else None
     return DipReport(
         omega_sql=omega_sql,
         count=len(found),
@@ -262,7 +259,6 @@ def dip_analysis(
         omega_plus=plus[0] if plus else None,
         depth_minus=minus[1] / s_ref if minus else None,
         depth_plus=plus[1] / s_ref if plus else None,
-        ratio_local_minus=local_ratio(minus) if minus else None,
         ratio_local_plus=ratio_plus,
         below_sql_plus=(ratio_plus < 1.0) if plus else None,
         predicted_omega_minus=pred_minus,

@@ -3,8 +3,11 @@ import functools
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -18,6 +21,7 @@ from optospring import cli as cli_module
 from optospring import optimize as opt
 from optospring.cli import main, read_table, write_datasets, write_table
 from optospring.config import (
+    apply_env_overrides,
     build_run_config,
     env_name,
     load_run_config,
@@ -98,6 +102,17 @@ class TestConfig:
         monkeypatch.setenv(env_name("oscillator.mass"), "3.0")
         cfg = load_run_config(str(p))
         assert cfg.oscillator.mass == 3.0
+
+    def test_env_values_read_only_for_prefixed_names(self):
+        class Environ(dict):
+            def __getitem__(self, name):
+                read.append(name)
+                return super().__getitem__(name)
+
+        read = []
+        environ = Environ({"HOME": "/h", env_name("units"): "si", "PATH": "/p"})
+        assert apply_env_overrides({"units": "normalized"}, environ) == {"units": "si"}
+        assert read == [env_name("units")]
 
     def test_flag_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(env_name("output.format"), "json")
@@ -891,6 +906,19 @@ def format_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def float_reprs(monkeypatch):
+    """The values of every ``repr`` call made by ``cli``, one entry per formatted float."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli_module, "repr", counting, raising=False)
+    return calls
+
+
 class TestColumnarWriter:
     SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e16, -2.5e-300)
     COLUMNS = ["x", "flag", "count", "y"]
@@ -976,3 +1004,75 @@ class TestColumnarWriter:
             expected = _per_row_table("test", out_format, [], ["x", "flag"], [("", rows)])
             assert path.read_text() == expected
         assert format_calls == ["csv", "csv", "json", "json"]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_repeated_and_special_values(self, tmp_path, float_reprs, out_format):
+        # each distinct bit pattern is formatted once: -0.0 and 0.0, and nan and -nan, apart
+        specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, -math.nan]
+        rows = [(specials[i % 6], (3, -1, 3, 0)[i % 4], i % 3 == 0, 0.5 * i) for i in range(30)]
+        blocks = [("", rows), ("empty", []), ("one", rows[:1])]
+        tables = [(label, _table(r, [float, int, bool, float])) for label, r in blocks]
+        columns = ["special", "count", "flag", "x"]
+        path = tmp_path / f"t.{out_format}"
+        write_table(str(path), "test", out_format, [], columns, tables)
+        assert path.read_text() == _per_row_table("test", out_format, [], columns, blocks)
+        # 6 specials, 30 distinct x and the one-row block's 2 floats; JSON writes ints as
+        # floats, so it formats the 3 distinct counts and the one-row count as well
+        assert len(float_reprs) == {"csv": 6 + 30 + 2, "json": 6 + 30 + 2 + 3 + 1}[out_format]
+
+
+class TestParser:
+    ARGVS = (
+        ["figure", "fig4", "--detunings", "2,5", "--bandwidths", "1,1", "--format", "json"],
+        ["figure", "fig4"],
+        ["stability", "--si"],
+        ["stability"],
+        ["stability", "--mode", "xi"],  # a flag of another subcommand: argparse exits 2
+        ["figure", "fig2", "--format", "json"],
+    )
+
+    @staticmethod
+    def _tree(path: pathlib.Path) -> dict:
+        if path.is_file():
+            return {"": path.read_bytes()}
+        return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+    def test_built_once_per_process(self, tmp_path, capsys):
+        assert cli_module.build_parser() is cli_module.build_parser()
+        src = str(pathlib.Path(cli_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for i, argv in enumerate(self.ARGVS):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            try:
+                code = main([*argv, "--out", str(here)])
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            proc = subprocess.run(
+                [sys.executable, "-m", "optospring.cli", *argv, "--out", str(fresh)],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert (code, err) == (proc.returncode, proc.stderr)
+            if code == 0:
+                assert self._tree(here) == self._tree(fresh) != {}
+            else:
+                assert code == 2 and not here.exists() and not fresh.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, formatted",
+    [
+        (["spectrum"], 8004),
+        (["stability", "--format", "json"], 6956),
+        (["stability"], 6952),
+        (["figure", "fig2"], 3899),
+        (["figure", "fig3"], 8010),
+        (["figure", "fig4"], 28014),
+    ],
+    ids=["spectrum", "stability.json", "stability.csv", "fig2", "fig3", "fig4"],
+)
+def test_float_reprs_per_default_command(tmp_path, float_reprs, argv, formatted):
+    # a count of work, not of time: each distinct float of a command is formatted once
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(float_reprs) == formatted
+    assert all(type(v) is float for v in float_reprs)
