@@ -35,8 +35,10 @@ HIGH_Q_RATIO = 0.1
 # A cubic root is accepted as real when |Im| < REAL_ROOT_TOL * (1 + |Re|).
 REAL_ROOT_TOL = 1e-10
 
-# Points per block of a long frequency array in :func:`blockwise`: the
-# temporaries of one block stay in cache instead of faulting in fresh pages.
+# Points per block of a long frequency array in :func:`blockwise`: a grid call
+# holds a few block-sized arrays instead of grid-sized temporaries. The noise kernel
+# reuses its arrays from block to block; plain numpy expressions, as in sql_level,
+# still allocate a fresh temporary per operation in every block.
 BLOCK = 1 << 14
 
 
@@ -218,10 +220,12 @@ def blockwise(f, omega, *args):
     """``f(omega, *args)`` for a real elementwise ``f``, in fixed blocks on long arrays.
 
     A 1-d array of more than BLOCK points runs block by block into one
-    preallocated output, so the temporaries of ``f`` stay in cache; anything
+    preallocated output, so the temporaries of ``f`` are block-sized; anything
     else takes a single call. An array in ``args`` is broadcast to the grid
     and sliced with it; a scalar passes as it is. ``f`` acts elementwise, so
     the result bits, and the frequency an error names, are those of the single call.
+    A check on ``args`` alone belongs to the caller, before this call: inside ``f``
+    the first block would raise it ahead of an error the single call raises first.
     """
     if np.ndim(omega) != 1 or len(omega) <= BLOCK:
         return f(omega, *args)

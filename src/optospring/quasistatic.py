@@ -85,20 +85,23 @@ def noise_over_coupling(
     give the same bits, and the noise stays finite at a real pole of chi_eff.
     A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
     gamma^2 + detuning^2 underflowing to 0 raises ``SingularPointError`` at the build.
-    A float omega is set up and checked at the build, an array omega at the call, in blocks
-    (:func:`core.blockwise`), with an array coupling broadcast to its shape. A noise denominator
-    of 0, at an undamped resonance or by underflow, raises ``SingularPointError`` naming the
-    first omega where it occurs. An array detuning takes a float omega only (else
-    ``ValueError``) and broadcasts against the coupling, each cell the bits of its scalar
-    detuning's closure: ``detuning[:, None]`` and a coupling row give one scan per detuning.
+    A float omega is set up and checked at the build. An array omega is checked at the call:
+    first the coupling, once for the whole call, then the noise denominator block by block
+    (:func:`core.blockwise`), with an array coupling broadcast to the grid's shape; a blocked
+    and a single call raise the same error. A noise denominator of 0, at an undamped resonance
+    or by underflow, raises ``SingularPointError`` naming the first omega where it occurs. An
+    array detuning takes a float omega only (else ``ValueError``) and broadcasts against the
+    coupling, each cell the bits of its scalar detuning's closure: ``detuning[:, None]`` and a
+    coupling row give one scan per detuning.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
-    # a scalar detuning stays a Python float for the scalar Brent polish; the type
-    # test first, since np.ndim of a float costs about 1 us on every build
+    # a float detuning and omega stay Python floats for the scalar Brent polish; the type
+    # tests first, since np.ndim of a float costs about 1 us on every build
+    float_omega = type(omega) is float or np.ndim(omega) == 0
     if type(detuning) is float or np.ndim(detuning) == 0:
         psi = float(detuning)
-    elif np.ndim(omega) == 0:
+    elif float_omega:
         psi = np.asarray(detuning, dtype=float)
     else:
         raise ValueError("an array detuning needs a float omega")
@@ -106,41 +109,60 @@ def noise_over_coupling(
     u2 = gamma * gamma + psi * psi
     if not (u2 > 0 if type(u2) is float else np.all(u2 > 0)):
         raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
-    if np.ndim(omega) == 0:  # a scalar frequency stays a Python float for the scalar Brent polish
+    if float_omega:
         return _noise_closure(osc, gamma, psi, u2, float(omega), constants, round_trip)
     omega = np.asarray(omega, dtype=float)
-    def block(w, xi):
-        return _noise_closure(osc, gamma, psi, u2, w, constants, round_trip)(xi)
-    return lambda xi: core.blockwise(block, omega, xi)
+
+    def noise_at(xi):
+        xi2 = xi * xi
+        if not (xi2 if type(xi2) is float else np.all(xi2)):  # before any block runs
+            raise NoMeasurementError(_NO_SIGNAL)
+        scratch = []  # the kernel's buffers, made by the first block and reused by the rest
+
+        def block(w, x2):
+            return _noise_block(osc, gamma, psi, u2, w, constants, round_trip, x2, scratch)
+
+        return core.blockwise(block, omega, xi2)
+
+    return noise_at
 
 
-def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
-    """The setup of :func:`noise_over_coupling` at a float or an array omega, and its closure.
+def _cavity_factors(gamma, psi, u2, hbar, w):
+    """The cavity factors of the noise at omega tau = ``w``, a float.
 
-    ``psi`` is a float, or an array of detunings when ``omega`` is a float.
+    Floats, or arrays of the shape of an array ``psi``: (dr, di, a_q, a_p, lag, qr1, pr1,
+    dfac) of :func:`_noise_closure`, where ``dfac`` times 1/|chi|^2 is the noise denominator.
+    At ``w = 0.0`` they are exactly 1 or 0 factors: dr = 1, di = a_p = lag = 0.
     """
-    re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
-    im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
-    mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
-    hbar, spring = constants.hbar, constants.hbar * psi / gamma
-    hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
-    # at omega tau = 0 the cavity factors below stay floats (exactly 1 or 0), not
-    # grid arrays; the -0.0 of omega * 0.0 at omega < 0 would only enter squared
-    w = omega * round_trip if round_trip else 0.0
     gw = gamma * w / u2  # gain Delta / u^2 = 1 - i gw
     # Delta / u^2 = dr + i di; dr in this form stays accurate where Delta is near 0
     dr, di = (gamma * gamma + (psi - w) * (psi + w)) / u2, -2.0 * gw
     a_q = dr + 2.0 * gw * gw  # a_q Delta / u^2
     a_p = -gw * w * psi / (u2 * hbar)  # a_p Delta / (2 hbar u^2)
-    jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
     lag = 2.0 * hbar * psi * w / u2  # the phase-lag term of c_q, over xi^2
+    spring = hbar * psi / gamma
+    qr1, pr1 = a_q * spring - lag * gw, a_p * spring + (1.0 - gw * gw)
+    return dr, di, a_q, a_p, lag, qr1, pr1, (dr * dr + di * di) * (1.0 + gw * gw)
+
+
+def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
+    """The setup of :func:`noise_over_coupling` at a float omega, and its closure.
+
+    ``psi`` is a float, or an array of detunings.
+    """
+    re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
+    im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
+    mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
+    hbar = constants.hbar
+    hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
+    w = omega * round_trip if round_trip else 0.0
+    dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(gamma, psi, u2, hbar, w)
+    jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
     # qr + i qi = c_q chi_eff^-1 (Delta / u^2)^2, pr + i pi the same of c_p over 2 hbar xi^2
-    qr0, qr1, qi0 = a_q * jr0, a_q * spring - lag * gw, a_q * ji
-    pr0, pr1, pi0 = a_p * jr0, a_p * spring + (1.0 - gw * gw), a_p * ji
-    den = (dr * dr + di * di) * (1.0 + gw * gw) * mag2
+    qr0, qi0, pr0, pi0 = a_q * jr0, a_q * ji, a_p * jr0, a_p * ji
+    den = dfac * mag2
     if not (den if type(den) is float else np.all(den)):  # a float skips numpy
-        bad = omega if type(omega) is float else omega[den == 0][0]
-        raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
+        raise SingularPointError(f"noise denominator is 0 at omega={omega!r}")
 
     def noise_at(xi):
         xi2 = xi * xi
@@ -152,6 +174,64 @@ def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
         return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar2 * xi2 * (pr * pr + pi * pi)) / den
 
     return noise_at
+
+
+def _times(a, b, out):
+    """a * b: a Python product of two scalars, else written into the array ``out``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.multiply(a, b, out=out)
+    return a * b
+
+
+def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
+    """The noise on a block ``w`` of an array omega at ``xi2`` = xi^2, for a float ``psi``.
+
+    :func:`_noise_closure`'s IEEE operations on the same operands, each written into one
+    of the arrays in ``scratch`` instead of a fresh temporary. The first call makes them,
+    of its block's shape; later blocks, none longer, reuse their leading rows. Returns one.
+    """
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    shape = np.broadcast_shapes(w.shape, np.shape(xi2))
+    if not scratch:  # s[5] holds lag * xi2 at omega tau = 0 with an array coupling
+        scratch += [np.empty(shape) for _ in range(12 if round_trip else 6)]
+    s = [a if len(a) == shape[0] else a[: shape[0]] for a in scratch]
+    m, om, hbar = osc.mass, osc.resonance_freq, constants.hbar
+    re0 = mul(m, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
+    im0 = mul(m * osc.damping, w, out=s[1])
+    mag2 = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
+    if round_trip:  # _cavity_factors at w = omega tau, in s[3:]
+        wt = mul(w, round_trip, out=s[5])
+        gw = div(mul(gamma, wt, out=s[3]), u2, out=s[3])
+        pw = mul(sub(psi, wt, out=s[6]), add(psi, wt, out=s[7]), out=s[6])
+        dr = div(add(gamma * gamma, pw, out=s[6]), u2, out=s[6])
+        di = mul(-2.0, gw, out=s[7])
+        a_q = add(dr, mul(mul(2.0, gw, out=s[8]), gw, out=s[8]), out=s[8])
+        a_p = mul(mul(np.negative(gw, out=s[9]), wt, out=s[9]), psi, out=s[9])
+        a_p = div(a_p, u2 * hbar, out=s[9])
+        lag = div(mul(2.0 * hbar * psi, wt, out=s[5]), u2, out=s[5])
+        dd = add(mul(dr, dr, out=s[4]), mul(di, di, out=s[10]), out=s[4])
+        dfac = mul(dd, add(1.0, mul(gw, gw, out=s[10]), out=s[10]), out=s[4])
+        spring = hbar * psi / gamma
+        qr1 = sub(mul(a_q, spring, out=s[10]), mul(lag, gw, out=s[11]), out=s[10])
+        g1 = sub(1.0, mul(gw, gw, out=s[3]), out=s[3])  # 1 - gw^2, written over gw: its last use
+        pr1 = add(mul(a_p, spring, out=s[11]), g1, out=s[11])
+    else:  # floats, exactly 1 or 0 factors
+        dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(gamma, psi, u2, hbar, 0.0)
+    den = mul(dfac, mag2, out=s[2])
+    if not np.all(den):
+        bad = np.broadcast_to(w, shape)[den == 0][0]
+        raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
+    jr0 = add(mul(dr, re0, out=s[3]), mul(di, im0, out=s[4]), out=s[3])
+    ji = sub(mul(di, re0, out=s[0]), mul(dr, im0, out=s[1]), out=s[0])
+    qr = add(mul(a_q, jr0, out=s[1]), _times(qr1, xi2, s[4]), out=s[1])
+    qi = sub(mul(a_q, ji, out=s[4]), _times(lag, xi2, s[5]), out=s[4])
+    q2 = add(mul(qr, qr, out=s[1]), mul(qi, qi, out=s[4]), out=s[1])
+    q2 = div(q2, _times(4.0, xi2, s[4]), out=s[1])
+    pr = add(div(mul(a_p, jr0, out=s[3]), xi2, out=s[3]), pr1, out=s[3])
+    pi = add(div(mul(a_p, ji, out=s[0]), xi2, out=s[0]), di, out=s[0])
+    p2 = add(mul(pr, pr, out=s[3]), mul(pi, pi, out=s[0]), out=s[3])
+    p2 = mul(_times(hbar * hbar, xi2, s[4]), p2, out=s[3])
+    return div(add(q2, p2, out=s[1]), den, out=s[1])
 
 
 def equivalent_input_noise(

@@ -407,6 +407,22 @@ class TestBlocks:
             spectrum(osc, cavity, off, grid)
         with pytest.raises(NoMeasurementError):
             equivalent_input_noise(osc, cavity, off, grid)
+        # both faults at once, the resonance in the first block or the last: the
+        # coupling is checked for the whole call before any block runs
+        last_off = np.where(grid == grid[-1], 0.0, xi)  # a grid-shaped coupling, 0 at the end
+        for at in (1, -2):
+            osc = MechanicalOscillator(1.0, resonance_freq=float(grid[at]), damping=0.0)
+            for call in (
+                lambda: noise_over_coupling(osc, g, psi, grid, round_trip=tau)(0.0),
+                lambda: noise_over_coupling(osc, g, psi, grid)(last_off),
+                lambda: spectrum(osc, cavity, off, grid),
+                lambda: equivalent_input_noise(osc, cavity, off, grid),
+            ):
+                with pytest.raises(NoMeasurementError):
+                    call()
+                with monkeypatch.context() as one_call, pytest.raises(NoMeasurementError):
+                    one_call.setattr(core, "BLOCK", n)
+                    call()
 
     @pytest.mark.parametrize(
         "omega",
@@ -466,3 +482,20 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * grid.nbytes, peak / grid.nbytes
+
+    @pytest.mark.parametrize("lag, arrays", [(True, 12), (False, 6)])  # omega tau > 0, or 0
+    def test_working_set_in_blocks(self, lag, arrays):
+        # a tracemalloc count, not a timing: beyond the output, only the block-sized
+        # buffers that the noise kernel reuses from block to block
+        grid = np.geomspace(1e-2, 1e3, 3 * BLOCK + 7)
+        osc, cavity, wp = fig4_setup(5.0, 2.0)
+        tau = cavity.round_trip if lag else 0.0
+        noise = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=tau)
+        tracemalloc.start()
+        try:
+            out = noise(wp.coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = (peak - out.nbytes) / (BLOCK * out.itemsize)
+        assert round(blocks) <= arrays, blocks

@@ -83,6 +83,8 @@ def test_checker_allows_public_and_own_names():
 SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
     ("quasistatic", "_noise_closure"),
+    ("quasistatic", "_cavity_factors"),
+    ("quasistatic", "_noise_block"),
     ("quasistatic", "amplification_factor"),
     ("quasistatic", "free_mass_sql_level"),
     ("core", "mech_susceptibility"),

@@ -90,6 +90,26 @@ class TestNoiseScalarArrayBitEqual:
                     for w in omega
                 ]
                 assert np.array_equal(batch, scalar)
+        # random models, scalar and grid-shaped couplings, signed frequencies and zeros:
+        # each cell the bits of the float-omega closure at its frequency and coupling
+        cells = 0
+        for psi in [0.0, -0.0, math.pi, *rng.uniform(-3.14, 3.14, size=5)]:
+            osc = MechanicalOscillator(
+                10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
+            )
+            gamma, constants = 10 ** rng.uniform(-3, -0.1), Constants(10 ** rng.uniform(-2, 1))
+            omega = osc.resonance_freq * rng.uniform(-3.0, 3.0, size=64)
+            omega[rng.choice(omega.size, size=4, replace=False)] = [0.0, -0.0, 0.0, -0.0]
+            for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
+                noise_at = noise_over_coupling(osc, gamma, psi, omega, constants, round_trip)
+                for xi in (10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3, size=omega.size)):
+                    scalar = [
+                        noise_over_coupling(osc, gamma, psi, w, constants, round_trip)(x)
+                        for w, x in zip(omega.tolist(), np.broadcast_to(xi, omega.shape).tolist())
+                    ]
+                    assert noise_at(xi).tobytes() == np.array(scalar).tobytes()
+                    cells += omega.size
+        assert cells >= 2_000
 
     @pytest.mark.parametrize("psi", [-0.02, 0.03])
     def test_quasistatic_signed_frequencies(self, high_q_osc, psi):
