@@ -30,7 +30,6 @@ from .core import (
     stability_map,
     static_coupling2_bound,
     steady_state,
-    wrap_phase,
 )
 from .errors import (
     ConfigError,

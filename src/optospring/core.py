@@ -12,8 +12,8 @@ Conventions
 * The mean intracavity field is taken real and non-negative; input and
   output mean fields then carry the phases ``theta_in``/``theta_out``.
 * Field amplitudes are normalized so that |amplitude|^2 is a photon flux.
-* Detunings are round-trip phases reduced to (-pi, pi]; reduction is the
-  caller's job (see :func:`wrap_phase`); :func:`check_detuning` checks it.
+* Detunings are round-trip phases in (-pi, pi]; reduction is the caller's
+  job; :func:`check_detuning` checks it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import SingularPointError
 
-TWO_PI = 2.0 * math.pi
-
 # Damping-to-resonance ratio above which the Lorentzian effective-damping
 # picture is no longer trusted and a warning is emitted.
 HIGH_Q_RATIO = 0.1
@@ -36,24 +34,15 @@ HIGH_Q_RATIO = 0.1
 REAL_ROOT_TOL = 1e-10
 
 # Points per block of a long frequency array in :func:`blockwise`: a grid call
-# holds a few block-sized arrays instead of grid-sized temporaries. The noise kernel
-# reuses its arrays from block to block; plain numpy expressions, as in sql_level,
-# still allocate a fresh temporary per operation in every block.
+# holds a few block-sized arrays instead of grid-sized temporaries. The noise and
+# SQL kernels write every operation into arrays they reuse from block to block.
 BLOCK = 1 << 14
-
-
-def wrap_phase(x: float) -> float:
-    """Reduce an angle to the principal interval (-pi, pi]."""
-    r = math.remainder(x, TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
 
 
 def check_detuning(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value``, or each element of an array, lies in (-pi, pi].
 
-    The one range check of a detuning (:func:`wrap_phase` reduces into it).
+    The one range check of a detuning.
     A Python float in range, as the scalar Brent polish passes, skips numpy.
     """
     if type(value) is float and -math.pi < value <= math.pi:

@@ -189,16 +189,18 @@ def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
     :func:`_noise_closure`'s IEEE operations on the same operands, each written into one
     of the arrays in ``scratch`` instead of a fresh temporary. The first call makes them,
     of its block's shape; later blocks, none longer, reuse their leading rows. Returns one.
+    At omega tau = 0 the cavity factors are exactly 1 or 0, so their products are dropped:
+    for finite operands jr0 = re0, qi^2 = im0^2, pr = 1, pi = 0 and den = mag2.
     """
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     shape = np.broadcast_shapes(w.shape, np.shape(xi2))
-    if not scratch:  # s[5] holds lag * xi2 at omega tau = 0 with an array coupling
-        scratch += [np.empty(shape) for _ in range(12 if round_trip else 6)]
+    if not scratch:
+        scratch += [np.empty(shape) for _ in range(12 if round_trip else 4)]
     s = [a if len(a) == shape[0] else a[: shape[0]] for a in scratch]
     m, om, hbar = osc.mass, osc.resonance_freq, constants.hbar
     re0 = mul(m, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
     im0 = mul(m * osc.damping, w, out=s[1])
-    mag2 = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
+    den = mag2 = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
     if round_trip:  # _cavity_factors at w = omega tau, in s[3:]
         wt = mul(w, round_trip, out=s[5])
         gw = div(mul(gamma, wt, out=s[3]), u2, out=s[3])
@@ -215,12 +217,15 @@ def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
         qr1 = sub(mul(a_q, spring, out=s[10]), mul(lag, gw, out=s[11]), out=s[10])
         g1 = sub(1.0, mul(gw, gw, out=s[3]), out=s[3])  # 1 - gw^2, written over gw: its last use
         pr1 = add(mul(a_p, spring, out=s[11]), g1, out=s[11])
-    else:  # floats, exactly 1 or 0 factors
-        dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(gamma, psi, u2, hbar, 0.0)
-    den = mul(dfac, mag2, out=s[2])
+        den = mul(dfac, mag2, out=s[2])
     if not np.all(den):
         bad = np.broadcast_to(w, shape)[den == 0][0]
         raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
+    if not round_trip:  # (qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2, over mag2; s[3] holds im0^2
+        qr1 = _cavity_factors(gamma, psi, u2, hbar, 0.0)[5]  # the other factors are 1 or 0
+        qr = add(re0, _times(qr1, xi2, s[1]), out=s[0])
+        q2 = div(add(mul(qr, qr, out=s[0]), s[3], out=s[0]), _times(4.0, xi2, s[1]), out=s[0])
+        return div(add(q2, _times(hbar * hbar, xi2, s[1]), out=s[0]), den, out=s[0])
     jr0 = add(mul(dr, re0, out=s[3]), mul(di, im0, out=s[4]), out=s[3])
     ji = sub(mul(di, re0, out=s[0]), mul(dr, im0, out=s[1]), out=s[0])
     qr = add(mul(a_q, jr0, out=s[1]), _times(qr1, xi2, s[4]), out=s[1])
@@ -283,11 +288,35 @@ def sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZE
     """SQL level hbar |chi| at ``omega``, a frequency or an array of them.
 
     The one |chi| arithmetic, numpy's complex abs for a float and an array
-    alike, so a point and a grid give the same bits. A 1-d array longer than
-    ``core.BLOCK`` runs in blocks (:func:`core.blockwise`).
+    alike, so a point and a grid give the same bits. An array runs through
+    :func:`_sql_block`, in blocks (:func:`core.blockwise`) when it is 1-d and
+    longer than ``core.BLOCK``.
     """
-    out = core.blockwise(lambda w: constants.hbar * np.abs(mech_susceptibility(osc, w)), omega)
-    return float(out) if np.ndim(out) == 0 else out
+    if type(omega) is float or np.ndim(omega) == 0:
+        return float(constants.hbar * np.abs(mech_susceptibility(osc, omega)))
+    scratch = []  # the kernel's buffers, made by the first block and reused by the rest
+    return core.blockwise(lambda w: _sql_block(osc, constants.hbar, w, scratch), omega)
+
+
+def _sql_block(osc, hbar, w, scratch):
+    """hbar |chi| on a block ``w`` of an array omega.
+
+    :func:`core.mech_susceptibility`'s complex operations in its order, numpy's complex
+    abs and the factor hbar, written into a complex and a real array in ``scratch``
+    instead of fresh temporaries; the first call makes them, as in :func:`_noise_block`.
+    Returns the real one.
+    """
+    mul, sub = np.multiply, np.subtract
+    w = np.asarray(w, dtype=float)
+    if not scratch:
+        scratch += [np.empty(w.shape, dtype=complex), np.empty(w.shape)]
+    c, r = (a if len(a) == len(w) else a[: len(w)] for a in scratch)
+    om = osc.resonance_freq
+    den = sub(om * om, mul(w, w, out=r), out=r)
+    den = mul(osc.mass, sub(den, mul(1j * osc.damping, w, out=c), out=c), out=c)
+    if not np.all(den):
+        mech_susceptibility(osc, w)  # raises its SingularPointError at the first zero
+    return mul(hbar, np.abs(np.divide(1.0, den, out=c), out=r), out=r)
 
 
 def free_mass_sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED):

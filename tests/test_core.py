@@ -28,7 +28,6 @@ from optospring import (
     stability_map,
     static_coupling2_bound,
     steady_state,
-    wrap_phase,
 )
 from optospring.config import build_run_config
 
@@ -49,12 +48,6 @@ class TestTypes:
             WorkingPoint(detuning=0.0, coupling=-1.0)
         with pytest.raises(ValueError):
             WorkingPoint(detuning=-3.5, coupling=1.0)
-
-    def test_wrap_phase(self):
-        assert wrap_phase(0.3) == pytest.approx(0.3)
-        assert wrap_phase(0.3 + 2 * math.pi) == pytest.approx(0.3)
-        assert wrap_phase(-math.pi) == pytest.approx(math.pi)
-        assert -math.pi < wrap_phase(123.456) <= math.pi
 
     def test_bandwidth(self, cavity):
         assert cavity.bandwidth == pytest.approx(10.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from optospring import (
+    Constants,
     MechanicalOscillator,
     NoDipFoundError,
     NoMeasurementError,
@@ -423,6 +424,28 @@ class TestBlocks:
                 with monkeypatch.context() as one_call, pytest.raises(NoMeasurementError):
                     one_call.setattr(core, "BLOCK", n)
                     call()
+            # the SQL has no coupling: it names the resonance, as one call does
+            with monkeypatch.context() as one_call, pytest.raises(SingularPointError) as whole:
+                one_call.setattr(core, "BLOCK", n)
+                sql_level(osc, grid)
+            with pytest.raises(SingularPointError) as blocked:
+                sql_level(osc, grid)
+            assert str(blocked.value) == str(whole.value)
+            assert repr(float(grid[at])) in str(whole.value)
+
+    def test_sql_level_as_points(self, rng):
+        # the in-place SQL kernel keeps the bits of hbar |mech_susceptibility| and of
+        # per-point float calls: damped and undamped, signed frequencies and zeros
+        for n in (1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 11, *rng.integers(3, 2 * BLOCK, size=2)):
+            damping = rng.choice([0.0, 10 ** rng.uniform(-4, 0.5)])
+            osc = MechanicalOscillator(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), damping)
+            constants = Constants(10 ** rng.uniform(-2, 1))
+            grid = osc.resonance_freq * rng.uniform(-3.0, 3.0, size=n)
+            grid[rng.choice(n, size=min(n, 2), replace=False)] = [-0.0, 0.0][: min(n, 2)]
+            blocked = sql_level(osc, grid, constants).tobytes()
+            assert blocked == (constants.hbar * np.abs(mech_susceptibility(osc, grid))).tobytes()
+            points = [sql_level(osc, w, constants) for w in grid.tolist()]
+            assert blocked == np.array(points).tobytes()
 
     @pytest.mark.parametrize(
         "omega",
@@ -434,8 +457,9 @@ class TestBlocks:
             np.geomspace(1e-2, 1e3, BLOCK + 1).tolist(),
             np.arange(1, BLOCK + 2),
             np.arange(1, 4),
+            3,
         ],
-        ids=["float", "float64", "0-d", "list", "long-list", "long-int", "int"],
+        ids=["float", "float64", "0-d", "list", "long-list", "long-int", "int", "py-int"],
     )
     def test_result_types_kept(self, omega, monkeypatch):
         osc, cavity, wp = fig4_setup(5.0, 2.0)
@@ -446,6 +470,10 @@ class TestBlocks:
         assert type(blocked) is type(whole)
         assert np.asarray(blocked).dtype == np.asarray(whole).dtype
         assert np.array_equal(blocked, whole)
+        sql = sql_level(osc, omega)
+        assert type(sql) is (float if np.ndim(omega) == 0 else np.ndarray)
+        assert np.asarray(sql).dtype == np.float64
+        assert np.array_equal(sql, np.abs(mech_susceptibility(osc, omega)))
 
     @pytest.mark.parametrize("n", [BLOCK, 3 * BLOCK + 7])
     def test_array_coupling_sliced_with_grid(self, n, monkeypatch):
@@ -483,17 +511,18 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak <= 4 * grid.nbytes, peak / grid.nbytes
 
-    @pytest.mark.parametrize("lag, arrays", [(True, 12), (False, 6)])  # omega tau > 0, or 0
+    # the noise at omega tau > 0, at omega tau = 0, or (None) the SQL
+    @pytest.mark.parametrize("lag, arrays", [(True, 12), (False, 4), (None, 4)])
     def test_working_set_in_blocks(self, lag, arrays):
         # a tracemalloc count, not a timing: beyond the output, only the block-sized
-        # buffers that the noise kernel reuses from block to block
+        # buffers that the kernel reuses from block to block (a complex one counts 2)
         grid = np.geomspace(1e-2, 1e3, 3 * BLOCK + 7)
         osc, cavity, wp = fig4_setup(5.0, 2.0)
         tau = cavity.round_trip if lag else 0.0
         noise = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=tau)
         tracemalloc.start()
         try:
-            out = noise(wp.coupling)
+            out = sql_level(osc, grid) if lag is None else noise(wp.coupling)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

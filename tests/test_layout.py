@@ -85,6 +85,7 @@ SHARED_FORMULAS = [
     ("quasistatic", "_noise_closure"),
     ("quasistatic", "_cavity_factors"),
     ("quasistatic", "_noise_block"),
+    ("quasistatic", "_sql_block"),
     ("quasistatic", "amplification_factor"),
     ("quasistatic", "free_mass_sql_level"),
     ("core", "mech_susceptibility"),
@@ -229,13 +230,13 @@ def pi_comparisons(source: str, module: str) -> list[tuple[str, int]]:
 
 
 def test_one_detuning_range_check():
-    # the (-pi, pi] rule lives in check_detuning; wrap_phase reduces into it
+    # the (-pi, pi] rule lives in check_detuning alone
     hits = [
         hit
         for path in sorted(PACKAGE.glob("*.py"))
         for hit in pi_comparisons(path.read_text(encoding="utf-8"), path.stem)
     ]
-    assert {name for name, _ in hits} == {"core.wrap_phase", "core.check_detuning"}, hits
+    assert {name for name, _ in hits} == {"core.check_detuning"}, hits
 
 
 def test_pi_checker_sees_every_comparison_form():

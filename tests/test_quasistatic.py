@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -110,6 +111,19 @@ class TestNoiseScalarArrayBitEqual:
                     assert noise_at(xi).tobytes() == np.array(scalar).tobytes()
                     cells += omega.size
         assert cells >= 2_000
+        # extreme frequencies, where a dropped 0 * x or 1 * x would differ (0 * inf = nan)
+        extreme = [5e-324, 1e-300, 1e154, 1e300, math.inf]
+        omega = np.array([*extreme, *(-w for w in extreme), math.nan, 0.0, -0.0])
+        for damping in (0.0, 0.1):
+            osc = MechanicalOscillator(1.0, 1.0, damping)
+            for psi, tau, xi in itertools.product((0.1, -0.0), (0.0, 1e-3), (0.7, 1e200)):
+                with np.errstate(all="ignore"):
+                    batch = noise_over_coupling(osc, 0.01, psi, omega, round_trip=tau)(xi)
+                    scalar = [
+                        noise_over_coupling(osc, 0.01, psi, w, round_trip=tau)(xi)
+                        for w in omega.tolist()
+                    ]
+                assert batch.tobytes() == np.array(scalar).tobytes()
 
     @pytest.mark.parametrize("psi", [-0.02, 0.03])
     def test_quasistatic_signed_frequencies(self, high_q_osc, psi):
