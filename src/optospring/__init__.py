@@ -19,7 +19,6 @@ from .core import (
     SteadyState,
     WorkingPoint,
     effective_damping,
-    effective_susceptibility,
     effective_susceptibility_poles,
     kappa_for_coupling,
     loop_denominator,

@@ -1,9 +1,10 @@
 """Core model of a single-ended cavity with a movable mirror.
 
-Parameter records (oscillator, cavity, working point), the free and
-optical-spring-modified mechanical susceptibilities, the cavity steady
-state including radiation-pressure recoil (bistability), and the static
-and dynamic stability tests at a working point or over a grid.
+Parameter records (oscillator, cavity, working point), the free mechanical
+susceptibility, the cavity steady state including radiation-pressure recoil
+(bistability), and the static and dynamic stability tests at a working point
+or over a grid; the optical spring shows through the effective damping and
+the poles of the effective susceptibility.
 
 Conventions
 -----------
@@ -177,13 +178,11 @@ class StabilityReport:
 
     Margins are the left-hand sides of the respective conditions; a
     working point is stable when both are strictly positive. Fields are
-    scalars at one working point and arrays over a grid; ``gamma_eff`` is
-    the dynamic margin.
+    scalars at one working point and arrays over a grid.
     """
 
     static_ok: bool
     dynamic_ok: bool
-    gamma_eff: float
     static_margin: float
     dynamic_margin: float
 
@@ -340,29 +339,6 @@ def solve_self_consistent_detuning(
     return branches
 
 
-def effective_susceptibility(
-    osc: MechanicalOscillator,
-    cavity: OpticalCavity,
-    detuning: float,
-    kappa: float,
-    omega,
-    constants: Constants = NORMALIZED,
-):
-    """Mirror susceptibility including the optical-spring back-action.
-
-    The radiation-pressure force proportional to the mirror position adds
-    2 hbar kappa^2 psi / Delta(omega) to the inverse susceptibility, Delta the
-    :func:`loop_denominator`. For a resonant cavity (detuning 0) the free
-    susceptibility is returned unchanged. Diverges (and raises) if the
-    inverse vanishes at a real frequency, which is the signature of a
-    stability boundary.
-    """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    spring = 2.0 * constants.hbar * kappa**2 * detuning / loop_denominator(cavity, detuning, omega)
-    return invert_susceptibility(1.0 / mech_susceptibility(osc, omega) + spring)
-
-
 def effective_damping(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -459,7 +435,6 @@ def _stability_report(static, dynamic) -> StabilityReport:
     return StabilityReport(
         static_ok=static > 0,
         dynamic_ok=dynamic > 0,
-        gamma_eff=dynamic,
         static_margin=static,
         dynamic_margin=dynamic,
     )

@@ -65,9 +65,9 @@ class SearchSpec:
 class OptimResult:
     """Outcome of one numeric search.
 
-    ``converged`` says the polish met its tolerance; ``at_bound`` says
-    the optimum sits at an end of the range searched, where the true
-    minimum may lie beyond it. ``constraint_active`` is always false (report schema only).
+    ``converged`` says the polish met its tolerance; ``at_bound`` says the optimum
+    sits at an end of the range searched, where the true minimum may lie beyond
+    it. ``constraint_active`` is always false; it stays only as the benchmark reads it.
     """
 
     coupling2: float

@@ -266,10 +266,15 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("mode", ["xi", "detuning"])
     def test_report_keeps_constraint_active(self, tmp_path, mode):
-        # the benchmark reads this key; no search is constrained, so it is false
+        # the benchmark reads this key; no search is constrained, so it is false.
+        # The stability dict carries the two verdicts and the two margins, nothing more
         out = tmp_path / "opt.json"
         assert run(["optimize", "--mode", mode, "--out", str(out)], tmp_path) == 0
-        assert json.loads(out.read_text())["constraint_active"] is False
+        report = json.loads(out.read_text())
+        assert report["constraint_active"] is False
+        assert set(report["stability"]) == {
+            "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"
+        }
 
     @pytest.mark.parametrize("mode", ["xi", "detuning", "uql-sweep"])
     def test_non_convergence_exit_4(self, tmp_path, capsys, monkeypatch, mode):

@@ -18,7 +18,6 @@ from optospring import (
     WorkingPoint,
     amplification_factor,
     effective_damping,
-    effective_susceptibility,
     effective_susceptibility_poles,
     kappa_for_coupling,
     loop_denominator,
@@ -163,57 +162,6 @@ class TestCoupling:
             assert kappa_for_coupling(cavity, psi, xi) == pytest.approx(ss.kappa, rel=1e-12)
 
 
-class TestEffectiveSusceptibility:
-    def test_resonant_cavity_unchanged(self, osc, cavity, rng):
-        for omega in rng.uniform(0.0, 5.0, size=10):
-            chi = mech_susceptibility(osc, omega)
-            chi_eff = effective_susceptibility(osc, cavity, 0.0, 3.0, omega)
-            assert chi_eff == pytest.approx(chi, rel=1e-14)
-
-    def test_quasistatic_softening(self, high_q_osc, cavity):
-        # hbar=1, chi[0]=1, xi^2=0.5, detuning/gamma = -1  ->  chi_eff[0] = 2
-        kappa = kappa_for_coupling(cavity, -cavity.gamma, math.sqrt(0.5))
-        got = effective_susceptibility(high_q_osc, cavity, -cavity.gamma, kappa, 0.0)
-        assert got == pytest.approx(2.0 + 0.0j, rel=1e-12)
-
-    def test_quasistatic_stiffening(self, high_q_osc, cavity):
-        kappa = kappa_for_coupling(cavity, cavity.gamma, math.sqrt(0.5))
-        got = effective_susceptibility(high_q_osc, cavity, cavity.gamma, kappa, 0.0)
-        assert got == pytest.approx(2.0 / 3.0 + 0.0j, rel=1e-12)
-
-    def test_quasistatic_limit_of_full_form(self, high_q_osc, rng):
-        # the full expression converges to the quasi-static one as
-        # omega/bandwidth -> 0; at omega/bandwidth <= 1e-7 with moderate
-        # spring strength the relative gap is below 1e-6
-        for _ in range(20):
-            gamma = rng.uniform(0.005, 0.05)
-            cav = OpticalCavity(gamma=gamma, round_trip=10 ** rng.uniform(-5, -3),
-                                wavevector=1.0)
-            psi = rng.uniform(-0.3, 0.3)
-            xi2 = rng.uniform(0.01, 0.45) * (
-                gamma / abs(psi) if psi < 0 else 1.0
-            )
-            kappa = kappa_for_coupling(cav, psi, math.sqrt(xi2))
-            omega = rng.uniform(1e-9, 1e-7) * cav.bandwidth
-            full = effective_susceptibility(high_q_osc, cav, psi, kappa, omega)
-            chi = mech_susceptibility(high_q_osc, omega)
-            quasi = 1.0 / (1.0 / chi + xi2 * psi / gamma)
-            assert abs(full - quasi) / abs(full) < 1e-6
-
-    def test_reality_symmetry(self, osc, cavity, rng):
-        omega = rng.uniform(0.01, 20.0, size=20)
-        ce = effective_susceptibility(osc, cavity, 0.07, 2.0, omega)
-        ce_m = effective_susceptibility(osc, cavity, 0.07, 2.0, -omega)
-        assert np.allclose(ce_m, np.conj(ce), rtol=1e-13)
-
-    def test_singular_on_boundary(self, high_q_osc):
-        # binary-exact parameters make the spring term exactly -1 at
-        # omega = 0, so the inverse susceptibility is exactly zero
-        cav = OpticalCavity(gamma=0.0625, round_trip=1e-3, wavevector=1.0)
-        with pytest.raises(SingularPointError):
-            effective_susceptibility(high_q_osc, cav, -0.0625, 0.25, 0.0)
-
-
 class TestEffectiveDamping:
     def test_resonant_cavity(self, high_q_osc, cavity):
         assert effective_damping(high_q_osc, cavity, 0.0, 5.0) == high_q_osc.damping
@@ -300,11 +248,10 @@ class TestStability:
         xi2, psis = np.geomspace(0.01, 50.0, 9), np.linspace(-0.1, 0.1, 5)
         m = stability_map(high_q_osc, cavity, xi2, psis)
         assert isinstance(m, StabilityReport)
-        for field in (m.static_ok, m.dynamic_ok, m.gamma_eff, m.static_margin):
+        for field in (m.static_ok, m.dynamic_ok, m.static_margin, m.dynamic_margin):
             assert field.shape == (5, 9)
-        np.testing.assert_array_equal(m.gamma_eff, m.dynamic_margin)
         rep = stability(high_q_osc, cavity, WorkingPoint(psis[1], math.sqrt(xi2[2])))
-        assert rep.gamma_eff == rep.dynamic_margin == m.dynamic_margin[1, 2]
+        assert rep.dynamic_margin == m.dynamic_margin[1, 2]
 
     def test_map_reads_a_zero_margin_as_unstable(self, cavity):
         # the binary-exact boundary of test_static_boundary_flagged, as a grid

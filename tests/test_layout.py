@@ -3,7 +3,8 @@ formulas shared by scalar and array routes use no ``**``, one place
 builds a ``StabilityReport``, no module forms a noise from the
 transfer coefficients, no module imports scipy, one function checks the
 detuning range, each checking route shares no code with what it checks,
-and the names the benchmark harness reads still exist."""
+every public function and class has a reader, and the names the
+benchmark harness reads still exist."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 import optospring
 
 PACKAGE = Path(optospring.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -363,6 +365,61 @@ def test_independence_checker_stops_at_shared_primitives():
     assert shared_code([source], "search", ("closed",)) == []
     helper_call = "def search(osc):\n    return helper(osc)\n"
     assert shared_code([source, helper_call], "search", ("closed",)) == ["helper"]
+
+
+def names_in(trees) -> set[str]:
+    """Every name the ``trees`` read as ``name``, ``anything.name`` or in an import."""
+    found = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def unread_public(sources: dict[str, str], outside: set[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class that nothing names.
+
+    A name is read where another of ``sources`` names it (``__init__`` names
+    every export), where its own module names it outside its definition, or
+    where it is in ``outside``, the names read beyond the package.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    hits = []
+    for module, tree in trees.items():
+        read = outside | names_in(other for name, other in trees.items() if name != module)
+        for top in tree.body:
+            if (
+                isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and not _private(top.name)
+                and top.name not in read | names_in(t for t in tree.body if t is not top)
+            ):
+                hits.append(f"{module}.{top.name}")
+    return hits
+
+
+def package_modules() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def bench_names() -> set[str]:
+    return names_in(ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py"))
+
+
+def test_every_public_name_has_a_reader():
+    assert BENCH.is_dir()
+    assert unread_public(package_modules(), bench_names()) == []
+
+
+def test_reader_checker_flags_an_unread_helper():
+    # a call from inside its own body is no reader; a call from elsewhere in its module is
+    sources = {**package_modules(), "extra": "def helper(n):\n    return helper(n - 1)\n"}
+    assert unread_public(sources, bench_names()) == ["extra.helper"]
+    sources["extra"] += "def _use():\n    return helper(3)\n"
+    assert unread_public(sources, bench_names()) == []
 
 
 # Names that bench/tracer.py and bench/workloads.py read by attribute or

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -255,6 +256,20 @@ class TestEquivalentInputNoise:
             a = equivalent_input_noise(osc, cavity, wp, omega)
             b = equivalent_input_noise_closed_form(osc, cavity, wp, omega)
             assert abs(a - b) <= 1e-12 * b
+
+    @pytest.mark.parametrize(
+        "omega, at",
+        [(0.0, " "), (np.array([0.0, 0.5]), " at grid index 0 ")],
+        ids=["float", "array"],
+    )
+    def test_closed_form_singular_on_boundary(self, high_q_osc, omega, at):
+        # binary-exact parameters make the spring term exactly -1 at
+        # omega = 0, so the inverse effective susceptibility is exactly zero
+        cav = OpticalCavity(gamma=0.0625, round_trip=1e-3, wavevector=1.0)
+        wp = WorkingPoint(-0.0625, 1.0)
+        msg = f"effective susceptibility diverges{at}(stability boundary)"
+        with pytest.raises(SingularPointError, match=f"^{re.escape(msg)}$"):
+            equivalent_input_noise_closed_form(high_q_osc, cav, wp, omega)
 
     def test_sql_attained_at_balance(self, osc, cavity, rng):
         for omega in rng.uniform(0.05, 3.0, size=10):
