@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -242,12 +242,11 @@ def _out_path(cfg: RunConfig, default_stem: str) -> str:
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
-    osc, gamma, constants = cfg.oscillator, cfg.cavity.gamma, cfg.constants
-    round_trip = cfg.cavity.round_trip if cfg.spectrum_model == "finite" else 0.0
+    cavity = cfg.cavity if cfg.spectrum_model == "finite" else replace(cfg.cavity, round_trip=0.0)
     for wp in cfg.points:
         psi, xi = wp.detuning, wp.coupling
         try:  # a zero coupling raises ValueError; one past ~1e154 gives omega_sql = inf
-            omega_sql = qs.sql_frequency(osc, xi, constants)
+            omega_sql = qs.sql_frequency(cfg.oscillator, xi, cfg.constants)
         except ValueError:
             omega_sql = math.nan
         scale = omega_sql if cfg.grid_units == "omega_sql" else 1.0
@@ -255,9 +254,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if not (0 < omega_sql < math.inf and 0 < lo < hi < math.inf):
             raise ConfigError(f"coupling {xi!r} gives no balance frequency or grid in float range")
         grid = fb.log_grid(lo, hi, cfg.grid_points_per_decade)
-        s_sig = qs.noise_over_coupling(osc, gamma, psi, grid, constants, round_trip)(xi)
-        s_sql = qs.sql_level(osc, grid, constants)
-        table = np.rec.fromarrays([grid / scale, s_sig, s_sql, s_sig / s_sql])
+        if not np.all(grid[1:] > grid[:-1]):  # a grid finer than the floats repeats a frequency
+            raise ConfigError("grid.points_per_decade: more points than floats in the grid range")
+        sp = fb.spectrum(cfg.oscillator, cavity, wp, grid, cfg.constants)
+        table = np.rec.fromarrays([sp.omega / scale, sp.s_sig, sp.s_sql, sp.ratio])
         label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
         blocks.append((label, table))
     path = _out_path(cfg, "spectrum")
@@ -424,9 +424,10 @@ def cmd_figure(
         xi, psis = np.sqrt(coupling2), np.array(ratios) * gamma
         flags = core.stability_map(osc, cfg.cavity, coupling2, psis, cfg.constants)
         sql_col = np.full(grid.shape, s_sql)
+        quasi = replace(cfg.cavity, round_trip=0.0)
         tables = []
         for psi, static, dynamic in zip(psis.tolist(), flags.static_ok, flags.dynamic_ok):
-            s = qs.noise_over_coupling(osc, gamma, psi, 0.0, constants=cfg.constants)(xi)
+            s = qs.noise_over_coupling(osc, quasi, psi, 0.0, cfg.constants)(xi)
             tables.append(np.rec.fromarrays([grid, s, sql_col, s / s_sql, static, dynamic]))
     else:
         omega_sql = 1.0
@@ -442,8 +443,8 @@ def cmd_figure(
         s_sql = qs.sql_level(osc, grid, cfg.constants)  # one SQL column for every curve
         tables = []
         for r, bw in zip(ratios, bws):  # a bandwidth makes the curve finite-bandwidth
-            round_trip = 0.0 if bw is None else gamma / (bw * omega_sql)
-            s = qs.noise_over_coupling(osc, gamma, r * gamma, grid, cfg.constants, round_trip)(xi)
+            cavity = replace(cfg.cavity, round_trip=gamma / (bw * omega_sql) if bw else 0.0)
+            s = qs.noise_over_coupling(osc, cavity, r * gamma, grid, cfg.constants)(xi)
             tables.append(np.rec.fromarrays([grid, s, s_sql, s / s_sql]))
 
     manifest: dict = {

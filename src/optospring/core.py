@@ -102,7 +102,7 @@ class OpticalCavity:
     """Single-ended cavity: damping rate, round-trip time, wavevector.
 
     ``gamma`` is the (dimensionless) amplitude damping rate per round
-    trip, assumed small compared to 1.
+    trip, assumed small compared to 1; ``round_trip = 0`` is quasi-static.
     """
 
     gamma: float
@@ -112,15 +112,15 @@ class OpticalCavity:
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma!r}")
-        if not self.round_trip > 0:
-            raise ValueError(f"round_trip must be positive, got {self.round_trip!r}")
+        if not self.round_trip >= 0:
+            raise ValueError(f"round_trip must be >= 0, got {self.round_trip!r}")
         if not self.wavevector > 0:
             raise ValueError(f"wavevector must be positive, got {self.wavevector!r}")
 
     @property
     def bandwidth(self) -> float:
-        """Cavity bandwidth gamma / round_trip (rad/s)."""
-        return self.gamma / self.round_trip
+        """Cavity bandwidth gamma / round_trip (rad/s), inf at round_trip = 0."""
+        return self.gamma / self.round_trip if self.round_trip else math.inf
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ bandwidth: the output phase-quadrature transfer, the equivalent input
 noise spectrum, and the location and depth of the dual sensitivity dips
 that a detuned finite-bandwidth cavity develops.
 
-The noise is :func:`optospring.quasistatic.noise_over_coupling` at
-omega * tau, the one real formula that runs the quasi-static chain at
-omega * tau = 0. The transfer coefficients come from a per-frequency
+The noise is :func:`optospring.quasistatic.noise_over_coupling` on the
+cavity, the one real formula, which on a cavity with ``round_trip = 0`` is
+the quasi-static chain. The transfer coefficients come from a per-frequency
 linear solve over the intracavity quadratures, kept as the independent
 validation oracle of that formula.
 """
@@ -166,20 +166,19 @@ def spectrum(
 ) -> NoiseSpectrum:
     """Exact equivalent-input noise over a frequency grid.
 
-    Coherent input light: :func:`optospring.quasistatic.noise_over_coupling`
-    at omega tau = omega * round_trip, the noise of the transfer that
+    Coherent input light: :func:`optospring.quasistatic.noise_over_coupling` on
+    ``cavity``, quasi-static if its ``round_trip`` is 0, the noise of the transfer that
     :func:`full_transfer_by_solve` solves for, with the SQL curve
-    :func:`optospring.quasistatic.sql_level` on the same grid. The grid must be
-    strictly increasing and positive. At a real pole of chi_eff the noise takes
-    its finite limit. A long grid runs in fixed blocks with bit-identical results.
+    :func:`optospring.quasistatic.sql_level` on the same grid. The grid must be strictly
+    increasing and positive, of one point or more. At a real pole of chi_eff the noise
+    takes its finite limit. A long grid runs in fixed blocks with bit-identical results.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be a 1-d array with at least 2 points")
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("grid must be a 1-d array with at least 1 point")
     if grid[0] <= 0 or np.any(grid[1:] <= grid[:-1]):
         raise ValueError("grid must be strictly increasing and positive")
-    g, psi, tau = cavity.gamma, wp.detuning, cavity.round_trip
-    s_sig = noise_over_coupling(osc, g, psi, grid, constants, tau)(wp.coupling)
+    s_sig = noise_over_coupling(osc, cavity, wp.detuning, grid, constants)(wp.coupling)
     return NoiseSpectrum(omega=grid, s_sig=s_sig, s_sql=sql_level(osc, grid, constants))
 
 
@@ -218,11 +217,11 @@ def dip_analysis(
     if wp.coupling <= 0:
         raise ValueError("dip analysis needs a positive coupling")
     grid, s = np.asarray(noise_spectrum.omega), noise_spectrum.s_sig
-    g, tau, xi = cavity.gamma, cavity.round_trip, wp.coupling
+    g, xi = cavity.gamma, wp.coupling
     inner = s[1:-1]
     minima = np.flatnonzero((inner < s[:-2]) & (inner < s[2:])) + 1
     # the noise is elementwise: the reference at the minima has the whole grid's bits
-    reference = noise_over_coupling(osc, g, 0.0, grid[minima], constants, tau)(xi)
+    reference = noise_over_coupling(osc, cavity, 0.0, grid[minima], constants)(xi)
     found = [_parabolic_refine(grid, s, i) for i in minima[s[minima] < reference]]
     if not found:
         raise NoDipFoundError(
@@ -237,8 +236,8 @@ def dip_analysis(
     pred_depth = 2.0 * (g / psi) ** 2 if psi != 0 else math.inf
     s_ref = free_mass_sql_level(osc, omega_sql, constants)
 
-    def distance(cand, pred):
-        return abs(math.log(cand[0] / pred))
+    def distance(cand, pred):  # pred is inf for the loop dip of a quasi-static cavity
+        return abs(math.log(cand[0]) - math.log(pred))
 
     minus = plus = None
     if pred_minus is None:

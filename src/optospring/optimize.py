@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NORMALIZED, Constants, MechanicalOscillator, check_detuning
+from .core import NORMALIZED, Constants, MechanicalOscillator, OpticalCavity, check_detuning
 from .errors import DegenerateDissipationError
 from .quasistatic import noise_over_coupling, sql_point
 
@@ -230,8 +230,9 @@ def minimize_xi_quasistatic(
     spec: SearchSpec = SearchSpec(),
     constants: Constants = NORMALIZED,
 ) -> OptimResult:
-    """Numeric coupling optimum of the quasi-static noise at one point."""
-    objective = noise_over_coupling(osc, gamma, detuning, omega, constants)
+    """Numeric coupling optimum of the quasi-static noise (a cavity of ``round_trip = 0``)."""
+    cavity = OpticalCavity(gamma, round_trip=0.0, wavevector=1.0)
+    objective = noise_over_coupling(osc, cavity, detuning, omega, constants)
     res = minimize_over_xi(objective, spec)
     ratio = res.level / sql_point(osc, omega, constants).level
     return replace(res, detuning=detuning, ratio_to_sql=ratio)
@@ -255,11 +256,12 @@ def minimize_over_detuning(
         raise DegenerateDissipationError(
             "detuning optimization undefined for an undamped oscillator"
         )
+    cavity = OpticalCavity(gamma, round_trip=0.0, wavevector=1.0)
     evals = 0
 
     def level(psi: float, seed_vals=None) -> float:
         nonlocal evals
-        objective = noise_over_coupling(osc, gamma, psi, omega, constants)
+        objective = noise_over_coupling(osc, cavity, psi, omega, constants)
         r = minimize_over_xi(objective, spec, seed_vals=seed_vals)
         evals += r.iterations
         return r.level
@@ -268,7 +270,7 @@ def minimize_over_detuning(
     p = np.linspace(lo, hi, spec.seed_points)
     # the coupling seed scans of all seed detunings in one call, row i at p[i]
     _, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
-    scans = noise_over_coupling(osc, gamma, p[:, None], omega, constants)(seed_xi)
+    scans = noise_over_coupling(osc, cavity, p[:, None], omega, constants)(seed_xi)
     seed_vals = np.array([level(psi, row) for psi, row in zip(p.tolist(), scans)])
     psi_opt, _, _, ok = _seeded_search(level, p, seed_vals, spec)
     psi_opt = float(psi_opt)

@@ -3,12 +3,12 @@
 Valid for signal frequencies well below the cavity bandwidth: the output
 phase quadrature carries the signal amplified by the mirror dynamics on
 top of the incident phase and radiation-pressure noises, through the
-static spring hbar xi^2 psi / gamma. The one real noise formula
-:func:`noise_over_coupling` is this chain at omega * tau = 0 and also runs
-the finite-bandwidth spectrum. This module provides the equivalent-input
-noise spectrum and its closed form, the standard quantum limit,
-closed-form optimal working points at low and high frequency, and the
-dissipation-set ultimate limit.
+static spring hbar xi^2 psi / gamma: the cavity with ``round_trip = 0``,
+on which the one noise formula :func:`noise_over_coupling` runs this chain
+(on any other, the finite-bandwidth spectrum). This module provides the
+equivalent-input noise spectrum and its closed form, the standard quantum
+limit, closed-form optimal working points at low and high frequency, and
+the dissipation-set ultimate limit.
 """
 
 from __future__ import annotations
@@ -69,22 +69,21 @@ class OptimumPoint:
 
 def noise_over_coupling(
     osc: MechanicalOscillator,
-    gamma: float,
+    cavity: OpticalCavity,
     detuning: float,
     omega,
     constants: Constants = NORMALIZED,
-    round_trip: float = 0.0,
 ):
-    """Equivalent-input noise as a function of the coupling, at any bandwidth.
+    """Equivalent-input noise of a cavity as a function of the coupling.
 
     Maps a coupling, or an array of couplings broadcast with omega, to the coherent-input
-    noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at omega tau = omega * round_trip. Each
-    output coefficient times chi_eff^-1 Delta / u^2 gives real cavity factors,
-    exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
-    (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array
-    give the same bits, and the noise stays finite at a real pole of chi_eff.
-    A zero coupling, scalar or in an array, raises ``NoMeasurementError``; a
-    gamma^2 + detuning^2 underflowing to 0 raises ``SingularPointError`` at the build.
+    noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at omega tau = omega * ``cavity.round_trip``:
+    the quasi-static noise on a cavity with ``round_trip = 0``. Each output coefficient
+    times chi_eff^-1 Delta / u^2 gives real cavity factors, exactly 1 or 0 at omega tau = 0:
+    the quasi-static |chi|^2 (|chi_eff^-1|^2 / (4 xi^2) + hbar^2 xi^2). Only +, -, * and /
+    enter, so a float and an array give the same bits, and the noise stays finite at a real
+    pole of chi_eff. A zero coupling, scalar or in an array, raises ``NoMeasurementError``;
+    a gamma^2 + detuning^2 underflowing to 0 raises ``SingularPointError`` at the build.
     A float omega is set up and checked at the build. An array omega is checked at the call:
     first the coupling, once for the whole call, then the noise denominator block by block
     (:func:`core.blockwise`), with an array coupling broadcast to the grid's shape; a blocked
@@ -94,8 +93,6 @@ def noise_over_coupling(
     coupling, each cell the bits of its scalar detuning's closure: ``detuning[:, None]`` and a
     coupling row give one scan per detuning.
     """
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
     # a float detuning and omega stay Python floats for the scalar Brent polish; the type
     # tests first, since np.ndim of a float costs about 1 us on every build
     float_omega = type(omega) is float or np.ndim(omega) == 0
@@ -106,11 +103,11 @@ def noise_over_coupling(
     else:
         raise ValueError("an array detuning needs a float omega")
     core.check_detuning("detuning", psi)
-    u2 = gamma * gamma + psi * psi
+    u2 = cavity.gamma * cavity.gamma + psi * psi
     if not (u2 > 0 if type(u2) is float else np.all(u2 > 0)):
-        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
+        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={cavity.gamma!r})")
     if float_omega:
-        return _noise_closure(osc, gamma, psi, u2, float(omega), constants, round_trip)
+        return _noise_closure(osc, cavity, psi, u2, float(omega), constants)
     omega = np.asarray(omega, dtype=float)
 
     def noise_at(xi):
@@ -120,7 +117,7 @@ def noise_over_coupling(
         scratch = []  # the kernel's buffers, made by the first block and reused by the rest
 
         def block(w, x2):
-            return _noise_block(osc, gamma, psi, u2, w, constants, round_trip, x2, scratch)
+            return _noise_block(osc, cavity, psi, u2, w, constants, x2, scratch)
 
         return core.blockwise(block, omega, xi2)
 
@@ -145,7 +142,7 @@ def _cavity_factors(gamma, psi, u2, hbar, w):
     return dr, di, a_q, a_p, lag, qr1, pr1, (dr * dr + di * di) * (1.0 + gw * gw)
 
 
-def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
+def _noise_closure(osc, cavity, psi, u2, omega, constants):
     """The setup of :func:`noise_over_coupling` at a float omega, and its closure.
 
     ``psi`` is a float, or an array of detunings.
@@ -155,8 +152,8 @@ def _noise_closure(osc, gamma, psi, u2, omega, constants, round_trip):
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
     hbar = constants.hbar
     hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
-    w = omega * round_trip if round_trip else 0.0
-    dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(gamma, psi, u2, hbar, w)
+    w = omega * cavity.round_trip if cavity.round_trip else 0.0
+    dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(cavity.gamma, psi, u2, hbar, w)
     jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
     # qr + i qi = c_q chi_eff^-1 (Delta / u^2)^2, pr + i pi the same of c_p over 2 hbar xi^2
     qr0, qi0, pr0, pi0 = a_q * jr0, a_q * ji, a_p * jr0, a_p * ji
@@ -183,7 +180,7 @@ def _times(a, b, out):
     return a * b
 
 
-def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
+def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
     """The noise on a block ``w`` of an array omega at ``xi2`` = xi^2, for a float ``psi``.
 
     :func:`_noise_closure`'s IEEE operations on the same operands, each written into one
@@ -195,17 +192,17 @@ def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     shape = np.broadcast_shapes(w.shape, np.shape(xi2))
     if not scratch:
-        scratch += [np.empty(shape) for _ in range(12 if round_trip else 4)]
+        scratch += [np.empty(shape) for _ in range(12 if cavity.round_trip else 4)]
     s = [a if len(a) == shape[0] else a[: shape[0]] for a in scratch]
     m, om, hbar = osc.mass, osc.resonance_freq, constants.hbar
     re0 = mul(m, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
     im0 = mul(m * osc.damping, w, out=s[1])
     den = mag2 = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
-    if round_trip:  # _cavity_factors at w = omega tau, in s[3:]
-        wt = mul(w, round_trip, out=s[5])
-        gw = div(mul(gamma, wt, out=s[3]), u2, out=s[3])
+    if cavity.round_trip:  # _cavity_factors at w = omega tau, in s[3:]
+        wt = mul(w, cavity.round_trip, out=s[5])
+        gw = div(mul(cavity.gamma, wt, out=s[3]), u2, out=s[3])
         pw = mul(sub(psi, wt, out=s[6]), add(psi, wt, out=s[7]), out=s[6])
-        dr = div(add(gamma * gamma, pw, out=s[6]), u2, out=s[6])
+        dr = div(add(cavity.gamma * cavity.gamma, pw, out=s[6]), u2, out=s[6])
         di = mul(-2.0, gw, out=s[7])
         a_q = add(dr, mul(mul(2.0, gw, out=s[8]), gw, out=s[8]), out=s[8])
         a_p = mul(mul(np.negative(gw, out=s[9]), wt, out=s[9]), psi, out=s[9])
@@ -213,7 +210,7 @@ def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
         lag = div(mul(2.0 * hbar * psi, wt, out=s[5]), u2, out=s[5])
         dd = add(mul(dr, dr, out=s[4]), mul(di, di, out=s[10]), out=s[4])
         dfac = mul(dd, add(1.0, mul(gw, gw, out=s[10]), out=s[10]), out=s[4])
-        spring = hbar * psi / gamma
+        spring = hbar * psi / cavity.gamma
         qr1 = sub(mul(a_q, spring, out=s[10]), mul(lag, gw, out=s[11]), out=s[10])
         g1 = sub(1.0, mul(gw, gw, out=s[3]), out=s[3])  # 1 - gw^2, written over gw: its last use
         pr1 = add(mul(a_p, spring, out=s[11]), g1, out=s[11])
@@ -221,8 +218,8 @@ def _noise_block(osc, gamma, psi, u2, w, constants, round_trip, xi2, scratch):
     if not np.all(den):
         bad = np.broadcast_to(w, shape)[den == 0][0]
         raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
-    if not round_trip:  # (qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2, over mag2; s[3] holds im0^2
-        qr1 = _cavity_factors(gamma, psi, u2, hbar, 0.0)[5]  # the other factors are 1 or 0
+    if not cavity.round_trip:  # (qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2 over mag2; s[3] = im0^2
+        qr1 = _cavity_factors(cavity.gamma, psi, u2, hbar, 0.0)[5]  # the other factors are 1 or 0
         qr = add(re0, _times(qr1, xi2, s[1]), out=s[0])
         q2 = div(add(mul(qr, qr, out=s[0]), s[3], out=s[0]), _times(4.0, xi2, s[1]), out=s[0])
         return div(add(q2, _times(hbar * hbar, xi2, s[1]), out=s[0]), den, out=s[0])
@@ -250,10 +247,11 @@ def equivalent_input_noise(
 
     Output noise power of coherent input light referred to an apparent
     cavity-length change, (|c_q|^2 + |c_p|^2) / |c_sig|^2, evaluated by
-    :func:`noise_over_coupling`; its closed form is
-    :func:`equivalent_input_noise_closed_form`.
+    :func:`noise_over_coupling` with ``cavity.round_trip`` set to 0, whatever it is:
+    quasi-static. Its closed form is :func:`equivalent_input_noise_closed_form`.
     """
-    return noise_over_coupling(osc, cavity.gamma, wp.detuning, omega, constants)(wp.coupling)
+    quasi = replace(cavity, round_trip=0.0)
+    return noise_over_coupling(osc, quasi, wp.detuning, omega, constants)(wp.coupling)
 
 
 def equivalent_input_noise_closed_form(

@@ -180,6 +180,27 @@ class TestSpectrumCommand:
         _, _, rows = read_table(str(out))
         assert len(rows) == 2 * 101
 
+    def test_one_point_grid(self, tmp_path):
+        # a range under half a grid step gives one frequency, and one row
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--grid", "0.5:0.50001:3", "--out", str(out)], tmp_path) == 0
+        text = out.read_text()
+        assert "# grid.hi = 0.50001\n# grid.lo = 0.5\n# grid.points_per_decade = 3\n" in text
+        assert text.endswith(
+            "omega_norm,s_sig,s_sql,ratio\n"
+            "# point detuning=0.0 coupling=0.7071067811865476 omega_sql=1.0\n"
+            "0.5,1.3879218142916074,1.3333330370371357,1.0409415920389824\n"
+        )
+
+    def test_grid_finer_than_floats_exit_2(self, tmp_path, capsys):
+        # 11 points between two adjacent floats repeat a frequency: no strictly increasing grid
+        out = tmp_path / "spec.csv"
+        grid = "1:1.0000000000000002:100000000000000000"
+        assert run(["spectrum", "--grid", grid, "--out", str(out)], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: config error: grid.points_per_decade: ")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_empty_points_exit_2(self, tmp_path):
         cfg = "points.detuning =\npoints.coupling =\n"
         assert run(["spectrum"], tmp_path, cfg) == 2
@@ -672,6 +693,36 @@ class TestEveryNumberKey:
             assert written == []
         for path, text in zip(written, texts):
             assert NON_FINITE.search(text) is None, path.name
+
+
+class TestQuasistaticCavity:
+    """``cavity.round_trip = 0`` is the quasi-static cavity, which every command takes."""
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_every_command_runs(self, tmp_path, capsys, command):
+        config_text = SMALL_RUN + "cavity.round_trip = 0.0\n"
+        out = tmp_path / "out"
+        argv = [*command, "--grid", "0.5:2.0:3", "--out", str(out)]
+        assert run(argv, tmp_path, config_text) == 0
+        assert capsys.readouterr().err == ""
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p.name != "run.cfg"]
+        assert written
+        for path in written:
+            assert NON_FINITE.search(path.read_text()) is None, path.name
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_spectrum_equals_quasistatic_model(self, tmp_path, out_format):
+        cells = []
+        for key in ("cavity.round_trip = 0.0", "spectrum.model = quasistatic"):
+            out = tmp_path / f"spec.{out_format}"
+            argv = ["spectrum", "--format", out_format, "--out", str(out)]
+            points = "points.detuning = 0.0, -0.05, 0.03\npoints.coupling = 0.7, 0.7, 1.3\n"
+            assert run(argv, tmp_path, f"{points}{key}\n") == 0
+            if out_format == "csv":
+                cells.append([line for line in out.read_text().splitlines() if line[0] != "#"])
+            else:
+                cells.append(json.loads(out.read_text())["blocks"])
+        assert cells[0] == cells[1]
 
 
 class TestStabilityCommand:

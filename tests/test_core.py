@@ -52,6 +52,45 @@ class TestTypes:
         assert cavity.bandwidth == pytest.approx(10.0)
 
 
+class TestQuasistaticCavity:
+    """``round_trip = 0`` is the quasi-static cavity: infinite bandwidth, no delay."""
+
+    def test_bandwidth_is_infinite(self):
+        assert OpticalCavity(gamma=0.01, round_trip=0.0, wavevector=1.0).bandwidth == math.inf
+
+    @pytest.mark.parametrize("round_trip", [-1e-3, math.nan])
+    def test_negative_and_nan_refused(self, round_trip):
+        with pytest.raises(ValueError, match="round_trip must be >= 0"):
+            OpticalCavity(gamma=0.01, round_trip=round_trip, wavevector=1.0)
+
+    def test_no_delay_no_antidamping(self, rng):
+        # the optical spring changes the damping only through the delay
+        for _ in range(200):
+            osc = MechanicalOscillator(10 ** rng.uniform(-2, 2), 1.0, 10 ** rng.uniform(-6, -2))
+            cav = OpticalCavity(gamma=10 ** rng.uniform(-3, -0.1), round_trip=0.0, wavevector=1.0)
+            wp = WorkingPoint(rng.uniform(-3.1, 3.1), 10 ** rng.uniform(-3, 3))
+            assert stability(osc, cav, wp).dynamic_margin == osc.damping
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        log_damping=_uniform(-6, -2),
+        log_gamma=_uniform(-3, -0.1),
+        psi=_uniform(-3.1, 3.1),
+        log_xi=_uniform(-2, 2),
+    )
+    def test_verdict_matches_poles(self, log_damping, log_gamma, psi, log_xi):
+        # stable by the report exactly where every pole decays
+        osc = MechanicalOscillator(1.0, 1.0, 10**log_damping)
+        cav = OpticalCavity(gamma=10**log_gamma, round_trip=0.0, wavevector=1.0)
+        wp = WorkingPoint(psi, 10**log_xi)
+        rep = stability(osc, cav, wp)
+        if abs(rep.static_margin) < 1e-9 * (cav.gamma**2 + psi**2):
+            return  # on the static boundary up to rounding: no verdict to compare
+        kappa = kappa_for_coupling(cav, psi, wp.coupling)
+        poles = effective_susceptibility_poles(osc, cav, psi, kappa)
+        assert (rep.static_ok and rep.dynamic_ok) == (max(p.imag for p in poles) < 0)
+
+
 class TestCheckDetuning:
     """``core.check_detuning``: the one (-pi, pi] check, for scalars and arrays alike."""
 

@@ -33,6 +33,11 @@ from optospring import core
 from optospring import finite_bandwidth as fb
 
 
+def cav(gamma, round_trip=0.0):
+    """The cavity of damping ``gamma``, quasi-static unless given a round trip."""
+    return OpticalCavity(gamma, round_trip, wavevector=1.0)
+
+
 def fig4_setup(detuning_ratio, bandwidth_ratio):
     """Free-mass-regime working point with the balance frequency at 1."""
     gamma = 0.01
@@ -76,7 +81,7 @@ class TestFullTransfer:
             wp = WorkingPoint(ratio * cavity.gamma, 0.4)
             omega = 1e-6 * cavity.bandwidth
             full = _solve_noise(full_transfer_by_solve(high_q_osc, cavity, wp, omega))
-            quasi = noise_over_coupling(high_q_osc, cavity.gamma, wp.detuning, omega)(0.4)
+            quasi = noise_over_coupling(high_q_osc, cav(cavity.gamma), wp.detuning, omega)(0.4)
             assert abs(full - quasi) / abs(quasi) < 1e-6
 
     def test_signal_lowpass_on_resonance(self, high_q_osc, cavity):
@@ -149,7 +154,7 @@ class TestSpectrum:
         xi = np.geomspace(1e-2, 1e2, 41) / math.sqrt(2.0 * abs(chi))  # around the SQL coupling
         tau = 10**log_lag * gamma / omega
         for psi in np.linspace(-3.1, 3.1, 41):
-            noise = noise_over_coupling(osc, gamma, psi, omega, round_trip=tau)(xi)
+            noise = noise_over_coupling(osc, cav(gamma, tau), psi, omega)(xi)
             assert np.all(noise >= abs(chi.imag) * (1.0 - 1e-12))
 
     def test_grid_validation(self, high_q_osc, cavity):
@@ -158,6 +163,27 @@ class TestSpectrum:
             spectrum(high_q_osc, cavity, wp, np.array([1.0, 0.5, 2.0]))
         with pytest.raises(ValueError):
             spectrum(high_q_osc, cavity, wp, np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="at least 1 point"):
+            spectrum(high_q_osc, cavity, wp, np.array([]))
+
+    def test_one_point_grid(self, high_q_osc, cavity):
+        # a grid of one frequency, as log_grid gives for a range under half a step
+        grid = log_grid(0.5, 0.50001, 3)
+        assert grid.tolist() == [0.5]
+        wp = WorkingPoint(-0.05, 0.7)
+        sp = spectrum(high_q_osc, cavity, wp, grid)
+        assert sp.s_sig.tolist() == [noise_over_coupling(high_q_osc, cavity, -0.05, 0.5)(0.7)]
+        assert sp.s_sql.tolist() == [sql_level(high_q_osc, 0.5)]
+
+    def test_quasistatic_cavity(self, high_q_osc, cavity, rng):
+        # round_trip = 0: the quasi-static noise, bit for bit, beside the same SQL
+        quasi = cav(cavity.gamma)
+        grid = np.geomspace(1e-2, 1e2, 301)
+        for psi in rng.uniform(-0.5, 0.5, size=10):
+            wp = WorkingPoint(psi, 10 ** rng.uniform(-1, 1))
+            sp = spectrum(high_q_osc, quasi, wp, grid)
+            assert np.array_equal(sp.s_sig, equivalent_input_noise(high_q_osc, cavity, wp, grid))
+            assert np.array_equal(sp.s_sql, sql_level(high_q_osc, grid))
 
     def test_log_grid(self):
         g = log_grid(0.01, 1000.0, 400)
@@ -262,7 +288,7 @@ class TestDipAnalysis:
             case["seen"].append(i)
             return float(x[i]), float(y[i])
 
-        def reference(osc, gamma, detuning, omega, constants, round_trip):
+        def reference(osc, cavity, detuning, omega, constants):
             # the case's reference at the grid indices of the frequencies asked for
             return lambda xi: case["ref"][np.searchsorted(case["grid"], omega)]
 
@@ -297,15 +323,25 @@ class TestDipAnalysis:
         sp = spectrum(osc, cavity, wp, np.geomspace(1e-2, 1e3, 200_000))
         points = []
 
-        def counted(osc, gamma, detuning, omega, *args):
+        def counted(osc, cavity, detuning, omega, *args):
             points.append(np.size(omega))
-            return noise_over_coupling(osc, gamma, detuning, omega, *args)
+            return noise_over_coupling(osc, cavity, detuning, omega, *args)
 
         monkeypatch.setattr(fb, "noise_over_coupling", counted)
         report = dip_analysis(sp, osc, cavity, wp)
         s = sp.s_sig
         minima = np.count_nonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:]))
         assert sum(points) == minima >= report.count == 2
+
+    @pytest.mark.parametrize("ratio", [5.0, 10.0])
+    def test_quasistatic_cavity_has_the_spring_dip_only(self, ratio):
+        # no loop dip at infinite bandwidth: the one dip found is the spring dip
+        osc, cavity, wp = fig4_setup(ratio, 2.0)
+        quasi = cav(cavity.gamma)
+        rep = dip_analysis(spectrum(osc, quasi, wp, default_grid(1.0)), osc, quasi, wp)
+        assert rep.count == 1 and rep.omega_plus is None
+        assert rep.predicted_omega_plus == math.inf
+        assert abs(rep.omega_minus / (1.0 + (0.5 * ratio) ** 2) ** 0.25 - 1.0) < 0.05
 
     def test_predictions_attached(self):
         osc, cavity, wp = fig4_setup(10.0, 2.0)
@@ -353,7 +389,7 @@ class TestBlocks:
         g, psi, xi = cavity.gamma, wp.detuning, wp.coupling
         tau = cavity.round_trip if lag else 0.0
         grid = np.geomspace(1e-2, 1e3, n)
-        noise = noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+        noise = noise_over_coupling(osc, cav(g, tau), psi, grid)(xi)
         blocked = [(noise, sql_level(osc, grid))]
         if lag:
             sp = spectrum(osc, cavity, wp, grid)
@@ -362,15 +398,15 @@ class TestBlocks:
             blocked.append((equivalent_input_noise(osc, cavity, wp, grid), blocked[0][1]))
         with monkeypatch.context() as one_call:  # a block as long as the grid: a single call
             one_call.setattr(core, "BLOCK", n)
-            s_sig = noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+            s_sig = noise_over_coupling(osc, cav(g, tau), psi, grid)(xi)
             s_sql = sql_level(osc, grid)
-            reference = noise_over_coupling(osc, g, 0.0, grid, round_trip=tau)(xi)
+            reference = noise_over_coupling(osc, cav(g, tau), 0.0, grid)(xi)
         assert np.array_equal(s_sql, np.abs(mech_susceptibility(osc, grid)))
         for sig, sql in blocked:
             assert np.array_equal(sig, s_sig) and np.array_equal(sql, s_sql)
             for i in block_edges(n):
                 om = float(grid[i])
-                assert sig[i] == noise_over_coupling(osc, g, psi, om, round_trip=tau)(xi)
+                assert sig[i] == noise_over_coupling(osc, cav(g, tau), psi, om)(xi)
                 assert sql[i] == sql_level(osc, om)
         if lag:  # the dips of the whole-grid mask, its reference from one call
             s, inner = sp.s_sig, sp.s_sig[1:-1]
@@ -388,15 +424,15 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
     def test_errors_as_one_call(self, n, monkeypatch):
         _, cavity, wp = fig4_setup(5.0, 2.0)
-        g, psi, xi, tau = cavity.gamma, wp.detuning, wp.coupling, cavity.round_trip
+        psi, xi = wp.detuning, wp.coupling
         grid = np.geomspace(1e-2, 1e3, n)
         # an undamped resonance on a grid point of the last block
         osc = MechanicalOscillator(1.0, resonance_freq=float(grid[-2]), damping=0.0)
         with monkeypatch.context() as one_call, pytest.raises(SingularPointError) as whole:
             one_call.setattr(core, "BLOCK", n)  # a block as long as the grid: a single call
-            noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi)
+            noise_over_coupling(osc, cavity, psi, grid)(xi)
         for call in (
-            lambda: noise_over_coupling(osc, g, psi, grid, round_trip=tau)(xi),
+            lambda: noise_over_coupling(osc, cavity, psi, grid)(xi),
             lambda: spectrum(osc, cavity, wp, grid),
             lambda: equivalent_input_noise(osc, cavity, wp, grid),
         ):
@@ -414,8 +450,8 @@ class TestBlocks:
         for at in (1, -2):
             osc = MechanicalOscillator(1.0, resonance_freq=float(grid[at]), damping=0.0)
             for call in (
-                lambda: noise_over_coupling(osc, g, psi, grid, round_trip=tau)(0.0),
-                lambda: noise_over_coupling(osc, g, psi, grid)(last_off),
+                lambda: noise_over_coupling(osc, cavity, psi, grid)(0.0),
+                lambda: noise_over_coupling(osc, cav(cavity.gamma), psi, grid)(last_off),
                 lambda: spectrum(osc, cavity, off, grid),
                 lambda: equivalent_input_noise(osc, cavity, off, grid),
             ):
@@ -465,7 +501,7 @@ class TestBlocks:
         osc, cavity, wp = fig4_setup(5.0, 2.0)
         with monkeypatch.context() as one_call:  # a block as long as the grid: a single call
             one_call.setattr(core, "BLOCK", max(np.size(omega), BLOCK))
-            whole = noise_over_coupling(osc, cavity.gamma, wp.detuning, omega)(wp.coupling)
+            whole = noise_over_coupling(osc, cav(cavity.gamma), wp.detuning, omega)(wp.coupling)
         blocked = equivalent_input_noise(osc, cavity, wp, omega)
         assert type(blocked) is type(whole)
         assert np.asarray(blocked).dtype == np.asarray(whole).dtype
@@ -480,12 +516,12 @@ class TestBlocks:
         osc, cavity, wp = fig4_setup(5.0, 2.0)
         grid = np.geomspace(1e-2, 1e3, n)
         xi = wp.coupling * np.geomspace(0.5, 2.0, n)
-        noise = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=1e-3)
+        noise = noise_over_coupling(osc, cav(cavity.gamma, 1e-3), wp.detuning, grid)
         # an array closure picks one call or blocks when it is called: the reference
         # is called, with every coupling, while a block is as long as the grid
         with monkeypatch.context() as one_call:
             one_call.setattr(core, "BLOCK", n)
-            whole = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=1e-3)
+            whole = noise_over_coupling(osc, cav(cavity.gamma, 1e-3), wp.detuning, grid)
             whole = [whole(xi), whole(xi[-1])]
         assert np.array_equal(noise(xi), whole[0])
         assert np.array_equal(noise(xi[-1]), whole[1])
@@ -519,7 +555,7 @@ class TestBlocks:
         grid = np.geomspace(1e-2, 1e3, 3 * BLOCK + 7)
         osc, cavity, wp = fig4_setup(5.0, 2.0)
         tau = cavity.round_trip if lag else 0.0
-        noise = noise_over_coupling(osc, cavity.gamma, wp.detuning, grid, round_trip=tau)
+        noise = noise_over_coupling(osc, cav(cavity.gamma, tau), wp.detuning, grid)
         tracemalloc.start()
         try:
             out = sql_level(osc, grid) if lag is None else noise(wp.coupling)

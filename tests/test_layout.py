@@ -2,14 +2,16 @@
 formulas shared by scalar and array routes use no ``**``, one place
 builds a ``StabilityReport``, no module forms a noise from the
 transfer coefficients, no module imports scipy, one function checks the
-detuning range, each checking route shares no code with what it checks,
-every public function and class has a reader, and the names the
-benchmark harness reads still exist."""
+detuning range, no function takes a round trip beside a gamma, each
+checking route shares no code with what it checks, every public function
+and class is read in the package or ``bench/`` or shown in README, README's
+quick start runs, and the names the benchmark harness reads still exist."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import optospring
 
 PACKAGE = Path(optospring.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = BENCH.parent / "README.md"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -250,6 +253,40 @@ def test_pi_checker_sees_every_comparison_form():
     assert pi_comparisons(source, "m") == [("m.f", 2), ("m.C", 5), ("m.<module>", 7)]
 
 
+def loose_round_trips(source: str) -> list[str]:
+    """Names of the functions in ``source``, nested ones too, that take both a
+    ``gamma`` and a ``round_trip`` parameter."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if {"gamma", "round_trip"} <= {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}:
+                hits.append(node.name)
+    return hits
+
+
+def test_regime_is_the_cavity():
+    # the quasi-static regime is a cavity with round_trip = 0: a round trip passed
+    # beside a gamma splits one cavity into loose floats
+    hits = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in loose_round_trips(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def test_round_trip_checker_sees_every_parameter_form():
+    source = (
+        "def f(osc, gamma, omega, round_trip=0.0):\n"
+        "    def g(gamma, /, *, round_trip):\n        pass\n"
+        "def h(cavity, round_trip):\n    pass\n"
+        "class C:\n    def m(self, gamma, tau):\n        pass\n"
+        "    async def n(self, round_trip, gamma=0.1):\n        pass\n"
+    )
+    assert loose_round_trips(source) == ["f", "g", "n"]
+
+
 def call_graph(sources) -> tuple[dict[str, set[str]], set[str]]:
     """Name-level call graph of the top-level functions and classes in ``sources``.
 
@@ -383,14 +420,16 @@ def names_in(trees) -> set[str]:
 def unread_public(sources: dict[str, str], outside: set[str]) -> list[str]:
     """``module.name`` of each public top-level function or class that nothing names.
 
-    A name is read where another of ``sources`` names it (``__init__`` names
-    every export), where its own module names it outside its definition, or
-    where it is in ``outside``, the names read beyond the package.
+    A name is read where another of ``sources`` names it, where its own module
+    names it outside its definition, or where it is in ``outside``, the names
+    read or documented beyond the package. ``__init__`` is no reader: its
+    re-export of a name tells neither a use nor documented API.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     hits = []
     for module, tree in trees.items():
-        read = outside | names_in(other for name, other in trees.items() if name != module)
+        others = (other for name, other in trees.items() if name not in (module, "__init__"))
+        read = outside | names_in(others)
         for top in tree.body:
             if (
                 isinstance(top, (ast.FunctionDef, ast.ClassDef))
@@ -409,17 +448,60 @@ def bench_names() -> set[str]:
     return names_in(ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py"))
 
 
+def readme_names() -> set[str]:
+    """Every identifier that README shows as code, in a fenced block or an inline span."""
+    text = README.read_text(encoding="utf-8")
+    code = re.findall(r"^```.*?^```|`[^`\n]+`", text, re.MULTILINE | re.DOTALL)
+    return {name for chunk in code for name in re.findall(r"[A-Za-z_]\w*", chunk)}
+
+
+def outside_names() -> set[str]:
+    return bench_names() | readme_names()
+
+
 def test_every_public_name_has_a_reader():
     assert BENCH.is_dir()
-    assert unread_public(package_modules(), bench_names()) == []
+    assert unread_public(package_modules(), outside_names()) == []
 
 
 def test_reader_checker_flags_an_unread_helper():
     # a call from inside its own body is no reader; a call from elsewhere in its module is
     sources = {**package_modules(), "extra": "def helper(n):\n    return helper(n - 1)\n"}
-    assert unread_public(sources, bench_names()) == ["extra.helper"]
+    assert unread_public(sources, outside_names()) == ["extra.helper"]
     sources["extra"] += "def _use():\n    return helper(3)\n"
-    assert unread_public(sources, bench_names()) == []
+    assert unread_public(sources, outside_names()) == []
+
+
+def test_reader_checker_flags_an_undocumented_export():
+    # an export that nothing in the package or bench/ reads and README does not show
+    sources = {**package_modules(), "extra": "def exported(n):\n    return n\n"}
+    sources["__init__"] += "from .extra import exported\n"
+    assert unread_public(sources, outside_names()) == ["extra.exported"]
+    assert unread_public(sources, outside_names() | {"exported"}) == []
+
+
+def test_readme_names_come_from_code():
+    assert {"noise_over_coupling", "equivalent_input_noise", "OpticalCavity"} <= readme_names()
+    assert "probe" not in readme_names()  # a prose word, outside any code
+
+
+def readme_blocks(lang: str) -> list[str]:
+    """The fenced ``lang`` code blocks of README."""
+    pattern = rf"^```{lang}\n(.*?)^```"
+    return re.findall(pattern, README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+
+
+def test_readme_quick_start_runs():
+    # the documented library API, run as README shows it
+    (block,) = readme_blocks("python")
+    exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_config_example_builds():
+    from optospring.config import build_run_config, parse_config_text
+
+    (block,) = readme_blocks("ini")
+    assert len(build_run_config(parse_config_text(block)).points) == 2
 
 
 # Names that bench/tracer.py and bench/workloads.py read by attribute or

@@ -37,6 +37,11 @@ from optospring.optimize import AT_BOUND_TOL, OptimResult, _bounded_brent
 GAMMA = 0.01
 
 
+def cav(gamma, round_trip=0.0):
+    """The cavity of damping ``gamma``, quasi-static unless given a round trip."""
+    return OpticalCavity(gamma, round_trip, wavevector=1.0)
+
+
 def _uniform(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -118,11 +123,11 @@ class TestBatchedSeedScan:
         # the one-call seed scan equals the per-point equivalent_input_noise
         osc = MechanicalOscillator(1.0, 1.0, 10**log_damping)
         gamma, omega = 10**log_gamma, 10**log_omega
-        cavity = _cavity_for(gamma)
+        cavity = cav(gamma)
         spec = SearchSpec()
         t = np.linspace(*map(math.log, spec.xi2_bounds), spec.seed_points)
         seed_xi = [math.sqrt(math.exp(u)) for u in t]
-        objective = noise_over_coupling(osc, gamma, psi, omega)
+        objective = noise_over_coupling(osc, cavity, psi, omega)
         batch = objective(np.array(seed_xi))
         for xi, value in zip(seed_xi, batch):
             point = equivalent_input_noise(osc, cavity, WorkingPoint(psi, xi), omega)
@@ -184,7 +189,7 @@ class TestMinimizeOverXi:
         # frequency: the result sits below the local quasi-static SQL
         osc = quasi_free_oscillator(1.0)
         omega = 2.2957  # spring dip of the detuning = 10 gamma spectrum
-        objective = noise_over_coupling(osc, GAMMA, 10.0 * GAMMA, omega, round_trip=GAMMA / 2.0)
+        objective = noise_over_coupling(osc, cav(GAMMA, GAMMA / 2.0), 10.0 * GAMMA, omega)
         res = minimize_over_xi(objective)
         assert res.converged
         assert res.level < sql_point(osc, omega).level
@@ -218,14 +223,14 @@ class TestMinimizeOverXi:
         assert res.converged and not res.at_bound
 
     def test_given_seed_scan_replaces_the_call(self, osc):
-        objective = noise_over_coupling(osc, GAMMA, -0.05, 0.5)
+        objective = noise_over_coupling(osc, cav(GAMMA), -0.05, 0.5)
         xi = np.sqrt(np.exp(np.linspace(*map(math.log, SearchSpec().xi2_bounds), 60)))
         given_scan = minimize_over_xi(objective, seed_vals=objective(xi).tolist())
         assert given_scan == minimize_over_xi(objective)
 
     @pytest.mark.parametrize("n", [0, 59, 61])
     def test_seed_vals_of_wrong_length_refused(self, osc, n):
-        objective = noise_over_coupling(osc, GAMMA, -0.05, 0.5)
+        objective = noise_over_coupling(osc, cav(GAMMA), -0.05, 0.5)
         with pytest.raises(ValueError, match="seed_vals must hold 60 values"):
             minimize_over_xi(objective, seed_vals=np.ones(n))
 
@@ -237,7 +242,7 @@ def _per_seed_detuning_search(osc, gamma, omega, spec=SearchSpec()):
 
     def level(psi):
         nonlocal evals
-        res = minimize_over_xi(noise_over_coupling(osc, gamma, psi, omega), spec)
+        res = minimize_over_xi(noise_over_coupling(osc, cav(gamma), psi, omega), spec)
         evals += res.iterations
         return res.level
 
@@ -368,7 +373,7 @@ class TestClosedFormOracleEquivalence:
 
             def noise_ratio(logw):
                 omega = math.exp(logw)
-                s = equivalent_input_noise(osc, _cavity_for(GAMMA), wp, omega)
+                s = equivalent_input_noise(osc, cav(GAMMA), wp, omega)
                 return s / sql_point(osc, omega).level
 
             res = minimize_scalar(
@@ -399,10 +404,6 @@ class TestClosedFormOracleEquivalence:
             assert res.level == pytest.approx(closed.level, rel=1e-4)
             scale = max(abs(closed.detuning), 2.0 * GAMMA)
             assert abs(res.detuning - closed.detuning) / scale < 1e-3
-
-
-def _cavity_for(gamma):
-    return OpticalCavity(gamma=gamma, round_trip=1e-9, wavevector=1.0)
 
 
 class TestMonotonicity:

@@ -35,6 +35,11 @@ from optospring.core import BLOCK
 SQRT26_M5 = 0.09901951359278449  # sqrt(26) - 5
 
 
+def cav(gamma, round_trip=0.0):
+    """The cavity of damping ``gamma``, quasi-static unless given a round trip."""
+    return OpticalCavity(gamma, round_trip, wavevector=1.0)
+
+
 class TestQuadratureTransfer:
     """The solve at omega = 0, where it is the quasi-static chain (no cavity phase)."""
 
@@ -58,8 +63,8 @@ class TestQuadratureTransfer:
 
 
 class TestNoiseScalarArrayBitEqual:
-    """``noise_over_coupling`` on an array equals its per-element scalar calls,
-    quasi-static and at a finite phase lag omega * round_trip."""
+    """``noise_over_coupling`` on an array equals its per-element scalar calls, on a
+    quasi-static cavity and at a finite phase lag omega * round_trip."""
 
     def test_random_models(self, rng):
         cells = mismatches = 0
@@ -72,7 +77,7 @@ class TestNoiseScalarArrayBitEqual:
             omega = rng.choice([0.0, rng.uniform(0.0, 3.0) * osc.resonance_freq])
             # the quasi-static chain, then a finite omega tau up to ~30
             for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
-                noise_at = noise_over_coupling(osc, gamma, psi, omega, constants, round_trip)
+                noise_at = noise_over_coupling(osc, cav(gamma, round_trip), psi, omega, constants)
                 xi = 10 ** rng.uniform(-3, 3, size=60)
                 batch = noise_at(xi)
                 scalar = [noise_at(x) for x in xi.tolist()]
@@ -85,10 +90,10 @@ class TestNoiseScalarArrayBitEqual:
         omega = np.geomspace(0.01, 10.0, 500)
         for psi in rng.uniform(-0.5, 0.5, size=20):
             for tau in (0.0, 10 ** rng.uniform(-4, -1)):  # bandwidth 0.01 / tau
-                noise_at = noise_over_coupling(high_q_osc, 0.01, psi, omega, round_trip=tau)
+                noise_at = noise_over_coupling(high_q_osc, cav(0.01, tau), psi, omega)
                 batch = noise_at(0.7)
                 scalar = [
-                    noise_over_coupling(high_q_osc, 0.01, psi, w, round_trip=tau)(0.7)
+                    noise_over_coupling(high_q_osc, cav(0.01, tau), psi, w)(0.7)
                     for w in omega
                 ]
                 assert np.array_equal(batch, scalar)
@@ -103,10 +108,10 @@ class TestNoiseScalarArrayBitEqual:
             omega = osc.resonance_freq * rng.uniform(-3.0, 3.0, size=64)
             omega[rng.choice(omega.size, size=4, replace=False)] = [0.0, -0.0, 0.0, -0.0]
             for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
-                noise_at = noise_over_coupling(osc, gamma, psi, omega, constants, round_trip)
+                noise_at = noise_over_coupling(osc, cav(gamma, round_trip), psi, omega, constants)
                 for xi in (10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3, size=omega.size)):
                     scalar = [
-                        noise_over_coupling(osc, gamma, psi, w, constants, round_trip)(x)
+                        noise_over_coupling(osc, cav(gamma, round_trip), psi, w, constants)(x)
                         for w, x in zip(omega.tolist(), np.broadcast_to(xi, omega.shape).tolist())
                     ]
                     assert noise_at(xi).tobytes() == np.array(scalar).tobytes()
@@ -119,9 +124,9 @@ class TestNoiseScalarArrayBitEqual:
             osc = MechanicalOscillator(1.0, 1.0, damping)
             for psi, tau, xi in itertools.product((0.1, -0.0), (0.0, 1e-3), (0.7, 1e200)):
                 with np.errstate(all="ignore"):
-                    batch = noise_over_coupling(osc, 0.01, psi, omega, round_trip=tau)(xi)
+                    batch = noise_over_coupling(osc, cav(0.01, tau), psi, omega)(xi)
                     scalar = [
-                        noise_over_coupling(osc, 0.01, psi, w, round_trip=tau)(xi)
+                        noise_over_coupling(osc, cav(0.01, tau), psi, w)(xi)
                         for w in omega.tolist()
                     ]
                 assert batch.tobytes() == np.array(scalar).tobytes()
@@ -132,8 +137,8 @@ class TestNoiseScalarArrayBitEqual:
         # and 0.0 in one array still give the bits of the per-element scalar calls
         up = np.geomspace(0.01, 10.0, 60)
         omega = np.concatenate([-up[::-1], [-0.0, 0.0], up, [-0.5, 0.0, -0.0, 0.5]])
-        batch = noise_over_coupling(high_q_osc, 0.01, psi, omega)(0.7)
-        scalar = [noise_over_coupling(high_q_osc, 0.01, psi, w)(0.7) for w in omega.tolist()]
+        batch = noise_over_coupling(high_q_osc, cav(0.01), psi, omega)(0.7)
+        scalar = [noise_over_coupling(high_q_osc, cav(0.01), psi, w)(0.7) for w in omega.tolist()]
         assert batch.tobytes() == np.array(scalar).tobytes()
 
 
@@ -152,9 +157,10 @@ class TestNoiseOverDetuningColumn:
             psi = np.concatenate([rng.uniform(-3.14, 3.14, size=20), [-0.0, 0.0, math.pi]])
             xi = 10 ** rng.uniform(-3, 3, size=60)
             for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
-                grid = noise_over_coupling(osc, gamma, psi[:, None], omega, constants, round_trip)
+                cavity = cav(gamma, round_trip)
+                grid = noise_over_coupling(osc, cavity, psi[:, None], omega, constants)
                 rows = [
-                    noise_over_coupling(osc, gamma, p, omega, constants, round_trip)(xi)
+                    noise_over_coupling(osc, cavity, p, omega, constants)(xi)
                     for p in psi.tolist()
                 ]
                 out = grid(xi)
@@ -165,13 +171,15 @@ class TestNoiseOverDetuningColumn:
 
     def test_array_omega_refused(self, high_q_osc):
         with pytest.raises(ValueError, match="array detuning needs a float omega"):
-            noise_over_coupling(high_q_osc, 0.01, np.array([[0.0], [0.1]]), np.array([0.5, 1.0]))
+            noise_over_coupling(
+                high_q_osc, cav(0.01), np.array([[0.0], [0.1]]), np.array([0.5, 1.0])
+            )
 
     def test_checks_every_detuning(self, high_q_osc):
         with pytest.raises(ValueError, match=r"detuning must lie in \(-pi, pi\], got 4.0"):
-            noise_over_coupling(high_q_osc, 0.01, np.array([0.1, 4.0]), 0.5)
+            noise_over_coupling(high_q_osc, cav(0.01), np.array([0.1, 4.0]), 0.5)
         with pytest.raises(SingularPointError, match=r"gamma=1e-300"):
-            noise_over_coupling(high_q_osc, 1e-300, np.array([0.1, 0.0]), 0.5)
+            noise_over_coupling(high_q_osc, cav(1e-300), np.array([0.1, 0.0]), 0.5)
 
     @pytest.mark.parametrize("psi", [0.3, np.float64(0.3), -0.0])
     def test_scalar_detuning_skips_numpy_checks(self, high_q_osc, monkeypatch, psi):
@@ -179,9 +187,9 @@ class TestNoiseOverDetuningColumn:
         calls = []
         np_all = np.all
         monkeypatch.setattr(np, "all", lambda *a, **k: calls.append(a) or np_all(*a, **k))
-        noise_over_coupling(high_q_osc, 0.01, psi, 0.5)
+        noise_over_coupling(high_q_osc, cav(0.01), psi, 0.5)
         assert calls == []
-        noise_over_coupling(high_q_osc, 0.01, np.array([psi]), 0.5)
+        noise_over_coupling(high_q_osc, cav(0.01), np.array([psi]), 0.5)
         assert calls != []
 
 
@@ -192,7 +200,7 @@ class TestEquivalentInputNoise:
 
     def test_zero_coupling_in_noise_over_coupling(self, osc, cavity):
         with pytest.raises(NoMeasurementError) as direct:
-            noise_over_coupling(osc, cavity.gamma, 0.1, 0.5)(0.0)
+            noise_over_coupling(osc, cav(cavity.gamma), 0.1, 0.5)(0.0)
         with pytest.raises(NoMeasurementError) as via_point:
             equivalent_input_noise(osc, cavity, WorkingPoint(0.1, 0.0), 0.5)
         assert str(direct.value) == str(via_point.value)
@@ -202,7 +210,7 @@ class TestEquivalentInputNoise:
     def test_gamma_underflow_raises(self, osc, omega, round_trip):
         # gamma^2 + detuning^2 underflows to 0: a named error, not 0/0 or nan cells
         with pytest.raises(SingularPointError, match=r"gamma=1e-300"):
-            noise_over_coupling(osc, 1e-300, 0.0, omega, round_trip=round_trip)
+            noise_over_coupling(osc, cav(1e-300, round_trip), 0.0, omega)
 
     @pytest.mark.parametrize("round_trip", [0.0, 1e-3])
     @pytest.mark.parametrize(
@@ -213,7 +221,7 @@ class TestEquivalentInputNoise:
     def test_undamped_resonance_named_alike(self, omega, round_trip):
         undamped = MechanicalOscillator(1.0, 1.0, 0.0)
         with pytest.raises(SingularPointError) as err:
-            noise_over_coupling(undamped, 0.01, 0.005, omega, round_trip=round_trip)(0.7)
+            noise_over_coupling(undamped, cav(0.01, round_trip), 0.005, omega)(0.7)
         assert str(err.value) == "noise denominator is 0 at omega=1.0"
 
     @pytest.mark.parametrize("omega", [0.5, np.array([0.5])], ids=["float", "1-point"])
@@ -221,15 +229,15 @@ class TestEquivalentInputNoise:
         # 1/|chi|^2 ~ M^2 underflows to 0 at M = 1e-300: named, not an inf cell
         tiny = MechanicalOscillator(1e-300, osc.resonance_freq, osc.damping)
         with pytest.raises(SingularPointError) as err:
-            noise_over_coupling(tiny, 0.01, 0.005, omega)(0.7)
+            noise_over_coupling(tiny, cav(0.01), 0.005, omega)(0.7)
         assert str(err.value) == "noise denominator is 0 at omega=0.5"
 
     @pytest.mark.parametrize("n", [1, 3, BLOCK + 1])
     def test_array_omega_checked_at_call(self, n):
         undamped = MechanicalOscillator(1.0, 1.0, 0.0)
         with pytest.raises(SingularPointError):  # a float frequency is checked at the build
-            noise_over_coupling(undamped, 0.01, 0.005, 1.0)
-        noise = noise_over_coupling(undamped, 0.01, 0.005, np.full(n, 1.0))
+            noise_over_coupling(undamped, cav(0.01), 0.005, 1.0)
+        noise = noise_over_coupling(undamped, cav(0.01), 0.005, np.full(n, 1.0))
         with pytest.raises(SingularPointError):
             noise(0.7)
 
@@ -245,7 +253,7 @@ class TestEquivalentInputNoise:
     )
     def test_every_zero_coupling_raises(self, osc, cavity, xi, omega):
         with pytest.raises(NoMeasurementError):
-            noise_over_coupling(osc, cavity.gamma, 0.1, omega)(xi)
+            noise_over_coupling(osc, cav(cavity.gamma), 0.1, omega)(xi)
 
     def test_matches_closed_form(self, osc, cavity, rng):
         for _ in range(200):
