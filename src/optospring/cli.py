@@ -239,10 +239,16 @@ def _out_path(cfg: RunConfig, default_stem: str) -> str:
     return cfg.output_path or f"{default_stem}.{cfg.output_format}"
 
 
+def _axis(key: str, axis: np.ndarray) -> np.ndarray:
+    """``axis`` if strictly increasing; a range finer than the floats repeats a value."""
+    if not np.all(axis[1:] > axis[:-1]):
+        raise ConfigError(f"{key}: more points than floats in its range")
+    return axis
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
-    cavity = cfg.cavity if cfg.spectrum_model == "finite" else replace(cfg.cavity, round_trip=0.0)
     for wp in cfg.points:
         psi, xi = wp.detuning, wp.coupling
         try:  # a zero coupling raises ValueError; one past ~1e154 gives omega_sql = inf
@@ -253,10 +259,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         lo, hi = cfg.grid_lo * scale, cfg.grid_hi * scale
         if not (0 < omega_sql < math.inf and 0 < lo < hi < math.inf):
             raise ConfigError(f"coupling {xi!r} gives no balance frequency or grid in float range")
-        grid = fb.log_grid(lo, hi, cfg.grid_points_per_decade)
-        if not np.all(grid[1:] > grid[:-1]):  # a grid finer than the floats repeats a frequency
-            raise ConfigError("grid.points_per_decade: more points than floats in the grid range")
-        sp = fb.spectrum(cfg.oscillator, cavity, wp, grid, cfg.constants)
+        grid = _axis("grid.points_per_decade", fb.log_grid(lo, hi, cfg.grid_points_per_decade))
+        sp = fb.spectrum(cfg.oscillator, cfg.cavity, wp, grid, cfg.constants)
         table = np.rec.fromarrays([sp.omega / scale, sp.s_sig, sp.s_sql, sp.ratio])
         label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
         blocks.append((label, table))
@@ -349,7 +353,8 @@ def cmd_stability(cfg: RunConfig) -> int:
     """Stability grid over (coupling^2, detuning), normalized axes."""
     xi_sql2 = _static_sql(cfg.oscillator, cfg.constants)[1]
     gamma = cfg.cavity.gamma
-    xi2_norm, psi_norm = np.geomspace(*cfg.stability_xi2), np.linspace(*cfg.stability_psi)
+    xi2_norm = _axis("stability.xi2", np.geomspace(*cfg.stability_xi2))
+    psi_norm = _axis("stability.psi", np.linspace(*cfg.stability_psi))
     try:  # stability_map checks the window times gamma against (-pi, pi]
         grid = core.stability_map(
             cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_norm * gamma, cfg.constants
@@ -407,7 +412,7 @@ def cmd_figure(
         raise ConfigError(f"a figure has at most {len(CURVE_LETTERS)} curves")
     if grid_flag is not None:  # the flag went through the config checks as grid.* overrides
         grid_spec = (cfg.grid_lo, cfg.grid_hi, cfg.grid_points_per_decade)
-    grid = fb.log_grid(*grid_spec)
+    grid = _axis("grid.points_per_decade", fb.log_grid(*grid_spec))
 
     osc = cfg.oscillator
     if figure == "fig2":
@@ -440,12 +445,11 @@ def cmd_figure(
             "s_ref": qs.free_mass_sql_level(osc, omega_sql, cfg.constants),
             "coupling2": xi**2,
         }
-        s_sql = qs.sql_level(osc, grid, cfg.constants)  # one SQL column for every curve
         tables = []
         for r, bw in zip(ratios, bws):  # a bandwidth makes the curve finite-bandwidth
             cavity = replace(cfg.cavity, round_trip=gamma / (bw * omega_sql) if bw else 0.0)
-            s = qs.noise_over_coupling(osc, cavity, r * gamma, grid, cfg.constants)(xi)
-            tables.append(np.rec.fromarrays([grid, s, s_sql, s / s_sql]))
+            sp = fb.spectrum(osc, cavity, WorkingPoint(r * gamma, xi), grid, cfg.constants)
+            tables.append(np.rec.fromarrays([grid, sp.s_sig, sp.s_sql, sp.ratio]))
 
     manifest: dict = {
         "schema": f"optospring.figure.{SCHEMA_VERSION}",

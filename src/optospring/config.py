@@ -55,8 +55,8 @@ def _parse_range(s: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigError(f"expected lo:hi:n, got {s!r}")
     lo, hi, n = _parse_float(parts[0]), _parse_float(parts[1]), _parse_int(parts[2])
-    if not (lo < hi and n >= 2):
-        raise ConfigError(f"need lo < hi and n >= 2 in range {s!r}")
+    if not (lo < hi and hi - lo < math.inf and n >= 2):
+        raise ConfigError(f"need lo < hi, hi - lo finite and n >= 2 in range {s!r}")
     return lo, hi, n
 
 
@@ -83,7 +83,6 @@ KNOWN_KEYS: dict[str, tuple] = {
     "grid.hi": (_parse_float, "1000.0"),
     "grid.points_per_decade": (_parse_int, "400"),
     "grid.units": (_parse_choice("omega_sql", "rad_s"), "omega_sql"),
-    "spectrum.model": (_parse_choice("finite", "quasistatic"), "finite"),
     "optimize.mode": (_parse_choice("xi", "detuning", "uql-sweep"), "xi"),
     "optimize.omega": (_parse_float, "0.5"),
     "optimize.detuning": (_parse_float, "0.0"),
@@ -119,7 +118,6 @@ class RunConfig:
     grid_hi: float
     grid_points_per_decade: int
     grid_units: str
-    spectrum_model: str
     optimize_mode: str
     optimize_omega: float
     optimize_detuning: float

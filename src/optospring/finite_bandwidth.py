@@ -143,8 +143,8 @@ def full_transfer_by_solve(
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
     """Logarithmic frequency grid with a fixed density per decade."""
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("need 0 < lo < hi < inf")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
     n = int(round(math.log10(hi / lo) * points_per_decade)) + 1

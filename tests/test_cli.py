@@ -133,7 +133,6 @@ class TestConfig:
         assert reparsed.cavity == cfg.cavity
         assert reparsed.oscillator == cfg.oscillator
         assert reparsed.points == cfg.points
-        assert reparsed.spectrum_model == cfg.spectrum_model
 
 
 class TestSpectrumCommand:
@@ -175,7 +174,7 @@ class TestSpectrumCommand:
 
     def test_quasistatic_model(self, tmp_path):
         out = tmp_path / "spec.csv"
-        cfg = self.CFG + "spectrum.model = quasistatic\n"
+        cfg = self.CFG + "cavity.round_trip = 0.0\n"
         assert run(["spectrum", "--out", str(out)], tmp_path, cfg) == 0
         _, _, rows = read_table(str(out))
         assert len(rows) == 2 * 101
@@ -213,7 +212,7 @@ class TestSpectrumCommand:
         # undamped oscillator, grid starting exactly on resonance
         cfg = (
             "oscillator.damping = 0.0\n"
-            "spectrum.model = quasistatic\n"
+            "cavity.round_trip = 0.0\n"
             "grid.units = rad_s\n"
             "grid.lo = 1.0\ngrid.hi = 10\ngrid.points_per_decade = 10\n"
         )
@@ -710,19 +709,22 @@ class TestQuasistaticCavity:
         for path in written:
             assert NON_FINITE.search(path.read_text()) is None, path.name
 
-    @pytest.mark.parametrize("out_format", ["csv", "json"])
-    def test_spectrum_equals_quasistatic_model(self, tmp_path, out_format):
-        cells = []
-        for key in ("cavity.round_trip = 0.0", "spectrum.model = quasistatic"):
-            out = tmp_path / f"spec.{out_format}"
-            argv = ["spectrum", "--format", out_format, "--out", str(out)]
-            points = "points.detuning = 0.0, -0.05, 0.03\npoints.coupling = 0.7, 0.7, 1.3\n"
-            assert run(argv, tmp_path, f"{points}{key}\n") == 0
-            if out_format == "csv":
-                cells.append([line for line in out.read_text().splitlines() if line[0] != "#"])
-            else:
-                cells.append(json.loads(out.read_text())["blocks"])
-        assert cells[0] == cells[1]
+    @pytest.mark.parametrize(
+        "config_text, env, named",
+        [
+            ("spectrum.model = quasistatic\n", None, "unknown key 'spectrum.model'"),
+            (None, {"OPTOSPRING_SPECTRUM_MODEL": "quasistatic"}, "'OPTOSPRING_SPECTRUM_MODEL'"),
+        ],
+        ids=["file", "env"],
+    )
+    def test_model_key_is_unknown(self, tmp_path, capsys, monkeypatch, config_text, env, named):
+        # the cavity is the one regime switch: no second key selects the quasi-static noise
+        out = tmp_path / "spec.csv"
+        argv = ["spectrum", "--out", str(out)]
+        assert run(argv, tmp_path, config_text, env, monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: config error: ") and err.count("\n") == 1
+        assert named in err and not out.exists()
 
 
 class TestStabilityCommand:
@@ -750,6 +752,23 @@ class TestStabilityCommand:
 
     def test_invalid_bounds_exit_2(self, tmp_path):
         assert run(["stability"], tmp_path, "stability.xi2 = 5:1:10\n") == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("stability.xi2", "1:1.0000000000000002:11", "more points than floats in its range"),
+            ("stability.psi", "0:5e-324:3", "more points than floats in its range"),
+            ("stability.psi", "-1e308:1e308:3", "need lo < hi, hi - lo finite and n >= 2"),
+        ],
+        ids=["xi2-finer-than-floats", "psi-finer-than-floats", "psi-span-overflows"],
+    )
+    def test_axis_of_repeated_values_exit_2(self, tmp_path, capsys, key, value, message):
+        # an axis that would repeat rows, or hold NaN from an overflowing span, names its key
+        out = tmp_path / "stab.csv"
+        assert run(["stability", "--out", str(out)], tmp_path, f"{key} = {value}\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"optospring: config error: {key}: {message}")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_window_outside_principal_interval_exit_2(self, tmp_path):
         cfg = "stability.psi = -400:0:11\n"
@@ -864,6 +883,18 @@ class TestFigureCommand:
             for letter in letters:
                 name = f"{figure}_curve_{letter}"
                 assert_csv_equals_json(csv1 / f"{name}.csv", json1 / f"{name}.json")
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_grid_finer_than_floats_exit_2(self, tmp_path, capsys, figure):
+        # refused as spectrum refuses it, with the same line, before any curve is written
+        grid = "1:1.0000000000000002:100000000000000000"
+        assert run(["spectrum", "--grid", grid, "--out", str(tmp_path / "s.csv")], tmp_path) == 2
+        spectrum_err = capsys.readouterr().err
+        out = tmp_path / "figs"
+        assert run(["figure", figure, "--grid", grid, "--out", str(out)], tmp_path) == 2
+        assert capsys.readouterr().err == spectrum_err
+        assert spectrum_err.startswith("optospring: config error: grid.points_per_decade: ")
+        assert not out.exists()
 
     def test_fig2_boundary_cell_is_finite(self, tmp_path):
         # at detuning -4 gamma, xi2_norm = 0.5 sits exactly on the static

@@ -190,6 +190,9 @@ class TestSpectrum:
         assert g.size == 2001
         assert g[0] == pytest.approx(0.01) and g[-1] == pytest.approx(1000.0)
         assert np.all(np.diff(g) > 0)
+        for lo, hi in ((0.0, 1.0), (2.0, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
+                log_grid(lo, hi, 10)
 
     def test_sql_curve_attached(self):
         osc, cavity, wp = fig4_setup(0.0, 2.0)

@@ -5,7 +5,8 @@ transfer coefficients, no module imports scipy, one function checks the
 detuning range, no function takes a round trip beside a gamma, each
 checking route shares no code with what it checks, every public function
 and class is read in the package or ``bench/`` or shown in README, README's
-quick start runs, and the names the benchmark harness reads still exist."""
+quick start runs, every config key is shown in README, and the names the
+benchmark harness reads still exist."""
 
 import ast
 import dataclasses
@@ -448,11 +449,15 @@ def bench_names() -> set[str]:
     return names_in(ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py"))
 
 
+def readme_code() -> list[str]:
+    """Every fenced block and inline span of README."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```.*?^```|`[^`\n]+`", text, re.MULTILINE | re.DOTALL)
+
+
 def readme_names() -> set[str]:
     """Every identifier that README shows as code, in a fenced block or an inline span."""
-    text = README.read_text(encoding="utf-8")
-    code = re.findall(r"^```.*?^```|`[^`\n]+`", text, re.MULTILINE | re.DOTALL)
-    return {name for chunk in code for name in re.findall(r"[A-Za-z_]\w*", chunk)}
+    return {name for chunk in readme_code() for name in re.findall(r"[A-Za-z_]\w*", chunk)}
 
 
 def outside_names() -> set[str]:
@@ -495,6 +500,14 @@ def test_readme_quick_start_runs():
     # the documented library API, run as README shows it
     (block,) = readme_blocks("python")
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_every_config_key_in_readme():
+    # a key that README never shows as code can be set only by reading config.py
+    from optospring.config import KNOWN_KEYS
+
+    shown = {word for chunk in readme_code() for word in re.findall(r"[\w.]+", chunk)}
+    assert sorted(set(KNOWN_KEYS) - shown) == []
 
 
 def test_readme_config_example_builds():
