@@ -147,7 +147,8 @@ def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
         raise ValueError("need 0 < lo < hi < inf")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
-    n = int(round(math.log10(hi / lo) * points_per_decade)) + 1
+    # a difference of logs, since hi / lo overflows past about 308 decades
+    n = int(round((math.log10(hi) - math.log10(lo)) * points_per_decade)) + 1
     return np.geomspace(lo, hi, n)
 
 

@@ -14,7 +14,9 @@ minimum. A coupling objective must broadcast over an array of couplings
 (wrap a scalar-only one in ``np.vectorize``), so each pre-scan is one
 call; the quasi-static noise gives the same bits on arrays and scalars.
 A detuning search makes the coupling pre-scans of all its seed detunings
-in one call, on a column of detunings, and polishes each one alone.
+in one call, on a column of detunings, and polishes them in lockstep:
+one array Brent step moves every seed detuning's polish with one call of
+that column, each through the iterates of its scalar run.
 """
 
 from __future__ import annotations
@@ -155,6 +157,83 @@ def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
     return xf, fx, num, ok
 
 
+def _lockstep_brent(f, a, b, xatol: float, maxiter: int):
+    """:func:`_bounded_brent` on arrays of brackets [a, b], one lane per bracket.
+
+    ``f`` maps an array of points, one per lane, to their values in one call, so a step
+    of every lane costs one call. Each lane takes the scalar run's IEEE operations in
+    its order; Python's ``max(|rat|, tol1)`` is ``tol1 if tol1 > |rat| else |rat|``,
+    NaN included. A lane that stops, by its test or at ``maxiter``, keeps its bracket,
+    points and count while the others step on, and ``f`` sees its last point again.
+    Returns arrays ``(x, f(x), evaluations, converged)``, each lane what
+    ``_bounded_brent`` returns on its bracket.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    with np.errstate(all="ignore"):  # lanes that take no parabola may divide by q = 0
+        # rows (point, value): X the last evaluation x, fu; F, N and U the best three
+        # points xf, nfc and fulc, each moved whole into its new place
+        X = np.empty((2, a.size))
+        x, fu = X
+        x[:] = a + _GOLDEN * (b - a)
+        fu[:] = f(x)
+        F = N = U = X.copy()
+        fu[:] = math.inf
+        rat = e = np.zeros_like(a)
+        num, step = np.ones(a.shape, dtype=int), 1
+        xf = F[0]
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        while go.any():
+            (xf, fx), (nfc, fnfc), (fulc, ffulc) = F, N, U
+            dn, du = xf - nfc, xf - fulc
+            r = dn * (fx - ffulc)
+            q = du * (fx - fnfc)
+            p = du * q - dn * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            ax, bx = a - xf, b - xf
+            # the lanes that take the parabola through the three best points
+            para = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+            para &= (p > q * ax) & (p < q * bx)
+            prat = (p + 0.0) / q
+            px = xf + prat
+            edge = ((px - a) < tol2) | ((b - px) < tol2)
+            prat = np.where(edge, np.where(xm - xf < 0, -tol1, tol1), prat)
+            ge = np.where(xf >= xm, ax, bx)  # the golden-section lanes' e
+            e, rat = np.where(para, rat, ge), np.where(para, prat, _GOLDEN * ge)
+            ar = np.abs(rat)
+            ar = np.where(tol1 > ar, tol1, ar)  # max(|rat|, tol1)
+            # (-1.0 if rat < 0 else 1.0) * ar: a NaN ar has rat NaN, so 1.0 * ar = ar
+            np.copyto(x, xf + np.where(rat < 0, -ar, ar), where=go)
+            np.copyto(fu, f(x), where=go)
+            num += go
+            step += 1
+            le = go & (fu <= fx)
+            gt = go ^ le
+            to_a = go & np.where(le, x >= xf, x < xf)  # the bracket end that moves
+            end = np.where(le, xf, x)
+            a, b = np.where(to_a, end, a), np.where(go ^ to_a, end, b)
+            near = gt & ((fu <= fnfc) | (nfc == xf))
+            far = (gt ^ near) & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            U = np.where(le | near, N, np.where(far, X, U))
+            N = np.where(le, F, np.where(near, X, N))
+            F = np.where(le, X, F)
+            xf = F[0]
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+            if step >= maxiter:  # every running lane has made ``step`` evaluations
+                break
+            go &= np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+    xf, fx = F
+    # the lanes still running at the end are those stopped by maxiter
+    ok = ~(go | np.isnan(xf) | np.isnan(fx) | np.isnan(fu))
+    return xf, fx, num, ok
+
+
 def _at_bound(x: float, lo: float, hi: float) -> bool:
     """Whether ``x`` lies within AT_BOUND_TOL of the width from an end of [lo, hi]."""
     return min(x - lo, hi - x) <= AT_BOUND_TOL * (hi - lo)
@@ -196,8 +275,7 @@ def minimize_over_xi(objective, spec: SearchSpec = SearchSpec(), *, seed_vals=No
     couplings, while the polish calls it on scalars (a winning seed keeps
     its scan value). Wrap a scalar-only objective in ``np.vectorize``.
     ``seed_vals``, when given, is that seed scan computed by the caller:
-    ``objective`` at the ``spec.seed_points`` seed couplings, which a
-    detuning search takes for all its detunings in one call.
+    ``objective`` at the ``spec.seed_points`` seed couplings.
     The search runs on log(coupling^2): a deterministic seed scan
     brackets the minimum, then a bounded Brent polish finishes.
     ``at_bound`` flags an optimum at either end of the log(coupling^2) range.
@@ -257,21 +335,31 @@ def minimize_over_detuning(
             "detuning optimization undefined for an undamped oscillator"
         )
     cavity = OpticalCavity(gamma, round_trip=0.0, wavevector=1.0)
-    evals = 0
 
-    def level(psi: float, seed_vals=None) -> float:
+    def level(psi: float) -> float:
         nonlocal evals
         objective = noise_over_coupling(osc, cavity, psi, omega, constants)
-        r = minimize_over_xi(objective, spec, seed_vals=seed_vals)
+        r = minimize_over_xi(objective, spec)
         evals += r.iterations
         return r.level
 
     lo, hi = spec.psi_bounds
     p = np.linspace(lo, hi, spec.seed_points)
-    # the coupling seed scans of all seed detunings in one call, row i at p[i]
-    _, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
-    scans = noise_over_coupling(osc, cavity, p[:, None], omega, constants)(seed_xi)
-    seed_vals = np.array([level(psi, row) for psi, row in zip(p.tolist(), scans)])
+    # the coupling searches of all seed detunings, row i at p[i]: their seed scans in
+    # one call, then their polishes in lockstep, one call per step
+    t, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
+    column = noise_over_coupling(osc, cavity, p[:, None], omega, constants)
+    scans = column(seed_xi)
+
+    def lanes(u):
+        return column(np.array([math.sqrt(math.exp(v)) for v in u.tolist()])[:, None])[:, 0]
+
+    j = np.argmin(scans, axis=1)
+    i = np.clip(j, 1, spec.seed_points - 2)
+    _, fx, nfev, _ = _lockstep_brent(lanes, t[i - 1], t[i + 1], spec.rel_tol, spec.max_iter)
+    best_scan = scans[np.arange(spec.seed_points), j]
+    seed_vals = np.where(best_scan < fx, best_scan, fx)  # as _seeded_search, lane by lane
+    evals = int(np.sum(spec.seed_points + nfev))
     psi_opt, _, _, ok = _seeded_search(level, p, seed_vals, spec)
     psi_opt = float(psi_opt)
     # the SQL reference is read only at the optimum

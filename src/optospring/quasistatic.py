@@ -145,28 +145,38 @@ def _cavity_factors(gamma, psi, u2, hbar, w):
 def _noise_closure(osc, cavity, psi, u2, omega, constants):
     """The setup of :func:`noise_over_coupling` at a float omega, and its closure.
 
-    ``psi`` is a float, or an array of detunings.
+    ``psi`` is a float, or an array of detunings. On a cavity with ``round_trip = 0`` the
+    closure is the fold of :func:`_noise_block`: the cavity factors are exactly 1 or 0, so
+    it returns ((qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2) / |chi|^-2 with
+    qr = re0 + qr1 xi^2, which for finite operands has the bits of the general formula.
     """
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
     mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
     hbar = constants.hbar
     hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
-    w = omega * cavity.round_trip if cavity.round_trip else 0.0
+    fold = not cavity.round_trip
+    w = 0.0 if fold else omega * cavity.round_trip
     dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(cavity.gamma, psi, u2, hbar, w)
-    jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
-    # qr + i qi = c_q chi_eff^-1 (Delta / u^2)^2, pr + i pi the same of c_p over 2 hbar xi^2
-    qr0, qi0, pr0, pi0 = a_q * jr0, a_q * ji, a_p * jr0, a_p * ji
-    den = dfac * mag2
+    den = mag2 if fold else dfac * mag2
     if not (den if type(den) is float else np.all(den)):  # a float skips numpy
         raise SingularPointError(f"noise denominator is 0 at omega={omega!r}")
+    if fold:
+        im2 = im0 * im0
+    else:
+        jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
+        # qr + i qi = c_q chi_eff^-1 (Delta / u^2)^2, pr + i pi the same of c_p over 2 hbar xi^2
+        qr0, qi0, pr0, pi0 = a_q * jr0, a_q * ji, a_p * jr0, a_p * ji
 
     def noise_at(xi):
         xi2 = xi * xi
         # a Python float, as the scalar Brent polish passes, is checked without numpy
         if not (xi2 if type(xi2) is float else np.all(xi2)):
             raise NoMeasurementError(_NO_SIGNAL)
-        qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2  # qr = Re chi_eff^-1 at omega tau = 0
+        if fold:
+            qr = re0 + qr1 * xi2  # Re chi_eff^-1
+            return ((qr * qr + im2) / (4.0 * xi2) + hbar2 * xi2) / den
+        qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2
         pr, pi = pr0 / xi2 + pr1, pi0 / xi2 + di
         return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar2 * xi2 * (pr * pr + pi * pi)) / den
 

@@ -931,6 +931,17 @@ class TestGridFlag:
         assert len(rows) == 11
         assert rows[0][0] == pytest.approx(0.1) and rows[-1][0] == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("command", (["spectrum"], ["figure", "fig3"]), ids=" ".join)
+    def test_grid_of_600_decades_exits_cleanly(self, tmp_path, capsys, command):
+        # 1e300 / 1e-300 overflows to inf: the grid still has its 601 points, and the
+        # run ends in an exit code, with one stderr line when it fails
+        out = tmp_path / "out"
+        code = run(command + ["--grid", "1e-300:1e300:1", "--out", str(out)], tmp_path)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err
+        if code:
+            assert err.startswith("optospring: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("spec", BAD)
     @pytest.mark.parametrize("command", (["spectrum"], ["figure", "fig3"]))
     def test_malformed_grid_exit_2(self, tmp_path, capsys, command, spec):

@@ -194,6 +194,14 @@ class TestSpectrum:
             with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
                 log_grid(lo, hi, 10)
 
+    def test_log_grid_wider_than_the_float_ratio(self):
+        # hi / lo overflows to inf past about 308 decades; the count comes from the logs
+        g = log_grid(1e-300, 1e300, 1)
+        assert g.size == 601 and g[0] == 1e-300 and g[-1] == 1e300
+        assert np.all(np.diff(g) > 0)
+        for lo, hi, ppd in ((0.01, 1000.0, 400), (0.1, 10.0, 400), (1e-2, 1e2, 200), (3.0, 7.0, 9)):
+            assert log_grid(lo, hi, ppd).size == int(round(math.log10(hi / lo) * ppd)) + 1
+
     def test_sql_curve_attached(self):
         osc, cavity, wp = fig4_setup(0.0, 2.0)
         sp = spectrum(osc, cavity, wp, default_grid(1.0))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -32,7 +32,7 @@ from optospring import (
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
-from optospring.optimize import AT_BOUND_TOL, OptimResult, _bounded_brent
+from optospring.optimize import AT_BOUND_TOL, OptimResult, _bounded_brent, _lockstep_brent
 
 GAMMA = 0.01
 
@@ -109,6 +109,67 @@ class TestBoundedBrent:
 
         got = self._both(make, -1.0, 2.0, 1e-8, 200)
         assert math.isfinite(got[1]) and not got[3]
+
+
+_LANE = st.tuples(
+    st.sampled_from(["quadratic", "quartic", "spiky", "kink", "steps", "nan"]),
+    _uniform(-20.0, 20.0),
+    st.floats(1e-9, 40.0),
+    _uniform(-25.0, 25.0),
+    _uniform(-3.0, 3.0),
+)
+
+
+class TestLockstepBrent:
+    """The lockstep polish against the scalar one, lane by lane, repr for repr."""
+
+    @staticmethod
+    def _lanes_equal_scalar(lanes, xatol, maxiter):
+        """Run the lanes in one lockstep call and each alone; return the evaluation counts."""
+        objectives = [_objective(kind, c, 10**log_w) for kind, _, _, c, log_w in lanes]
+        a = [lane[1] for lane in lanes]
+        b = [lane[1] + lane[2] for lane in lanes]
+
+        def f(x):
+            assert x.shape == (len(lanes),)
+            return np.array([g(v) for g, v in zip(objectives, x.tolist())])
+
+        got = _lockstep_brent(f, a, b, xatol, maxiter)
+        for k, g in enumerate(objectives):
+            ref = _bounded_brent(g, a[k], b[k], xatol, maxiter)
+            lane = (float(got[0][k]), float(got[1][k]), int(got[2][k]), bool(got[3][k]))
+            assert list(map(repr, lane)) == list(map(repr, ref)), k
+        return got[2].tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        lanes=st.lists(_LANE, min_size=1, max_size=8),
+        xatol=st.sampled_from([1e-14, 1e-8, 1e-5, 1e-2]),
+        maxiter=st.sampled_from([1, 2, 5, 200, 500]),
+    )
+    # a lane whose |e| <= tol1 takes the golden step though its parabola would fit
+    @example(
+        lanes=[("spiky", 0.0, 1.0, 0.5, -2.0), ("kink", 1.0, 1e-9, 0.0, 0.0)],
+        xatol=1e-14,
+        maxiter=200,
+    )
+    def test_each_lane_is_the_scalar_run(self, lanes, xatol, maxiter):
+        self._lanes_equal_scalar(lanes, xatol, maxiter)
+
+    @pytest.mark.parametrize("maxiter", [12, 500])
+    def test_lanes_stop_at_different_steps(self, maxiter):
+        # a bracket narrower than its tolerance stops before its first step, the
+        # others on their own test or, at maxiter = 12, some of them at maxiter
+        lanes = [
+            ("quadratic", 0.0, 1e-9, 0.3, 0.0),
+            ("nan", -2.0, 4.0, -1.5, 0.0),
+            ("quadratic", -1.0, 3.0, 0.3, 1.0),
+            ("quartic", -3.0, 6.0, 0.5, 0.5),
+            ("spiky", -5.0, 10.0, 1.0, 1.0),
+            ("steps", -4.0, 8.0, 0.0, 0.0),
+        ]
+        counts = self._lanes_equal_scalar(lanes, 1e-8, maxiter)
+        assert len(set(counts)) >= 3 and max(counts) <= maxiter
 
 
 class TestBatchedSeedScan:
@@ -271,6 +332,10 @@ class TestMinimizeOverDetuning:
             (0.95, SearchSpec()),  # inside
             (1.05, SearchSpec()),
             (0.97, SearchSpec(psi_bounds=(-0.5, 1.0), seed_points=17)),
+            (0.7, SearchSpec(max_iter=3)),  # polishes stop at max_iter; some lose to their seed
+            (0.7, SearchSpec(max_iter=8)),  # some polishes stop at max_iter, some converge first
+            (1.05, SearchSpec(seed_points=3)),  # one shared coupling bracket
+            (0.5, SearchSpec(rel_tol=1e-3, seed_points=7)),
         ],
     )
     def test_equals_per_seed_route(self, high_q_osc, omega, spec):
@@ -283,15 +348,32 @@ class TestMinimizeOverDetuning:
             assert a == b and type(a) is type(b), field.name
 
     def test_polish_bracket_is_python_floats(self, high_q_osc, monkeypatch):
-        brackets = []
+        # the seed detunings' coupling polishes are one lockstep call; every scalar
+        # polish left runs on a Python-float bracket: the outer detuning polish, one
+        # coupling polish per outer evaluation and the final coupling search
+        brackets, finished, lockstep = [], [], []
+        depth = 0
 
         def recorded(f, a, b, xatol, maxiter):
+            nonlocal depth
             brackets.append((type(a), type(b)))
-            return _bounded_brent(f, a, b, xatol, maxiter)
+            depth += 1
+            res = _bounded_brent(f, a, b, xatol, maxiter)
+            depth -= 1
+            finished.append((depth, res[2]))
+            return res
+
+        def counted(*args):
+            lockstep.append(args)
+            return _lockstep_brent(*args)
 
         monkeypatch.setattr(optospring.optimize, "_bounded_brent", recorded)
+        monkeypatch.setattr(optospring.optimize, "_lockstep_brent", counted)
         minimize_over_detuning(high_q_osc, GAMMA, 0.95)
-        assert len(brackets) > SearchSpec().seed_points + 1
+        assert len(lockstep) == 1
+        outer = [nfev for d, nfev in finished if d == 0]  # the detuning polish, then the final
+        inner = [nfev for d, nfev in finished if d == 1]
+        assert len(outer) == 2 and len(inner) == outer[0]
         assert set(brackets) == {(float, float)}
 
     def test_zero_detuning_on_resonance(self, osc):

@@ -30,7 +30,8 @@ from optospring import (
     stability,
     ultimate_quantum_limit,
 )
-from optospring.core import BLOCK
+from optospring.core import BLOCK, NORMALIZED
+from optospring.quasistatic import _cavity_factors
 
 SQRT26_M5 = 0.09901951359278449  # sqrt(26) - 5
 
@@ -140,6 +141,68 @@ class TestNoiseScalarArrayBitEqual:
         batch = noise_over_coupling(high_q_osc, cav(0.01), psi, omega)(0.7)
         scalar = [noise_over_coupling(high_q_osc, cav(0.01), psi, w)(0.7) for w in omega.tolist()]
         assert batch.tobytes() == np.array(scalar).tobytes()
+
+
+def _unfolded_noise(osc, gamma, psi, omega, xi, constants=NORMALIZED):
+    """The general noise formula at omega tau = 0: every product of the cavity factors
+    kept, as on a cavity with a round trip, where the kernel drops them."""
+    u2 = gamma * gamma + psi * psi
+    hbar = constants.hbar
+    dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(gamma, psi, u2, hbar, 0.0)
+    re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
+    im0 = osc.mass * osc.damping * omega
+    jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0
+    qr0, qi0, pr0, pi0 = a_q * jr0, a_q * ji, a_p * jr0, a_p * ji
+    xi2 = xi * xi
+    qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2
+    pr, pi = pr0 / xi2 + pr1, pi0 / xi2 + di
+    q2, p2 = qr * qr + qi * qi, pr * pr + pi * pi
+    return (q2 / (4.0 * xi2) + hbar * hbar * xi2 * p2) / (dfac * (re0 * re0 + im0 * im0))
+
+
+class TestQuasistaticFold:
+    """At omega tau = 0 the float-omega closure and the grid kernel drop the cavity
+    factors, exactly 1 or 0; the general formula, computed here, keeps them."""
+
+    def test_fold_equals_general_formula(self, rng):
+        cells = 0
+        for _ in range(100):
+            osc = MechanicalOscillator(
+                10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-4, 0.5)
+            )
+            gamma, constants = 10 ** rng.uniform(-3, -0.1), Constants(10 ** rng.uniform(-2, 1))
+            psi = [0.0, -0.0, math.pi, *rng.uniform(-3.14, 3.14, size=3)]
+            omega = osc.resonance_freq * rng.uniform(-3.0, 3.0, size=40)
+            omega[:2] = [0.0, -0.0]
+            xi = 10 ** rng.uniform(-3, 3, size=omega.size)
+            for p in psi:
+                general = _unfolded_noise(osc, gamma, p, omega, xi, constants)
+                grid = noise_over_coupling(osc, cav(gamma), p, omega, constants)(xi)
+                points = [
+                    noise_over_coupling(osc, cav(gamma), p, w, constants)(x)
+                    for w, x in zip(omega.tolist(), xi.tolist())
+                ]
+                assert np.all(np.isfinite(general))
+                assert grid.tobytes() == general.tobytes() == np.array(points).tobytes()
+                cells += omega.size
+        assert cells >= 20_000
+
+    def test_extreme_frequencies(self):
+        # the extreme list of TestNoiseScalarArrayBitEqual: on its non-finite operands
+        # both give NaN, with the same bits, and the same finite values elsewhere
+        extreme = [5e-324, 1e-300, 1e154, 1e300, math.inf]
+        omega = np.array([*extreme, *(-w for w in extreme), math.nan, 0.0, -0.0])
+        overflows = np.isnan(omega) | (np.abs(omega) >= 1e154)  # re0^2 is inf
+        for damping in (0.0, 0.1):
+            osc = MechanicalOscillator(1.0, 1.0, damping)
+            for psi, xi in itertools.product((0.1, -0.0), (0.7, 1e200)):
+                with np.errstate(all="ignore"):
+                    folded = noise_over_coupling(osc, cav(0.01), psi, omega)(xi)
+                    general = _unfolded_noise(osc, 0.01, psi, omega, xi)
+                assert folded.tobytes() == general.tobytes()
+                nan = overflows if xi == 0.7 else np.ones(omega.shape, bool)  # xi^2 = inf
+                assert np.array_equal(np.isnan(folded), nan)
+                assert np.all(np.isfinite(folded[~nan]))
 
 
 class TestNoiseOverDetuningColumn:
