@@ -558,7 +558,8 @@ def main(argv=None) -> int:
             return cmd_figure(
                 cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
             )
-    except (ConfigError, DegenerateDissipationError, NoMeasurementError) as exc:
+    # every array the CLI allocates scales with a config axis: too large a one is a config error
+    except (ConfigError, DegenerateDissipationError, NoMeasurementError, MemoryError) as exc:
         print(f"optospring: config error: {exc}", file=sys.stderr)
         return 2
     except SingularPointError as exc:

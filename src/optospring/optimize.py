@@ -7,16 +7,18 @@ optimum in :mod:`optospring.quasistatic`. Searches are deterministic
 the minimum, then a golden-section/parabolic polish runs inside the
 bracket. The polish is Brent's bounded minimizer (Brent 1973,
 *Algorithms for Minimization without Derivatives*), implemented here
-step for step as SciPy's ``minimize_scalar(method="bounded")``, so the
-package needs only numpy. The coupling is searched in log(coupling^2),
-where the objective spans decades but is nearly quadratic around its
-minimum. A coupling objective must broadcast over an array of couplings
-(wrap a scalar-only one in ``np.vectorize``), so each pre-scan is one
-call; the quasi-static noise gives the same bits on arrays and scalars.
-A detuning search makes the coupling pre-scans of all its seed detunings
-in one call, on a column of detunings, and polishes them in lockstep:
-one array Brent step moves every seed detuning's polish with one call of
-that column, each through the iterates of its scalar run.
+once, step for step as SciPy's ``minimize_scalar(method="bounded")``, so
+the package needs only numpy. It is a generator that yields each point
+and is sent its value, so one search runs alone on a scalar objective or
+many run in lockstep on one array call. The coupling is searched in
+log(coupling^2), where the objective spans decades but is nearly
+quadratic around its minimum. A coupling objective must broadcast over
+an array of couplings (wrap a scalar-only one in ``np.vectorize``), so
+each pre-scan is one call; the quasi-static noise gives the same bits on
+arrays and scalars. A detuning search makes the coupling pre-scans of
+all its seed detunings in one call, on a column of detunings, then runs
+their scalar polishes in lockstep: each step evaluates every polish's
+point with one call of that column, and each polish is its scalar run.
 """
 
 from __future__ import annotations
@@ -82,20 +84,22 @@ class OptimResult:
     constraint_active: bool = False
 
 
-def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
-    """Minimize a scalar function on [a, b] by Brent's bounded method.
+def _brent(a: float, b: float, xatol: float, maxiter: int, seed=None):
+    """Brent's bounded method on [a, b], as a generator of the points it evaluates.
 
     Golden-section steps, accepted parabolic steps and the stopping rule
     of Brent's FMIN, written step for step as SciPy's
     ``_minimize_scalar_bounded``, so its iterates, tolerances and
     evaluation count are those of ``minimize_scalar(method="bounded")``.
-    Returns ``(x, f(x), evaluations, converged)``; a run that reaches
-    ``maxiter`` evaluations or meets a NaN has not converged.
+    Each point is yielded and must be sent its value; the generator returns
+    ``(x, f(x), evaluations, converged)``. A run that reaches ``maxiter``
+    evaluations or meets a NaN has not converged. ``seed``, a point and its
+    value, wins when the run ends above it, keeping the run's count and flag.
     """
     fulc = a + _GOLDEN * (b - a)
     nfc = xf = x = fulc
     rat = e = 0.0
-    fx = f(x)
+    fx = yield x
     num = 1
     fu = math.inf
     ffulc = fnfc = fx
@@ -127,7 +131,7 @@ def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
             e = (a if xf >= xm else b) - xf
             rat = _GOLDEN * e
         x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -154,84 +158,45 @@ def _bounded_brent(f, a: float, b: float, xatol: float, maxiter: int):
             stopped = True
             break
     ok = not (stopped or math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+    if seed is not None and seed[1] < fx:  # a polish must never lose to its own seed
+        return seed[0], seed[1], num, ok
     return xf, fx, num, ok
 
 
-def _lockstep_brent(f, a, b, xatol: float, maxiter: int):
-    """:func:`_bounded_brent` on arrays of brackets [a, b], one lane per bracket.
+def _run(search, f):
+    """Drive one search with the scalar objective ``f``; return what it returns."""
+    send = search.send
+    x = next(search)
+    while True:
+        fx = f(x)
+        try:
+            x = send(fx)
+        except StopIteration as done:
+            return done.value
 
-    ``f`` maps an array of points, one per lane, to their values in one call, so a step
-    of every lane costs one call. Each lane takes the scalar run's IEEE operations in
-    its order; Python's ``max(|rat|, tol1)`` is ``tol1 if tol1 > |rat| else |rat|``,
-    NaN included. A lane that stops, by its test or at ``maxiter``, keeps its bracket,
-    points and count while the others step on, and ``f`` sees its last point again.
-    Returns arrays ``(x, f(x), evaluations, converged)``, each lane what
-    ``_bounded_brent`` returns on its bracket.
+
+def _lockstep(searches, f):
+    """Drive the searches together, one call ``f(points)`` per step.
+
+    ``f`` maps the list of every search's current point to their values; each
+    live search is sent its own. A finished search keeps its last point, so ``f``
+    sees one point per search on every call. Returns the searches' results in order.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    with np.errstate(all="ignore"):  # lanes that take no parabola may divide by q = 0
-        # rows (point, value): X the last evaluation x, fu; F, N and U the best three
-        # points xf, nfc and fulc, each moved whole into its new place
-        X = np.empty((2, a.size))
-        x, fu = X
-        x[:] = a + _GOLDEN * (b - a)
-        fu[:] = f(x)
-        F = N = U = X.copy()
-        fu[:] = math.inf
-        rat = e = np.zeros_like(a)
-        num, step = np.ones(a.shape, dtype=int), 1
-        xf = F[0]
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-        while go.any():
-            (xf, fx), (nfc, fnfc), (fulc, ffulc) = F, N, U
-            dn, du = xf - nfc, xf - fulc
-            r = dn * (fx - ffulc)
-            q = du * (fx - fnfc)
-            p = du * q - dn * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            ax, bx = a - xf, b - xf
-            # the lanes that take the parabola through the three best points
-            para = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-            para &= (p > q * ax) & (p < q * bx)
-            prat = (p + 0.0) / q
-            px = xf + prat
-            edge = ((px - a) < tol2) | ((b - px) < tol2)
-            prat = np.where(edge, np.where(xm - xf < 0, -tol1, tol1), prat)
-            ge = np.where(xf >= xm, ax, bx)  # the golden-section lanes' e
-            e, rat = np.where(para, rat, ge), np.where(para, prat, _GOLDEN * ge)
-            ar = np.abs(rat)
-            ar = np.where(tol1 > ar, tol1, ar)  # max(|rat|, tol1)
-            # (-1.0 if rat < 0 else 1.0) * ar: a NaN ar has rat NaN, so 1.0 * ar = ar
-            np.copyto(x, xf + np.where(rat < 0, -ar, ar), where=go)
-            np.copyto(fu, f(x), where=go)
-            num += go
-            step += 1
-            le = go & (fu <= fx)
-            gt = go ^ le
-            to_a = go & np.where(le, x >= xf, x < xf)  # the bracket end that moves
-            end = np.where(le, xf, x)
-            a, b = np.where(to_a, end, a), np.where(go ^ to_a, end, b)
-            near = gt & ((fu <= fnfc) | (nfc == xf))
-            far = (gt ^ near) & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-            U = np.where(le | near, N, np.where(far, X, U))
-            N = np.where(le, F, np.where(near, X, N))
-            F = np.where(le, X, F)
-            xf = F[0]
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-            tol2 = 2.0 * tol1
-            if step >= maxiter:  # every running lane has made ``step`` evaluations
-                break
-            go &= np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-    xf, fx = F
-    # the lanes still running at the end are those stopped by maxiter
-    ok = ~(go | np.isnan(xf) | np.isnan(fx) | np.isnan(fu))
-    return xf, fx, num, ok
+    sends = [search.send for search in searches]
+    points = [next(search) for search in searches]
+    results = [None] * len(searches)
+    live = range(len(searches))
+    while live:
+        values = f(points)
+        running = []
+        for k in live:
+            try:
+                points[k] = sends[k](values[k])
+                running.append(k)
+            except StopIteration as done:
+                results[k] = done.value
+        live = running
+    return results
 
 
 def _at_bound(x: float, lo: float, hi: float) -> bool:
@@ -239,34 +204,35 @@ def _at_bound(x: float, lo: float, hi: float) -> bool:
     return min(x - lo, hi - x) <= AT_BOUND_TOL * (hi - lo)
 
 
-def _seeded_search(f, nodes, seed_vals, spec: SearchSpec):
-    """Polish the best seed node with Brent between its neighbours.
+def _seeded_search(nodes, seed_vals, spec: SearchSpec):
+    """The Brent polish of the best seed node between its neighbours, as a search to drive.
 
-    ``seed_vals`` holds ``f`` at ``nodes``; the best node is clipped to
-    an interior one to bracket the polish. Returns ``(x, f(x),
-    evaluations, converged)``; when the polish loses to the best seed,
-    that seed wins with its scan value.
+    ``seed_vals``, an array, holds the objective at ``nodes``; the best node
+    is clipped to an interior one to bracket the polish, and wins with its
+    scan value when the polish ends above it.
     """
-    j = int(np.argmin(seed_vals))
+    j = int(seed_vals.argmin())
     i = min(max(j, 1), len(nodes) - 2)
     # a Python-float bracket keeps the polish off numpy scalar arithmetic (same bits)
     a, b = float(nodes[i - 1]), float(nodes[i + 1])
-    x, fx, nfev, ok = _bounded_brent(f, a, b, spec.rel_tol, spec.max_iter)
-    if seed_vals[j] < fx:  # polish must never lose to its own seed
-        return nodes[j], seed_vals[j], nfev, ok
-    return x, fx, nfev, ok
+    return _brent(a, b, spec.rel_tol, spec.max_iter, seed=(nodes[j], seed_vals[j]))
+
+
+def _xi(u: float) -> float:
+    """The coupling at u = log(coupling^2), by libm."""
+    return math.sqrt(math.exp(u))
 
 
 @functools.lru_cache(maxsize=16)
 def _seed_couplings(lo: float, hi: float, n: int):
     """Seed nodes in log(coupling^2) and their couplings, read-only, shared per bounds."""
     t = np.linspace(math.log(lo), math.log(hi), n)
-    seed_xi = np.array([math.sqrt(math.exp(u)) for u in t])
+    seed_xi = np.array([_xi(u) for u in t])
     t.flags.writeable = seed_xi.flags.writeable = False
     return t, seed_xi
 
 
-def minimize_over_xi(objective, spec: SearchSpec = SearchSpec(), *, seed_vals=None) -> OptimResult:
+def minimize_over_xi(objective, spec: SearchSpec = SearchSpec()) -> OptimResult:
     """Minimize a noise objective over the coupling.
 
     ``objective`` maps a coupling value to a noise level (quasi-static or
@@ -274,21 +240,13 @@ def minimize_over_xi(objective, spec: SearchSpec = SearchSpec(), *, seed_vals=No
     couplings elementwise: the seed scan is one call on all seed
     couplings, while the polish calls it on scalars (a winning seed keeps
     its scan value). Wrap a scalar-only objective in ``np.vectorize``.
-    ``seed_vals``, when given, is that seed scan computed by the caller:
-    ``objective`` at the ``spec.seed_points`` seed couplings.
     The search runs on log(coupling^2): a deterministic seed scan
     brackets the minimum, then a bounded Brent polish finishes.
     ``at_bound`` flags an optimum at either end of the log(coupling^2) range.
     """
     t, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
-    seed_vals = np.asarray(objective(seed_xi) if seed_vals is None else seed_vals, dtype=float)
-    if seed_vals.shape != t.shape:
-        raise ValueError(f"seed_vals must hold {t.size} values, got shape {seed_vals.shape}")
-
-    def scalar(u):
-        return objective(math.sqrt(math.exp(u)))
-
-    u, level, nfev, ok = _seeded_search(scalar, t, seed_vals, spec)
+    search = _seeded_search(t, np.asarray(objective(seed_xi), dtype=float), spec)
+    u, level, nfev, ok = _run(search, lambda u: objective(_xi(u)))
     return OptimResult(
         coupling2=float(math.exp(u)),
         detuning=None,
@@ -345,22 +303,19 @@ def minimize_over_detuning(
 
     lo, hi = spec.psi_bounds
     p = np.linspace(lo, hi, spec.seed_points)
-    # the coupling searches of all seed detunings, row i at p[i]: their seed scans in
-    # one call, then their polishes in lockstep, one call per step
+    # the coupling searches of all seed detunings, row k at p[k]: their seed scans in
+    # one call, then their polishes in lockstep, one call of the column per step
     t, seed_xi = _seed_couplings(*spec.xi2_bounds, spec.seed_points)
     column = noise_over_coupling(osc, cavity, p[:, None], omega, constants)
     scans = column(seed_xi)
 
-    def lanes(u):
-        return column(np.array([math.sqrt(math.exp(v)) for v in u.tolist()])[:, None])[:, 0]
+    def lanes(points):
+        return column(np.array([_xi(u) for u in points])[:, None])[:, 0].tolist()
 
-    j = np.argmin(scans, axis=1)
-    i = np.clip(j, 1, spec.seed_points - 2)
-    _, fx, nfev, _ = _lockstep_brent(lanes, t[i - 1], t[i + 1], spec.rel_tol, spec.max_iter)
-    best_scan = scans[np.arange(spec.seed_points), j]
-    seed_vals = np.where(best_scan < fx, best_scan, fx)  # as _seeded_search, lane by lane
-    evals = int(np.sum(spec.seed_points + nfev))
-    psi_opt, _, _, ok = _seeded_search(level, p, seed_vals, spec)
+    seeds = _lockstep([_seeded_search(t, row, spec) for row in scans], lanes)
+    evals = sum(spec.seed_points + nfev for _, _, nfev, _ in seeds)
+    search = _seeded_search(p, np.array([fx for _, fx, _, _ in seeds]), spec)
+    psi_opt, _, _, ok = _run(search, level)
     psi_opt = float(psi_opt)
     # the SQL reference is read only at the optimum
     best = minimize_xi_quasistatic(osc, gamma, psi_opt, omega, spec, constants)

@@ -417,6 +417,10 @@ class TestBadInputsExit2:
             (["figure", "fig2", "--grid", "1e-300:1e-299:2"], "oscillator.mass = 1e-30\n", None),
             (["figure", "fig4", "--detunings="], None, None),
             (["figure", "fig4", "--bandwidths="], None, None),
+            # 10^15 points are 7.11 PiB of floats: the allocation fails at once, touching no memory
+            (["spectrum", "--grid", "1:10:1000000000000000"], None, None),
+            (["figure", "fig3", "--grid", "1:10:1000000000000000"], None, None),
+            (["stability"], None, {"OPTOSPRING_STABILITY_XI2": "0.01:100:1000000000000000"}),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -451,6 +455,9 @@ class TestBadInputsExit2:
             "fig2-underflowing-coupling",
             "fig4-empty-detunings",
             "fig4-empty-bandwidths",
+            "spectrum-unallocatable-grid",
+            "fig3-unallocatable-grid",
+            "stability-unallocatable-xi2",
         ],
     )
     def test_config_error(self, tmp_path, capsys, monkeypatch, args, config_text, env):

@@ -1,12 +1,13 @@
 """Package layout: no module reads a private name of a sibling module, the
 formulas shared by scalar and array routes use no ``**``, one place
-builds a ``StabilityReport``, no module forms a noise from the
-transfer coefficients, no module imports scipy, one function checks the
-detuning range, no function takes a round trip beside a gamma, each
-checking route shares no code with what it checks, every public function
-and class is read in the package or ``bench/`` or shown in README, README's
-quick start runs, every config key is shown in README, and the names the
-benchmark harness reads still exist."""
+builds a ``StabilityReport``, one function reads Brent's step constants,
+no module forms a noise from the transfer coefficients, no module
+imports scipy, one function checks the detuning range, no function takes
+a round trip beside a gamma, each checking route shares no code with
+what it checks, every public function and class is read in the package
+or ``bench/`` or shown in README, README's quick start runs, every
+config key is shown in README, and the names the benchmark harness reads
+still exist."""
 
 import ast
 import dataclasses
@@ -147,6 +148,41 @@ def test_stability_report_built_in_one_place():
 def test_call_checker_sees_plain_and_qualified_calls():
     source = "a = StabilityReport(1)\nb = core.StabilityReport(2)\nc = StabilityReport\n"
     assert call_lines(source, "StabilityReport") == [1, 2]
+
+
+def name_reads(source: str, names) -> list[str]:
+    """``function:line`` of every read of a bare name in ``names``, by the top-level
+    function or class holding it, ``<module>`` outside any."""
+    return [
+        f"{getattr(top, 'name', '<module>')}:{node.lineno}"
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load)
+    ]
+
+
+BRENT_CONSTANTS = ("_GOLDEN", "_SQRT_EPS")
+
+
+def test_one_brent_loop():
+    # Brent's method is written once, as the generator that solo and lockstep runs drive
+    hits = [
+        f"{path.stem}.{hit}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in name_reads(path.read_text(encoding="utf-8"), BRENT_CONSTANTS)
+    ]
+    assert {hit.partition(":")[0] for hit in hits} == {"optimize._brent"}, hits
+
+
+def test_name_checker_sees_reads_not_stores():
+    source = (
+        "_GOLDEN = 0.38\n_SQRT_EPS = 1e-8\nSTEP = _GOLDEN * 2\n"
+        "def _brent(a):\n    return a + _GOLDEN * _SQRT_EPS\n"
+        "class Lanes:\n    def step(self, e):\n        return [_GOLDEN * v for v in e]\n"
+        "def other(_GOLDEN=1.0):\n    _SQRT_EPS = 2.0\n"
+    )
+    hits = ["<module>:3", "_brent:5", "_brent:5", "Lanes:8"]
+    assert name_reads(source, BRENT_CONSTANTS) == hits
 
 
 TRANSFER_FIELDS = ("c_q", "c_p", "c_sig")

@@ -32,7 +32,7 @@ from optospring import (
     static_coupling2_bound,
     ultimate_quantum_limit,
 )
-from optospring.optimize import AT_BOUND_TOL, OptimResult, _bounded_brent, _lockstep_brent
+from optospring.optimize import AT_BOUND_TOL, OptimResult, _brent, _lockstep, _run
 
 GAMMA = 0.01
 
@@ -62,14 +62,14 @@ def _objective(kind, c, w):
 
 
 class TestBoundedBrent:
-    """The in-house polish against SciPy's bounded minimizer, bit for bit."""
+    """The in-house polish, run alone, against SciPy's bounded minimizer, bit for bit."""
 
     @staticmethod
     def _both(make, a, b, xatol, maxiter):
         """Run both minimizers, each on a fresh ``make()``; log every call."""
         ours, theirs = [], []
         f, g = make(), make()
-        got = _bounded_brent(lambda x: ours.append(x) or f(x), a, b, xatol, maxiter)
+        got = _run(_brent(a, b, xatol, maxiter), lambda x: ours.append(x) or f(x))
         res = minimize_scalar(
             lambda x: theirs.append(x) or g(x), bounds=(a, b), method="bounded",
             options={"xatol": xatol, "maxiter": maxiter},
@@ -121,7 +121,7 @@ _LANE = st.tuples(
 
 
 class TestLockstepBrent:
-    """The lockstep polish against the scalar one, lane by lane, repr for repr."""
+    """Searches driven in lockstep against each run alone, lane by lane, repr for repr."""
 
     @staticmethod
     def _lanes_equal_scalar(lanes, xatol, maxiter):
@@ -130,16 +130,16 @@ class TestLockstepBrent:
         a = [lane[1] for lane in lanes]
         b = [lane[1] + lane[2] for lane in lanes]
 
-        def f(x):
-            assert x.shape == (len(lanes),)
-            return np.array([g(v) for g, v in zip(objectives, x.tolist())])
+        def f(points):
+            assert len(points) == len(lanes)
+            return [g(v) for g, v in zip(objectives, points)]
 
-        got = _lockstep_brent(f, a, b, xatol, maxiter)
+        got = _lockstep([_brent(a[k], b[k], xatol, maxiter) for k in range(len(lanes))], f)
         for k, g in enumerate(objectives):
-            ref = _bounded_brent(g, a[k], b[k], xatol, maxiter)
-            lane = (float(got[0][k]), float(got[1][k]), int(got[2][k]), bool(got[3][k]))
+            ref = _run(_brent(a[k], b[k], xatol, maxiter), g)
+            lane = (float(got[k][0]), float(got[k][1]), int(got[k][2]), bool(got[k][3]))
             assert list(map(repr, lane)) == list(map(repr, ref)), k
-        return got[2].tolist()
+        return [res[2] for res in got]
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
@@ -283,18 +283,6 @@ class TestMinimizeOverXi:
         res = minimize_xi_quasistatic(osc, GAMMA, -0.05, 0.5)
         assert res.converged and not res.at_bound
 
-    def test_given_seed_scan_replaces_the_call(self, osc):
-        objective = noise_over_coupling(osc, cav(GAMMA), -0.05, 0.5)
-        xi = np.sqrt(np.exp(np.linspace(*map(math.log, SearchSpec().xi2_bounds), 60)))
-        given_scan = minimize_over_xi(objective, seed_vals=objective(xi).tolist())
-        assert given_scan == minimize_over_xi(objective)
-
-    @pytest.mark.parametrize("n", [0, 59, 61])
-    def test_seed_vals_of_wrong_length_refused(self, osc, n):
-        objective = noise_over_coupling(osc, cav(GAMMA), -0.05, 0.5)
-        with pytest.raises(ValueError, match="seed_vals must hold 60 values"):
-            minimize_over_xi(objective, seed_vals=np.ones(n))
-
 
 def _per_seed_detuning_search(osc, gamma, omega, spec=SearchSpec()):
     """Reference route: each seed detuning runs its own coupling seed scan, and
@@ -312,7 +300,7 @@ def _per_seed_detuning_search(osc, gamma, omega, spec=SearchSpec()):
     seed_vals = np.array([level(psi) for psi in p])
     j = int(np.argmin(seed_vals))
     i = min(max(j, 1), len(p) - 2)
-    psi, fx, _, ok = _bounded_brent(level, p[i - 1], p[i + 1], spec.rel_tol, spec.max_iter)
+    psi, fx, _, ok = _run(_brent(p[i - 1], p[i + 1], spec.rel_tol, spec.max_iter), level)
     psi = float(p[j] if seed_vals[j] < fx else psi)
     best = minimize_xi_quasistatic(osc, gamma, psi, omega, spec)
     return replace(
@@ -348,33 +336,37 @@ class TestMinimizeOverDetuning:
             assert a == b and type(a) is type(b), field.name
 
     def test_polish_bracket_is_python_floats(self, high_q_osc, monkeypatch):
-        # the seed detunings' coupling polishes are one lockstep call; every scalar
-        # polish left runs on a Python-float bracket: the outer detuning polish, one
+        # the seed detunings' coupling polishes are one lockstep call; every polish runs
+        # on a Python-float bracket, and the solo runs are the outer detuning polish, one
         # coupling polish per outer evaluation and the final coupling search
         brackets, finished, lockstep = [], [], []
         depth = 0
 
-        def recorded(f, a, b, xatol, maxiter):
-            nonlocal depth
+        def bracketed(a, b, *args, **kwargs):
             brackets.append((type(a), type(b)))
+            return _brent(a, b, *args, **kwargs)
+
+        def recorded(search, f):
+            nonlocal depth
             depth += 1
-            res = _bounded_brent(f, a, b, xatol, maxiter)
+            res = _run(search, f)
             depth -= 1
             finished.append((depth, res[2]))
             return res
 
         def counted(*args):
             lockstep.append(args)
-            return _lockstep_brent(*args)
+            return _lockstep(*args)
 
-        monkeypatch.setattr(optospring.optimize, "_bounded_brent", recorded)
-        monkeypatch.setattr(optospring.optimize, "_lockstep_brent", counted)
+        monkeypatch.setattr(optospring.optimize, "_brent", bracketed)
+        monkeypatch.setattr(optospring.optimize, "_run", recorded)
+        monkeypatch.setattr(optospring.optimize, "_lockstep", counted)
         minimize_over_detuning(high_q_osc, GAMMA, 0.95)
         assert len(lockstep) == 1
         outer = [nfev for d, nfev in finished if d == 0]  # the detuning polish, then the final
         inner = [nfev for d, nfev in finished if d == 1]
         assert len(outer) == 2 and len(inner) == outer[0]
-        assert set(brackets) == {(float, float)}
+        assert set(brackets) == {(float, float)} and len(brackets) == 60 + len(finished)
 
     def test_zero_detuning_on_resonance(self, osc):
         res = minimize_over_detuning(osc, GAMMA, 1.0)
