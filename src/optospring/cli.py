@@ -27,6 +27,7 @@ import numpy as np
 
 from . import core
 from . import finite_bandwidth as fb
+from . import floattext
 from . import optimize as opt
 from . import quasistatic as qs
 from .config import KNOWN_KEYS, RunConfig, load_run_config
@@ -79,43 +80,76 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+def _words(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the rows of a NUL-padded byte matrix."""
+    words = np.array(texts, dtype="S")
+    return words.view(np.uint8).reshape(len(texts), words.itemsize)
 
 
-def _text(col: np.ndarray, out_format: str) -> list[str]:
-    """A column's cells as text, a float as its shortest round-trip ``repr``.
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column's distinct values by bits, and where each cell is among them.
 
-    Flags are 0/1 in CSV and true/false in JSON; an integer is ``str(int)``
-    in CSV and a float in JSON. JSON spells inf, -inf and nan as
-    ``json.dumps`` does: Infinity, -Infinity and NaN.
-    """
-    kind = col.dtype.kind
-    if out_format == "csv" and kind != "f":
-        return list(map(str, col.astype(int).tolist()))
-    if out_format == "json" and kind == "b":
-        return [("false", "true")[v] for v in col.tolist()]
-    cells = list(map(repr, col.astype(float, copy=False).tolist()))
-    if out_format == "json" and not np.isfinite(col).all():
-        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
-    return cells
-
-
-def _cells(col: np.ndarray, out_format: str) -> list[str]:
-    """A column's cells as :func:`_text` writes them, each distinct value formatted once.
-
-    Values are told apart by their bits, so -0.0 and 0.0 get their own
-    cells. A column of distinct values is formatted as it stands; any
-    other has its distinct values formatted and scattered back by a
-    binary search of its sorted bits.
+    -0.0 and 0.0 are told apart. A column of distinct values is its own
+    answer, with ``None`` for the index; any other has its sorted distinct
+    bits found again by a binary search.
     """
     bits = col.view(f"u{col.dtype.itemsize}")
     ordered = np.sort(bits)
     new = ordered[1:] != ordered[:-1]
     if new.all():  # also a column of fewer than two cells
-        return _text(col, out_format)
+        return col, None
     distinct = ordered[np.concatenate(([True], new))]
-    text = np.array(_text(distinct.view(col.dtype), out_format), dtype=object)
-    return text[np.searchsorted(distinct, bits)].tolist()
+    return distinct.view(col.dtype), np.searchsorted(distinct, bits)
+
+
+def _columns(cols: list[np.ndarray], out_format: str) -> list[np.ndarray]:
+    """The cells of each column as a NUL-padded byte matrix, one row per cell.
+
+    Each distinct value of a column is formatted once. A float is its
+    shortest round-trip ``repr``, and the floats of all the columns go to
+    :func:`floattext.reprs` in one call. Flags are 0/1 in CSV and
+    true/false in JSON; an integer is ``str(int)`` in CSV and a float in
+    JSON. JSON spells inf, -inf and nan as ``json.dumps`` does: Infinity,
+    -Infinity and NaN.
+    """
+    parts = [_distinct(col) for col in cols]
+    numeric = [
+        d.dtype.kind == "f" or out_format == "json" and d.dtype.kind != "b" for d, _ in parts
+    ]
+    values = np.concatenate([np.empty(0)] + [v for (v, _), n in zip(parts, numeric) if n])
+    text = floattext.reprs(values)
+    if out_format == "json":
+        for i in np.flatnonzero(~np.isfinite(values)):
+            word = json.dumps(float(values[i])).encode()
+            text[i] = 0
+            text[i, : len(word)] = list(word)
+    start, out = 0, []
+    for (distinct, index), number in zip(parts, numeric):
+        if number:
+            cells, start = text[start : start + len(distinct)], start + len(distinct)
+        elif out_format == "csv":
+            cells = _words(list(map(str, distinct.astype(int).tolist())))
+        else:
+            cells = _words([("false", "true")[v] for v in distinct.tolist()])
+        out.append(cells if index is None else cells[index])
+    return out
+
+
+def _joined(cells: list[np.ndarray], start: bytes, sep: bytes, end: bytes) -> str:
+    """Each row's cells joined by ``sep`` between ``start`` and ``end``, rows run together.
+
+    The cell matrices are set side by side with the separators as
+    columns between them, and the NUL padding is dropped.
+    """
+    pieces = [start] + [piece for col in cells for piece in (col, sep)]
+    pieces[-1] = end
+    pieces = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in pieces]
+    table = np.empty((len(cells[0]), sum(p.shape[-1] for p in pieces)), np.uint8)
+    at = 0
+    for piece in pieces:
+        table[:, at : at + piece.shape[-1]] = piece
+        at += piece.shape[-1]
+    return table[table != 0].tobytes().decode("ascii")
 
 
 def _column_key(col: np.ndarray) -> tuple[str, bytes]:
@@ -137,46 +171,44 @@ def write_table(
     Each block is a ``(label, table)`` pair: ``table`` is a numpy
     structured array, one row per data row and one field per entry of
     ``columns``, in order, as built by ``np.rec.fromarrays(columns)``.
-    Each field is turned into text as a column by :func:`_cells`, which
-    formats each distinct value of the column once, and both formats
-    are joined from those strings: a JSON number is the CSV's ``repr``
-    cell, and only the text fields (schema, params, columns, labels) go
-    through ``json.dumps``, so the JSON equals
+    The fields of all the tables are turned into cells by one
+    :func:`_columns` call, which formats each distinct value of a column
+    once, and both formats are joined from those cells: a JSON number is
+    the CSV's ``repr`` cell, and only the text fields (schema, params,
+    columns, labels) go through ``json.dumps``, so the JSON equals
     ``json.dumps(doc, sort_keys=True)`` of the same document. ``memo``
     holds the cells of the columns to reuse, by :func:`_column_key`,
-    ``None`` until first formatted; any other column is formatted where
-    it is met.
+    ``None`` until first formatted; any other column is formatted here.
     """
     memo = {} if memo is None else memo
-
-    def cells(table: np.ndarray) -> list[list[str]]:
-        out = []
-        for name in table.dtype.names:
-            col = table[name]
-            key = _column_key(col)
-            text = memo.get(key)
-            if text is None:
-                text = _cells(col, out_format)
-                if key in memo:
-                    memo[key] = text
-            out.append(text)
-        return out
+    keys = [[_column_key(table[name]) for name in table.dtype.names] for _, table in blocks]
+    known = {key: memo[key] for row in keys for key in row if memo.get(key) is not None}
+    todo = {
+        key: table[name]
+        for (_, table), row in zip(blocks, keys)
+        for key, name in zip(row, table.dtype.names)
+        if key not in known
+    }
+    known.update(zip(todo, _columns(list(todo.values()), out_format)))
+    memo.update((key, known[key]) for key in todo if key in memo)
+    cells = [[known[key] for key in row] for row in keys]
 
     if out_format == "csv":
         lines = [f"# optospring {kind} {SCHEMA_VERSION}"]
         lines += [f"# {p}" for p in param_lines]
         lines.append(",".join(columns))
-        for label, table in blocks:
+        texts = ["\n".join(lines) + "\n"]
+        for (label, table), row in zip(blocks, cells):
             if label:
-                lines.append(f"# {label}")
-            lines += map(",".join, zip(*cells(table)))
-        _atomic_write(path, "\n".join(lines) + "\n")
+                texts.append(f"# {label}\n")
+            if len(table):
+                texts.append(_joined(row, b"", b",", b"\n"))
+        _atomic_write(path, "".join(texts))
     else:
         # the keys in sort_keys order with json.dumps' default separators
         texts = []
-        for label, table in blocks:
-            rows = "], [".join(map(", ".join, zip(*cells(table))))
-            rows = f"[[{rows}]]" if len(table) else "[]"
+        for (label, table), row in zip(blocks, cells):
+            rows = f"[{_joined(row, b'[', b', ', b'], ')[:-2]}]" if len(table) else "[]"
             texts.append(f'{{"label": {json.dumps(label)}, "rows": {rows}}}')
         schema = f"optospring.{kind}.{SCHEMA_VERSION}"
         text = (
@@ -239,8 +271,15 @@ def _out_path(cfg: RunConfig, default_stem: str) -> str:
     return cfg.output_path or f"{default_stem}.{cfg.output_format}"
 
 
-def _axis(key: str, axis: np.ndarray) -> np.ndarray:
-    """``axis`` if strictly increasing; a range finer than the floats repeats a value."""
+def _axis(key: str, build, *args) -> np.ndarray:
+    """``build(*args)``, the axis that config ``key`` sizes, if allocatable and strictly increasing.
+
+    A range finer than the floats repeats a value.
+    """
+    try:
+        axis = build(*args)
+    except MemoryError as exc:
+        raise ConfigError(f"{key}: too many points: {exc}") from None
     if not np.all(axis[1:] > axis[:-1]):
         raise ConfigError(f"{key}: more points than floats in its range")
     return axis
@@ -259,7 +298,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         lo, hi = cfg.grid_lo * scale, cfg.grid_hi * scale
         if not (0 < omega_sql < math.inf and 0 < lo < hi < math.inf):
             raise ConfigError(f"coupling {xi!r} gives no balance frequency or grid in float range")
-        grid = _axis("grid.points_per_decade", fb.log_grid(lo, hi, cfg.grid_points_per_decade))
+        grid = _axis("grid.points_per_decade", fb.log_grid, lo, hi, cfg.grid_points_per_decade)
         sp = fb.spectrum(cfg.oscillator, cfg.cavity, wp, grid, cfg.constants)
         table = np.rec.fromarrays([sp.omega / scale, sp.s_sig, sp.s_sql, sp.ratio])
         label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
@@ -353,8 +392,8 @@ def cmd_stability(cfg: RunConfig) -> int:
     """Stability grid over (coupling^2, detuning), normalized axes."""
     xi_sql2 = _static_sql(cfg.oscillator, cfg.constants)[1]
     gamma = cfg.cavity.gamma
-    xi2_norm = _axis("stability.xi2", np.geomspace(*cfg.stability_xi2))
-    psi_norm = _axis("stability.psi", np.linspace(*cfg.stability_psi))
+    xi2_norm = _axis("stability.xi2", np.geomspace, *cfg.stability_xi2)
+    psi_norm = _axis("stability.psi", np.linspace, *cfg.stability_psi)
     try:  # stability_map checks the window times gamma against (-pi, pi]
         grid = core.stability_map(
             cfg.oscillator, cfg.cavity, xi2_norm * xi_sql2, psi_norm * gamma, cfg.constants
@@ -412,7 +451,7 @@ def cmd_figure(
         raise ConfigError(f"a figure has at most {len(CURVE_LETTERS)} curves")
     if grid_flag is not None:  # the flag went through the config checks as grid.* overrides
         grid_spec = (cfg.grid_lo, cfg.grid_hi, cfg.grid_points_per_decade)
-    grid = _axis("grid.points_per_decade", fb.log_grid(*grid_spec))
+    grid = _axis("grid.points_per_decade", fb.log_grid, *grid_spec)
 
     osc = cfg.oscillator
     if figure == "fig2":

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from optospring import WorkingPoint, stability
 from optospring import cli as cli_module
+from optospring import floattext
 from optospring import optimize as opt
 from optospring.cli import main, read_table, write_datasets, write_table
 from optospring.config import (
@@ -476,6 +477,24 @@ class TestBadInputsExit2:
         err = capsys.readouterr().err
         assert err.startswith("optospring: config error: stability.xi2") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, env, key",
+        [
+            (["spectrum", "--grid", "1:10:1000000000000000"], None, "grid.points_per_decade"),
+            (["figure", "fig3", "--grid", "1:10:1000000000000000"], None, "grid.points_per_decade"),
+            (["stability"], {"OPTOSPRING_STABILITY_XI2": "0.01:100:1000000000000000"}, "stability.xi2"),
+            (["stability"], {"OPTOSPRING_STABILITY_PSI": "-1:1:1000000000000000"}, "stability.psi"),
+        ],
+        ids=["spectrum-grid", "fig3-grid", "stability-xi2", "stability-psi"],
+    )
+    def test_unallocatable_axis_names_its_key(self, tmp_path, capsys, monkeypatch, args, env, key):
+        # numpy refuses the 7.11-PiB axis before touching any memory
+        out = tmp_path / "out"
+        assert run([*args, "--out", str(out)], tmp_path, None, env, monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"optospring: config error: {key}: too many points: ")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize(
         "args, config_text, message",
@@ -1004,23 +1023,33 @@ def _table(rows, dtypes) -> np.ndarray:
 
 @pytest.fixture
 def format_calls(monkeypatch):
-    """The ``out_format`` of every ``cli._cells`` call, one entry per formatted column."""
+    """The ``out_format`` of every column formatted by ``cli._columns``, one entry per column."""
     calls = []
-    cells = cli_module._cells
-    monkeypatch.setattr(cli_module, "_cells", lambda col, fmt: calls.append(fmt) or cells(col, fmt))
+    columns = cli_module._columns
+
+    def counting(cols, fmt):
+        calls.extend([fmt] * len(cols))
+        return columns(cols, fmt)
+
+    monkeypatch.setattr(cli_module, "_columns", counting)
     return calls
 
 
 @pytest.fixture
 def float_reprs(monkeypatch):
-    """The values of every ``repr`` call made by ``cli``, one entry per formatted float."""
+    """Every array handed to ``floattext.reprs``, the one formatter of ``cli``'s floats.
+
+    Its values are the floats formatted, the few that it renders by ``repr``
+    itself (zeros, subnormals, inf and nan) among them.
+    """
     calls = []
+    reprs = floattext.reprs
 
-    def counting(value):
-        calls.append(value)
-        return repr(value)
+    def counting(values):
+        calls.append(values)
+        return reprs(values)
 
-    monkeypatch.setattr(cli_module, "repr", counting, raising=False)
+    monkeypatch.setattr(floattext, "reprs", counting)
     return calls
 
 
@@ -1123,7 +1152,8 @@ class TestColumnarWriter:
         assert path.read_text() == _per_row_table("test", out_format, [], columns, blocks)
         # 6 specials, 30 distinct x and the one-row block's 2 floats; JSON writes ints as
         # floats, so it formats the 3 distinct counts and the one-row count as well
-        assert len(float_reprs) == {"csv": 6 + 30 + 2, "json": 6 + 30 + 2 + 3 + 1}[out_format]
+        formatted = {"csv": 6 + 30 + 2, "json": 6 + 30 + 2 + 3 + 1}[out_format]
+        assert sum(map(len, float_reprs)) == formatted
 
 
 class TestParser:
@@ -1179,5 +1209,5 @@ class TestParser:
 def test_float_reprs_per_default_command(tmp_path, float_reprs, argv, formatted):
     # a count of work, not of time: each distinct float of a command is formatted once
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-    assert len(float_reprs) == formatted
-    assert all(type(v) is float for v in float_reprs)
+    assert sum(map(len, float_reprs)) == formatted
+    assert all(values.dtype == np.float64 for values in float_reprs)

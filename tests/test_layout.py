@@ -2,18 +2,20 @@
 formulas shared by scalar and array routes use no ``**``, one place
 builds a ``StabilityReport``, one function reads Brent's step constants,
 no module forms a noise from the transfer coefficients, no module
-imports scipy, one function checks the detuning range, no function takes
-a round trip beside a gamma, each checking route shares no code with
-what it checks, every public function and class is read in the package
-or ``bench/`` or shown in README, README's quick start runs, every
-config key is shown in README, and the names the benchmark harness reads
-still exist."""
+imports scipy or anything else beyond numpy and the standard library
+(numpy is the one dependency in pyproject.toml), one function checks
+the detuning range, no function takes a round trip beside a gamma, each
+checking route shares no code with what it checks, every public function
+and class is read in the package or ``bench/`` or shown in README,
+README's quick start runs, every config key is shown in README, and the
+names the benchmark harness reads still exist."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,6 +252,48 @@ def test_scipy_checker_sees_every_import_form():
         "def f():\n    import scipy.special\nimport scipyx\nfrom . import scipy\n"
     )
     assert scipy_imports(source) == [1, 2, 3, 5]
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` of every import in ``source`` of neither numpy nor the standard library.
+
+    A relative import is a sibling module and always allowed.
+    """
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "numpy" and top not in sys.stdlib_module_names:
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the one dependency in pyproject.toml; an installed third-party
+    # module (a faster JSON or float formatter, say) must not become a silent one
+    hits = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in foreign_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+    pyproject = (BENCH.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'\ndependencies = \[\s*"numpy>=1\.24",\s*\]', pyproject)
+
+
+def test_import_checker_sees_every_import_form():
+    source = (
+        "import numpy as np, orjson\nfrom numpy.lib import stride_tricks\nimport json, os.path\n"
+        "def f():\n    from scipy import optimize\nfrom . import core\nfrom .core import x\n"
+        "from __future__ import annotations\nimport numpyx\n"
+    )
+    assert foreign_imports(source) == [(1, "orjson"), (5, "scipy"), (9, "numpyx")]
 
 
 def pi_comparisons(source: str, module: str) -> list[tuple[str, int]]:
