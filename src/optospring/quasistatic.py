@@ -338,9 +338,13 @@ def sql_point(
     """Standard quantum limit at ``omega`` for a resonant cavity.
 
     The coupling at which phase and back-action noises balance, and the
-    corresponding minimum noise level :func:`sql_level`.
+    corresponding minimum noise level :func:`sql_level`. A level of 0 or
+    inf, where |chi| leaves the float range, has no balance coupling and
+    raises :class:`SingularPointError`.
     """
     level = sql_level(osc, omega, constants)
+    if not 0 < level < math.inf:
+        raise SingularPointError(f"SQL level hbar |chi| = {level!r} at omega={omega!r}")
     return SqlPoint(coupling=1.0 / math.sqrt(2.0 * level), level=level)
 
 

@@ -647,6 +647,16 @@ class TestBadInputsExit3:
         assert named in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob(".optospring-*"))
 
+    def test_optimize_sql_level_out_of_float_range(self, tmp_path, capsys, monkeypatch):
+        # M Gamma omega overflows, so hbar |chi| at omega is 0: no balance coupling, no report
+        monkeypatch.setenv(env_name("oscillator.mass"), "1e200")
+        monkeypatch.setenv(env_name("oscillator.damping"), "1e200")
+        out = tmp_path / "report.json"
+        assert run(["optimize", "--mode", "xi", "--out", str(out)], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "optospring: singular point: SQL level hbar |chi| = 0.0 at omega=0.5\n"
+        assert not list(tmp_path.iterdir())
+
 
 # Every number key of the config, with the commands that read it, on small grids.
 NUMBER_KEYS = [

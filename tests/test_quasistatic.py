@@ -416,6 +416,15 @@ class TestSql:
         with pytest.raises(SingularPointError):
             sql_point(free, 1.0)
 
+    @pytest.mark.parametrize(
+        "mass, damping, level", [(1e200, 1e200, "0.0"), (1e-310, 1e-3, "inf")], ids=["0", "inf"]
+    )
+    def test_level_out_of_float_range(self, mass, damping, level):
+        # M Gamma omega overflows, or a subnormal M leaves 1 / |M (...)| to overflow
+        error = pytest.raises(SingularPointError, match=f"SQL level hbar \\|chi\\| = {level} ")
+        with np.errstate(over="ignore"), error:
+            sql_point(MechanicalOscillator(mass, 1.0, damping), 0.5)
+
 
 class TestAmplification:
     def test_resonant_cavity(self, osc, cavity):
