@@ -18,10 +18,8 @@ from .core import (
     StabilityReport,
     SteadyState,
     WorkingPoint,
-    effective_damping,
     effective_susceptibility_poles,
     kappa_for_coupling,
-    loop_denominator,
     mech_susceptibility,
     solve_self_consistent_detuning,
     stability,

@@ -3,8 +3,8 @@
 Parameter records (oscillator, cavity, working point), the free mechanical
 susceptibility, the cavity steady state including radiation-pressure recoil
 (bistability), and the static and dynamic stability tests at a working point
-or over a grid; the optical spring shows through the effective damping and
-the poles of the effective susceptibility.
+or over a grid, exact by the Routh-Hurwitz conditions on the quartic whose
+roots are the poles of the effective susceptibility.
 
 Conventions
 -----------
@@ -20,16 +20,11 @@ Conventions
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularPointError
-
-# Damping-to-resonance ratio above which the Lorentzian effective-damping
-# picture is no longer trusted and a warning is emitted.
-HIGH_Q_RATIO = 0.1
 
 # A cubic root is accepted as real when |Im| < REAL_ROOT_TOL * (1 + |Re|).
 REAL_ROOT_TOL = 1e-10
@@ -91,10 +86,6 @@ class MechanicalOscillator:
             )
         if self.damping < 0:
             raise ValueError(f"damping must be >= 0, got {self.damping!r}")
-
-    @property
-    def is_high_q(self) -> bool:
-        return self.damping < HIGH_Q_RATIO * self.resonance_freq
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,7 @@ class DetuningBranch:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Static (bistability) and dynamic (positive damping) stability.
+    """Static (bistability) and dynamic (Routh-Hurwitz) stability.
 
     Margins are the left-hand sides of the respective conditions; a
     working point is stable when both are strictly positive. Fields are
@@ -240,12 +231,6 @@ def mech_susceptibility(osc: MechanicalOscillator, omega):
             f"undamped oscillator driven exactly on resonance (omega={float(bad)!r})"
         )
     return _scalar(1.0 / den)
-
-
-def loop_denominator(cavity: OpticalCavity, detuning: float, omega):
-    """Cavity loop denominator (gamma - i omega tau)^2 + detuning^2."""
-    lag = cavity.gamma - 1j * np.asarray(omega, dtype=float) * cavity.round_trip
-    return _scalar(lag * lag + detuning * detuning)
 
 
 def static_susceptibility(osc: MechanicalOscillator) -> float:
@@ -339,33 +324,6 @@ def solve_self_consistent_detuning(
     return branches
 
 
-def effective_damping(
-    osc: MechanicalOscillator,
-    cavity: OpticalCavity,
-    detuning,
-    kappa,
-    constants: Constants = NORMALIZED,
-):
-    """Effective mechanical damping in the detuned cavity; broadcasts.
-
-    Valid for a high-Q oscillator, where the modified response is still
-    Lorentzian; the resonance is widened (detuning < 0) or narrowed
-    (detuning > 0). Emits a warning outside the high-Q regime.
-    """
-    if np.any(kappa < 0):
-        raise ValueError("kappa must be >= 0")
-    if not osc.is_high_q:
-        warnings.warn(
-            "effective damping assumes a high-Q oscillator "
-            f"(damping/resonance_freq = {osc.damping / osc.resonance_freq:.3g})",
-            stacklevel=2,
-        )
-    d, g = np.abs(loop_denominator(cavity, detuning, osc.resonance_freq)), cavity.gamma
-    return osc.damping - (
-        4.0 * constants.hbar * (kappa * kappa) / (osc.mass * cavity.bandwidth)
-    ) * (g * g) * detuning / (d * d)
-
-
 def effective_susceptibility_poles(
     osc: MechanicalOscillator,
     cavity: OpticalCavity,
@@ -379,8 +337,8 @@ def effective_susceptibility_poles(
     the roots of a quartic whose factors are the mechanical response and
     the cavity loop denominator. With the d/dt -> -i*omega convention
     every decaying mode has Im(pole) < 0, so the sign of the largest
-    imaginary part is an oracle for dynamic stability that is independent
-    of the Lorentzian effective-damping approximation.
+    imaginary part is an oracle for stability that is independent of the
+    Routh-Hurwitz margins of :func:`stability_margins`.
     """
     m, om, g = osc.mass, osc.resonance_freq, osc.damping
     gamma, tau = cavity.gamma, cavity.round_trip
@@ -400,19 +358,39 @@ def stability_margins(
 ):
     """Static and dynamic stability margins ``(static, dynamic)``; broadcasts.
 
-    The static margin is the bistability condition
-    gamma^2 + psi^2 + 2 hbar kappa^2 chi[0] psi, evaluated in its
-    equivalent factored form (gamma^2 + psi^2)(1 + hbar xi^2 chi[0] psi / gamma),
-    squares written as products in the order of the signal amplification factor,
-    so its zero set is that factor's divergence at omega = 0 bit for bit. The dynamic margin is
-    the effective damping. Detuning and coupling broadcast against each
-    other, so one call covers a whole working-point grid.
+    The poles of the effective susceptibility are the roots in s = -i omega of
+    P(s) = M (s^2 + Gamma s + Omega^2)((gamma + tau s)^2 + psi^2) + 2 hbar kappa^2 psi,
+    a4 = M tau^2, a3 = M (2 gamma tau + Gamma tau^2), a2 = M (u^2 + 2 gamma tau Gamma +
+    Omega^2 tau^2), a1 = M (Gamma u^2 + 2 gamma tau Omega^2), a0 = M Omega^2 u^2 +
+    2 hbar kappa^2 psi, u^2 = gamma^2 + psi^2. For tau > 0, a4..a1 and a3 a2 - a4 a1 are
+    positive, so by Routh-Hurwitz every pole decays exactly where both margins are (at
+    tau = 0, P is quadratic and the dynamic condition is Gamma > 0):
+
+    * static = a0 / (M Omega^2) = u^2 (1 + hbar xi^2 chi[0] psi / gamma), squares written
+      as products in the order of the signal amplification factor, so its zero set is
+      that factor's divergence at omega = 0 bit for bit;
+    * dynamic = (a3 a2 a1 - a4 a1^2 - a3^2 a0) / (a3 a2 M u^2), a rate, evaluated as
+      p (1 - r u^2 p / b2) - b3 Omega^2 f / b2 with p = a1 / (M u^2), r = a4 / a3,
+      bi = ai / M and f = static / u^2, each factor over 1 + tau so that no tau^2 or p^2
+      overflows: a margin beyond the float range is inf of its sign, not nan. At tau = 0
+      it is Gamma bit for bit.
+
+    Detuning and coupling broadcast against each other, so one call covers a whole
+    working-point grid.
     """
+    gamma, tau, damping = cavity.gamma, cavity.round_trip, osc.damping
+    om2 = osc.resonance_freq * osc.resonance_freq
     chi0 = static_susceptibility(osc)
-    factor = 1.0 + constants.hbar * (coupling * coupling) * (detuning / cavity.gamma) * chi0
-    static = (cavity.gamma * cavity.gamma + detuning * detuning) * factor
-    kappa = kappa_for_coupling(cavity, detuning, coupling)
-    return static, effective_damping(osc, cavity, detuning, kappa, constants)
+    factor = 1.0 + constants.hbar * (coupling * coupling) * (detuning / gamma) * chi0
+    u2 = gamma * gamma + detuning * detuning
+    static = u2 * factor
+    s = 1.0 / (1.0 + tau)
+    t = tau * s
+    # p and b3 / tau over 1 + tau, b2 over (1 + tau)^2
+    ps, ds = damping * s + 2.0 * gamma * t * om2 / u2, 2.0 * gamma * s + damping * t
+    a2s = u2 * s * s + 2.0 * gamma * damping * t * s + om2 * (t * t)
+    dynamic = ps / s * (1.0 - (t / ds) * u2 * ps * s / a2s) - ds * t * om2 * factor / a2s
+    return static, dynamic
 
 
 def static_coupling2_bound(

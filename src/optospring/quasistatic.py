@@ -338,8 +338,8 @@ def sql_point(
     """Standard quantum limit at ``omega`` for a resonant cavity.
 
     The coupling at which phase and back-action noises balance, and the
-    corresponding minimum noise level :func:`sql_level`. A level of 0 or
-    inf, where |chi| leaves the float range, has no balance coupling and
+    corresponding minimum noise level :func:`sql_level`. A level of 0, inf
+    or nan, where |chi| leaves the float range, has no balance coupling and
     raises :class:`SingularPointError`.
     """
     level = sql_level(osc, omega, constants)

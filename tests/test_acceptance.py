@@ -15,11 +15,10 @@ from optospring import (
     amplification_factor,
     default_grid,
     dip_analysis,
-    effective_damping,
     effective_susceptibility_poles,
     equivalent_input_noise,
     highfreq_optimum,
-    loop_denominator,
+    kappa_for_coupling,
     lowfreq_optimum,
     mech_susceptibility,
     minimize_over_detuning,
@@ -227,28 +226,25 @@ def test_criterion_8_stability_properties():
         for _ in range(100)
     )
 
-    # (d) pole-locus oracle vs effective-damping sign on high-Q points
-    agree = total = 0
-    while total < 100:
-        osc_d = MechanicalOscillator(1.0, 1.0, 10 ** rng.uniform(-6, -3))
+    # (d) pole-locus oracle vs the Hurwitz verdict, at high and low Q, for springs on both
+    # sides of the Lorentzian anti-damping threshold (delta: the loop at omega = 1)
+    agree, total = 0, 100
+    for _ in range(total):
+        osc_d = MechanicalOscillator(1.0, 1.0, 10 ** rng.uniform(-6, 0.5))
         g = rng.uniform(0.005, 0.05)
         cav = OpticalCavity(
             gamma=g, round_trip=g / 10 ** rng.uniform(-0.5, 1.5), wavevector=1.0
         )
         psi = rng.uniform(-0.6, 0.6)
-        if abs(psi) < 1e-3:
-            continue
-        delta = loop_denominator(cav, psi, 1.0)
-        k2_crit = osc_d.damping * cav.bandwidth * abs(delta) ** 2 / (
+        lag = g - 1j * cav.round_trip
+        k2_crit = osc_d.damping * cav.bandwidth * abs(lag * lag + psi * psi) ** 2 / (
             4.0 * g**2 * abs(psi)
         )
-        k2 = k2_crit * 10 ** rng.uniform(-1.5, 1.5)
-        if abs((2.0 * k2 * psi / delta).real) > 0.02:
-            continue
-        total += 1
-        gamma_eff = effective_damping(osc_d, cav, psi, math.sqrt(k2))
-        poles = effective_susceptibility_poles(osc_d, cav, psi, math.sqrt(k2))
-        agree += (max(p.imag for p in poles) < 0) == (gamma_eff > 0)
+        xi2 = 2.0 * g * k2_crit / (g**2 + psi**2) * 10 ** rng.uniform(-1.5, 1.5)
+        rep = stability(osc_d, cav, WorkingPoint(psi, math.sqrt(xi2)))
+        kappa = kappa_for_coupling(cav, psi, math.sqrt(xi2))
+        poles = effective_susceptibility_poles(osc_d, cav, psi, kappa)
+        agree += (max(p.imag for p in poles) < 0) == (rep.static_ok and rep.dynamic_ok)
     ok_d = agree == total
 
     _report(

@@ -235,15 +235,17 @@ class TestOptimizeCommand:
         assert doc["ratio_to_sql"] == pytest.approx(1.0, rel=1e-9)
         assert doc["stability"]["static_ok"] is True
 
-    def test_detuning_mode_on_resonance(self, tmp_path):
+    def test_detuning_mode_on_resonance(self, tmp_path, capsys):
         out = tmp_path / "opt.json"
         cfg = (
             "oscillator.damping = 0.1\n"
             "optimize.mode = detuning\noptimize.omega = 1.0\n"
         )
-        # damping/resonance_freq = 0.1 is outside the high-Q picture of the stability report
-        with pytest.warns(UserWarning, match="high-Q"):
+        # a low-Q oscillator (damping/resonance_freq = 0.1) gets an exact stability report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(["optimize", "--out", str(out)], tmp_path, cfg) == 0
+        assert capsys.readouterr().err == ""
         doc = json.loads(out.read_text())
         assert abs(doc["detuning"]) < 1e-4
         assert doc["level"] == pytest.approx(doc["closed_form"]["level"], rel=1e-4)
@@ -629,6 +631,8 @@ class TestBadInputsExit3:
             ("xi", "oscillator.mass = 1e-300\n", "at omega=0.5\n"),
             ("detuning", "oscillator.mass = 1e-300\n", "at omega=0.5\n"),
             ("uql-sweep", "oscillator.mass = 1e-300\n", "at omega=0.3\n"),
+            # M Gamma omega overflows: hbar |chi| = 0 has no balance coupling
+            ("xi", "oscillator.mass = 1e200\noscillator.damping = 1e200\n", "= 0.0 at omega=0.5\n"),
         ],
         ids=[
             "detuning-infinite-level",
@@ -636,6 +640,7 @@ class TestBadInputsExit3:
             "xi-tiny-mass",
             "detuning-tiny-mass",
             "uql-sweep-tiny-mass",
+            "xi-zero-sql-level",
         ],
     )
     def test_optimize_singular(self, tmp_path, capsys, mode, config_text, named):
@@ -647,15 +652,19 @@ class TestBadInputsExit3:
         assert named in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob(".optospring-*"))
 
-    def test_optimize_sql_level_out_of_float_range(self, tmp_path, capsys, monkeypatch):
-        # M Gamma omega overflows, so hbar |chi| at omega is 0: no balance coupling, no report
-        monkeypatch.setenv(env_name("oscillator.mass"), "1e200")
-        monkeypatch.setenv(env_name("oscillator.damping"), "1e200")
-        out = tmp_path / "report.json"
-        assert run(["optimize", "--mode", "xi", "--out", str(out)], tmp_path) == 3
+    @pytest.mark.parametrize(
+        "config_text",
+        ["cavity.gamma = 1e-200\n", "cavity.round_trip = 1e300\noscillator.resonance_freq = 1e8\n"],
+        ids=["u2-underflow", "rate-overflow"],
+    )
+    def test_stability_margin_out_of_float_range(self, tmp_path, capsys, config_text):
+        # the dynamic margin divides by u^2 = gamma^2 + psi^2 and scales with tau Omega^2
+        out = tmp_path / "out"
+        assert run(["stability", "--out", str(out)], tmp_path, config_text) == 3
         err = capsys.readouterr().err
-        assert err == "optospring: singular point: SQL level hbar |chi| = 0.0 at omega=0.5\n"
-        assert not list(tmp_path.iterdir())
+        column = "column 'dynamic_margin', data row 1"
+        assert err == f"optospring: singular point: non-finite result in {out}: {column}\n"
+        assert not out.exists()
 
 
 # Every number key of the config, with the commands that read it, on small grids.
@@ -716,9 +725,7 @@ class TestEveryNumberKey:
                 code = main([*argv, "--out", str(work / "out")])
             written = [p for p in work.rglob("*") if p.is_file() and p.name != "run.cfg"]
             texts = [p.read_text() for p in written]
-        # the one warning a run may raise: the high-Q picture of the stability report
-        for w in caught:
-            assert w.category is UserWarning and "high-Q" in str(w.message), str(w.message)
+        assert [str(w.message) for w in caught] == []
         assert code in (0, 2, 3, 4)
         if code == 0:
             assert err.getvalue() == ""

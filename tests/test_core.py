@@ -17,10 +17,8 @@ from optospring import (
     StabilityReport,
     WorkingPoint,
     amplification_factor,
-    effective_damping,
     effective_susceptibility_poles,
     kappa_for_coupling,
-    loop_denominator,
     mech_susceptibility,
     solve_self_consistent_detuning,
     stability,
@@ -174,22 +172,6 @@ class TestSteadyState:
         assert ss.kappa == pytest.approx(2.0 * cavity.wavevector * ss.a_bar)
 
 
-class TestLoopDenominator:
-    def test_zero_frequency(self):
-        cav = OpticalCavity(gamma=0.01, round_trip=1e-8, wavevector=1.0)
-        assert loop_denominator(cav, 0.1, 0.0) == pytest.approx(0.0101)
-
-    def test_hand_expansion(self):
-        cav = OpticalCavity(gamma=0.01, round_trip=1e-8, wavevector=1.0)
-        got = loop_denominator(cav, 0.02, 1e6)
-        assert got == pytest.approx(4e-4 - 2e-4j, rel=1e-12)
-
-    def test_conjugate_symmetry(self, cavity, rng):
-        omega = rng.uniform(0.01, 100.0, size=20)
-        d = loop_denominator(cavity, 0.05, omega)
-        assert np.allclose(loop_denominator(cavity, 0.05, -omega), np.conj(d), rtol=1e-14)
-
-
 class TestCoupling:
     def test_kappa_for_coupling_matches_steady_state(self, cavity, rng):
         for _ in range(20):
@@ -199,31 +181,6 @@ class TestCoupling:
             xi = 4.0 * cavity.wavevector * g * amp / (g**2 + psi**2)
             ss = steady_state(cavity, psi, amp)
             assert kappa_for_coupling(cavity, psi, xi) == pytest.approx(ss.kappa, rel=1e-12)
-
-
-class TestEffectiveDamping:
-    def test_resonant_cavity(self, high_q_osc, cavity):
-        assert effective_damping(high_q_osc, cavity, 0.0, 5.0) == high_q_osc.damping
-
-    def test_sign_rule(self, high_q_osc, cavity):
-        widened = effective_damping(high_q_osc, cavity, -0.05, 1.0)
-        narrowed = effective_damping(high_q_osc, cavity, 0.05, 1.0)
-        assert widened > high_q_osc.damping > narrowed
-
-    def test_numeric_point_against_pole_shift(self, high_q_osc):
-        cav = OpticalCavity(gamma=0.01, round_trip=0.01 / 10.0, wavevector=1.0)
-        kappa = math.sqrt(1e-4)  # hbar kappa^2 = 1e-4
-        got = effective_damping(high_q_osc, cav, 0.05, kappa)
-        assert got == pytest.approx(9.703931829711655e-4, rel=1e-12)
-        poles = effective_susceptibility_poles(high_q_osc, cav, 0.05, kappa)
-        mech = sorted(poles, key=lambda z: abs(abs(z.real) - 1.0))[:2]
-        for p in mech:
-            assert -2.0 * p.imag == pytest.approx(got, rel=1e-4)
-
-    def test_low_q_warns(self, cavity):
-        heavy = MechanicalOscillator(mass=1.0, resonance_freq=1.0, damping=0.5)
-        with pytest.warns(UserWarning):
-            effective_damping(heavy, cavity, 0.01, 1.0)
 
 
 class TestPoles:
@@ -237,30 +194,47 @@ class TestPoles:
             assert abs(p.real) == pytest.approx(expected_re, rel=1e-9)
 
     def test_pole_locus_matches_damping_sign(self, cavity, rng):
-        # independent dynamic-stability oracle in the high-Q regime
-        agree = 0
-        total = 0
-        while total < 60:
-            osc = MechanicalOscillator(1.0, 1.0, 10 ** rng.uniform(-6, -3))
+        # the Hurwitz verdict against the independent pole oracle, at high and low Q, for
+        # springs on both sides of the Lorentzian anti-damping threshold
+        # kappa^2 = Gamma (gamma / tau) |delta|^2 / (4 gamma^2 |psi|), delta the loop at omega = 1
+        for _ in range(60):
+            osc = MechanicalOscillator(1.0, 1.0, 10 ** rng.uniform(-6, 0.5))
             gamma = rng.uniform(0.005, 0.05)
             cav = OpticalCavity(gamma=gamma, round_trip=gamma / 10 ** rng.uniform(-0.5, 1.5),
                                 wavevector=1.0)
             psi = rng.uniform(-0.6, 0.6)
-            if abs(psi) < 1e-3:
-                continue
-            delta = loop_denominator(cav, psi, 1.0)
-            k2_crit = osc.damping * cav.bandwidth * abs(delta) ** 2 / (
+            lag = gamma - 1j * cav.round_trip
+            k2_crit = osc.damping * cav.bandwidth * abs(lag * lag + psi * psi) ** 2 / (
                 4.0 * gamma**2 * abs(psi)
             )
-            k2 = k2_crit * 10 ** rng.uniform(-1.5, 1.5)
-            if abs((2.0 * k2 * psi / delta).real) > 0.02:
-                continue
-            total += 1
-            ge = effective_damping(osc, cav, psi, math.sqrt(k2))
-            poles = effective_susceptibility_poles(osc, cav, psi, math.sqrt(k2))
-            stable = max(p.imag for p in poles) < 0
-            agree += stable == (ge > 0)
-        assert agree == total
+            xi2 = 2.0 * gamma * k2_crit / (gamma**2 + psi**2) * 10 ** rng.uniform(-1.5, 1.5)
+            rep = stability(osc, cav, WorkingPoint(psi, math.sqrt(xi2)))
+            kappa = kappa_for_coupling(cav, psi, math.sqrt(xi2))
+            poles = effective_susceptibility_poles(osc, cav, psi, kappa)
+            assert (rep.static_ok and rep.dynamic_ok) == (max(p.imag for p in poles) < 0)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        log_mass=_uniform(-2.0, 2.0),
+        log_freq=_uniform(-1.0, 1.0),
+        log_q_inv=_uniform(-6.0, math.log10(3.0)),
+        log_gamma=_uniform(-3.0, math.log10(0.8)),
+        tau=st.one_of(st.just(0.0), _uniform(-5.0, 0.0).map(lambda x: 10.0**x)),
+        psi=_uniform(-math.pi, math.pi).filter(lambda x: x > -math.pi),
+        log_xi=_uniform(-3.0, 2.0),
+    )
+    def test_hurwitz_verdict_matches_poles(
+        self, log_mass, log_freq, log_q_inv, log_gamma, tau, psi, log_xi
+    ):
+        # stable by both margins exactly where every pole decays, and Gamma at tau = 0
+        osc = MechanicalOscillator(10**log_mass, 10**log_freq, 10 ** (log_freq + log_q_inv))
+        cav = OpticalCavity(10**log_gamma, tau, 1.0)
+        rep = stability(osc, cav, WorkingPoint(psi, 10**log_xi))
+        kappa = kappa_for_coupling(cav, psi, 10**log_xi)
+        poles = effective_susceptibility_poles(osc, cav, psi, kappa)
+        assert (rep.static_ok and rep.dynamic_ok) == (max(p.imag for p in poles) < 0)
+        if tau == 0.0:
+            assert rep.dynamic_margin == osc.damping
 
 
 class TestStability:
@@ -268,7 +242,8 @@ class TestStability:
         rep = stability(high_q_osc, cavity, WorkingPoint(0.0, 5.0))
         assert rep.static_ok and rep.dynamic_ok
         assert rep.static_margin == pytest.approx(cavity.gamma**2)
-        assert rep.dynamic_margin == pytest.approx(high_q_osc.damping)
+        quasi = OpticalCavity(cavity.gamma, 0.0, cavity.wavevector)
+        assert stability(high_q_osc, quasi, WorkingPoint(0.0, 5.0)).dynamic_margin == 1e-3
 
     def test_negative_detuning_always_dynamically_stable(self, high_q_osc, cavity, rng):
         for _ in range(50):
@@ -421,26 +396,19 @@ class TestStabilityMapMatchesCells:
         constants = optospring.Constants(10**log_hbar)
         psis, xi2 = np.array(psis), np.sort(10.0 ** np.array(log_xi2))
         tol = self.ULPS * np.finfo(float).eps
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # low-Q oscillators
-            m = stability_map(osc, cav, xi2, psis, constants)
-            for a, psi in enumerate(psis):
-                for b, x in enumerate(xi2):
-                    rep = stability(osc, cav, WorkingPoint(psi, math.sqrt(x)), constants)
-                    u2 = cav.gamma**2 + psi**2
-                    s_tol = tol * (u2 + abs(rep.static_margin - u2))
-                    d_tol = tol * (osc.damping + abs(osc.damping - rep.dynamic_margin))
-                    assert abs(m.static_margin[a, b] - rep.static_margin) <= s_tol
-                    assert abs(m.dynamic_margin[a, b] - rep.dynamic_margin) <= d_tol
-                    if abs(rep.static_margin) > s_tol:
-                        assert m.static_ok[a, b] == rep.static_ok
-                    if abs(rep.dynamic_margin) > d_tol:
-                        assert m.dynamic_ok[a, b] == rep.dynamic_ok
-
-    def test_low_q_warning_reaches_the_map(self, osc, cavity):
-        # damping / resonance = 0.1 leaves the Lorentzian picture
-        with pytest.warns(UserWarning, match="high-Q"):
-            stability_map(osc, cavity, np.geomspace(0.01, 1.0, 3), np.array([-0.02, 0.0]))
+        m = stability_map(osc, cav, xi2, psis, constants)
+        for a, psi in enumerate(psis):
+            for b, x in enumerate(xi2):
+                rep = stability(osc, cav, WorkingPoint(psi, math.sqrt(x)), constants)
+                u2 = cav.gamma**2 + psi**2
+                s_tol = tol * (u2 + abs(rep.static_margin - u2))
+                d_tol = tol * (osc.damping + abs(osc.damping - rep.dynamic_margin))
+                assert abs(m.static_margin[a, b] - rep.static_margin) <= s_tol
+                assert abs(m.dynamic_margin[a, b] - rep.dynamic_margin) <= d_tol
+                if abs(rep.static_margin) > s_tol:
+                    assert m.static_ok[a, b] == rep.static_ok
+                if abs(rep.dynamic_margin) > d_tol:
+                    assert m.dynamic_ok[a, b] == rep.dynamic_ok
 
     def test_rejects_out_of_range_inputs(self, high_q_osc, cavity):
         with pytest.raises(ValueError, match="detunings"):
