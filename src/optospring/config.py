@@ -23,6 +23,7 @@ from .core import (
     check_detuning,
 )
 from .errors import ConfigError
+from .finite_bandwidth import DEFAULT_GRID_DECADES, DEFAULT_POINTS_PER_DECADE
 
 ENV_PREFIX = "OPTOSPRING_"
 
@@ -79,9 +80,9 @@ KNOWN_KEYS: dict[str, tuple] = {
     "cavity.round_trip": (_parse_float, "0.001"),
     "points.detuning": (_parse_float_list, "0.0"),
     "points.coupling": (_parse_float_list, "0.7071067811865476"),
-    "grid.lo": (_parse_float, "0.01"),
-    "grid.hi": (_parse_float, "1000.0"),
-    "grid.points_per_decade": (_parse_int, "400"),
+    "grid.lo": (_parse_float, repr(DEFAULT_GRID_DECADES[0])),
+    "grid.hi": (_parse_float, repr(DEFAULT_GRID_DECADES[1])),
+    "grid.points_per_decade": (_parse_int, repr(DEFAULT_POINTS_PER_DECADE)),
     "grid.units": (_parse_choice("omega_sql", "rad_s"), "omega_sql"),
     "optimize.mode": (_parse_choice("xi", "detuning", "uql-sweep"), "xi"),
     "optimize.omega": (_parse_float, "0.5"),

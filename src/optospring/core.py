@@ -195,24 +195,23 @@ def _scalar(x):
     return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
 
 
-def blockwise(f, omega, *args):
-    """``f(omega, *args)`` for a real elementwise ``f``, in fixed blocks on long arrays.
+def blockwise(f, omega):
+    """``f(omega)`` for a real elementwise ``f``, in fixed blocks on long arrays.
 
     A 1-d array of more than BLOCK points runs block by block into one
     preallocated output, so the temporaries of ``f`` are block-sized; anything
-    else takes a single call. An array in ``args`` is broadcast to the grid
-    and sliced with it; a scalar passes as it is. ``f`` acts elementwise, so
-    the result bits, and the frequency an error names, are those of the single call.
-    A check on ``args`` alone belongs to the caller, before this call: inside ``f``
-    the first block would raise it ahead of an error the single call raises first.
+    else takes a single call. ``f`` acts elementwise, so the result bits, and
+    the frequency an error names, are those of the single call. A check that
+    does not depend on omega belongs to the caller, before this call: inside
+    ``f`` the first block would raise it ahead of an error the single call
+    raises first.
     """
     if np.ndim(omega) != 1 or len(omega) <= BLOCK:
-        return f(omega, *args)
+        return f(omega)
     omega = np.asarray(omega, dtype=float)
-    args = [np.broadcast_to(a, omega.shape) if np.ndim(a) else a for a in args]
     out = np.empty_like(omega)
     for block in (slice(start, start + BLOCK) for start in range(0, omega.size, BLOCK)):
-        out[block] = f(omega[block], *(a[block] if np.ndim(a) else a for a in args))
+        out[block] = f(omega[block])
     return out
 
 

@@ -76,17 +76,17 @@ def noise_over_coupling(
 ):
     """Equivalent-input noise of a cavity as a function of the coupling.
 
-    Maps a coupling, or an array of couplings broadcast with omega, to the coherent-input
-    noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at omega tau = omega * ``cavity.round_trip``:
-    the quasi-static noise on a cavity with ``round_trip = 0``. Each output coefficient
-    times chi_eff^-1 Delta / u^2 gives real cavity factors, exactly 1 or 0 at omega tau = 0:
-    the quasi-static |chi|^2 (|chi_eff^-1|^2 / (4 xi^2) + hbar^2 xi^2). Only +, -, * and /
-    enter, so a float and an array give the same bits, and the noise stays finite at a real
-    pole of chi_eff. A zero coupling, scalar or in an array, raises ``NoMeasurementError``;
-    a gamma^2 + detuning^2 underflowing to 0 raises ``SingularPointError`` at the build.
-    A float omega is set up and checked at the build. An array omega is checked at the call:
-    first the coupling, once for the whole call, then the noise denominator block by block
-    (:func:`core.blockwise`), with an array coupling broadcast to the grid's shape; a blocked
+    Maps a coupling to the coherent-input noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at
+    omega tau = omega * ``cavity.round_trip``: the quasi-static noise on a cavity with
+    ``round_trip = 0``. Each output coefficient times chi_eff^-1 Delta / u^2 gives real cavity
+    factors, exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
+    (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array give the same
+    bits, and the noise stays finite at a real pole of chi_eff. A zero coupling, scalar or in
+    an array, raises ``NoMeasurementError``; a gamma^2 + detuning^2 underflowing to 0 raises
+    ``SingularPointError`` at the build. A float omega is set up and checked at the build and
+    takes a coupling or an array of them. An array omega takes one coupling (a float, numpy
+    scalar or 0-d array; an array raises ``ValueError``) and is checked at the call: first the
+    coupling, then the noise denominator block by block (:func:`core.blockwise`); a blocked
     and a single call raise the same error. A noise denominator of 0, at an undamped resonance
     or by underflow, raises ``SingularPointError`` naming the first omega where it occurs. An
     array detuning takes a float omega only (else ``ValueError``) and broadcasts against the
@@ -111,15 +111,15 @@ def noise_over_coupling(
     omega = np.asarray(omega, dtype=float)
 
     def noise_at(xi):
+        if np.ndim(xi):
+            raise ValueError("a frequency grid takes one coupling, got an array")
         xi2 = xi * xi
-        if not (xi2 if type(xi2) is float else np.all(xi2)):  # before any block runs
+        if not xi2:  # before any block runs
             raise NoMeasurementError(_NO_SIGNAL)
         scratch = []  # the kernel's buffers, made by the first block and reused by the rest
-
-        def block(w, x2):
-            return _noise_block(osc, cavity, psi, u2, w, constants, x2, scratch)
-
-        return core.blockwise(block, omega, xi2)
+        return core.blockwise(
+            lambda w: _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch), omega
+        )
 
     return noise_at
 
@@ -183,15 +183,8 @@ def _noise_closure(osc, cavity, psi, u2, omega, constants):
     return noise_at
 
 
-def _times(a, b, out):
-    """a * b: a Python product of two scalars, else written into the array ``out``."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.multiply(a, b, out=out)
-    return a * b
-
-
 def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
-    """The noise on a block ``w`` of an array omega at ``xi2`` = xi^2, for a float ``psi``.
+    """The noise on a block ``w`` of an array omega at a scalar ``xi2`` = xi^2, for a float ``psi``.
 
     :func:`_noise_closure`'s IEEE operations on the same operands, each written into one
     of the arrays in ``scratch`` instead of a fresh temporary. The first call makes them,
@@ -200,10 +193,9 @@ def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
     for finite operands jr0 = re0, qi^2 = im0^2, pr = 1, pi = 0 and den = mag2.
     """
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    shape = np.broadcast_shapes(w.shape, np.shape(xi2))
     if not scratch:
-        scratch += [np.empty(shape) for _ in range(12 if cavity.round_trip else 4)]
-    s = [a if len(a) == shape[0] else a[: shape[0]] for a in scratch]
+        scratch += [np.empty(w.shape) for _ in range(12 if cavity.round_trip else 4)]
+    s = [a if len(a) == len(w) else a[: len(w)] for a in scratch]
     m, om, hbar = osc.mass, osc.resonance_freq, constants.hbar
     re0 = mul(m, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
     im0 = mul(m * osc.damping, w, out=s[1])
@@ -226,23 +218,23 @@ def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
         pr1 = add(mul(a_p, spring, out=s[11]), g1, out=s[11])
         den = mul(dfac, mag2, out=s[2])
     if not np.all(den):
-        bad = np.broadcast_to(w, shape)[den == 0][0]
+        bad = w[den == 0][0]
         raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
     if not cavity.round_trip:  # (qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2 over mag2; s[3] = im0^2
         qr1 = _cavity_factors(cavity.gamma, psi, u2, hbar, 0.0)[5]  # the other factors are 1 or 0
-        qr = add(re0, _times(qr1, xi2, s[1]), out=s[0])
-        q2 = div(add(mul(qr, qr, out=s[0]), s[3], out=s[0]), _times(4.0, xi2, s[1]), out=s[0])
-        return div(add(q2, _times(hbar * hbar, xi2, s[1]), out=s[0]), den, out=s[0])
+        qr = add(re0, qr1 * xi2, out=s[0])
+        q2 = div(add(mul(qr, qr, out=s[0]), s[3], out=s[0]), 4.0 * xi2, out=s[0])
+        return div(add(q2, hbar * hbar * xi2, out=s[0]), den, out=s[0])
     jr0 = add(mul(dr, re0, out=s[3]), mul(di, im0, out=s[4]), out=s[3])
     ji = sub(mul(di, re0, out=s[0]), mul(dr, im0, out=s[1]), out=s[0])
-    qr = add(mul(a_q, jr0, out=s[1]), _times(qr1, xi2, s[4]), out=s[1])
-    qi = sub(mul(a_q, ji, out=s[4]), _times(lag, xi2, s[5]), out=s[4])
+    qr = add(mul(a_q, jr0, out=s[1]), mul(qr1, xi2, out=s[4]), out=s[1])
+    qi = sub(mul(a_q, ji, out=s[4]), mul(lag, xi2, out=s[5]), out=s[4])
     q2 = add(mul(qr, qr, out=s[1]), mul(qi, qi, out=s[4]), out=s[1])
-    q2 = div(q2, _times(4.0, xi2, s[4]), out=s[1])
+    q2 = div(q2, 4.0 * xi2, out=s[1])
     pr = add(div(mul(a_p, jr0, out=s[3]), xi2, out=s[3]), pr1, out=s[3])
     pi = add(div(mul(a_p, ji, out=s[0]), xi2, out=s[0]), di, out=s[0])
     p2 = add(mul(pr, pr, out=s[3]), mul(pi, pi, out=s[0]), out=s[3])
-    p2 = mul(_times(hbar * hbar, xi2, s[4]), p2, out=s[3])
+    p2 = mul(hbar * hbar * xi2, p2, out=s[3])
     return div(add(q2, p2, out=s[1]), den, out=s[1])
 
 
@@ -339,11 +331,12 @@ def sql_point(
 
     The coupling at which phase and back-action noises balance, and the
     corresponding minimum noise level :func:`sql_level`. A level of 0, inf
-    or nan, where |chi| leaves the float range, has no balance coupling and
-    raises :class:`SingularPointError`.
+    or nan, where |chi| leaves the float range, or one whose double
+    overflows, where 1 / sqrt(2 level) underflows to 0, has no balance
+    coupling and raises :class:`SingularPointError`.
     """
     level = sql_level(osc, omega, constants)
-    if not 0 < level < math.inf:
+    if not 0 < 2.0 * level < math.inf:
         raise SingularPointError(f"SQL level hbar |chi| = {level!r} at omega={omega!r}")
     return SqlPoint(coupling=1.0 / math.sqrt(2.0 * level), level=level)
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -424,6 +425,13 @@ class TestBadInputsExit2:
             (["spectrum", "--grid", "1:10:1000000000000000"], None, None),
             (["figure", "fig3", "--grid", "1:10:1000000000000000"], None, None),
             (["stability"], None, {"OPTOSPRING_STABILITY_XI2": "0.01:100:1000000000000000"}),
+            (["figure", "fig2", "--bandwidths=1"], None, None),
+            (["figure", "fig3", "--bandwidths=1"], None, None),
+            (["figure", "fig4", "--detunings=2,5", "--bandwidths=1"], None, None),
+            (["spectrum", "--config", os.path.join("no-such-directory", "run.cfg")], None, None),
+            (["spectrum"], "oscillator.mass 2.0\n", None),
+            (["spectrum"], "grid.points_per_decade = abc\n", None),
+            (["spectrum"], "stability.xi2 = 1:2\n", None),
         ],
         ids=[
             "optimize-detuning-out-of-range",
@@ -461,12 +469,20 @@ class TestBadInputsExit2:
             "spectrum-unallocatable-grid",
             "fig3-unallocatable-grid",
             "stability-unallocatable-xi2",
+            "fig2-bandwidths-do-not-apply",
+            "fig3-bandwidths-do-not-apply",
+            "fig4-bandwidths-must-match",
+            "missing-config-file",
+            "config-line-without-equals",
+            "non-integer-points-per-decade",
+            "two-part-range",
         ],
     )
     def test_config_error(self, tmp_path, capsys, monkeypatch, args, config_text, env):
         out = tmp_path / "out"
         assert run([*args, "--out", str(out)], tmp_path, config_text, env, monkeypatch) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("optospring: config error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -569,6 +585,19 @@ class TestBadInputsExit2:
         assert ".optospring-" not in err
         assert (tmp_path / "file").read_text() == "kept\n"
         assert not list(tmp_path.rglob(".optospring-*"))
+
+    def test_write_error_naming_no_file(self, tmp_path, capsys, monkeypatch):
+        # an error that names no file, such as a full disk, is passed on as it is,
+        # and the temp file is removed
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full)
+        out = tmp_path / "noise.csv"
+        assert run(["spectrum", "--out", str(out)], tmp_path) == 2
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"optospring: cannot write output: {message}\n"
+        assert not out.exists() and not list(tmp_path.rglob(".optospring-*"))
 
 
 class TestBadInputsExit3:
@@ -912,6 +941,19 @@ class TestFigureCommand:
         manifest = json.loads((out / "fig3_manifest.json").read_text())
         assert sorted(manifest["curves"]) == ["a", "b"]
         assert manifest["curves"]["b"]["detuning_over_gamma"] == 4.0
+
+    @pytest.mark.parametrize(
+        "detunings, bandwidths",
+        [("2,5", (2.0, 2.0)), ("0,2,5,10,-10,-10", (2.0, 2.0, 2.0, 2.0, 2.0, 1.0 / 3.0))],
+        ids=["custom", "default-ratios"],
+    )
+    def test_fig4_detunings_without_bandwidths(self, tmp_path, detunings, bandwidths):
+        # custom ratios give each curve bandwidth 2; the default ratios, written out,
+        # keep the default bandwidths
+        out = tmp_path / "figs"
+        assert run(["figure", "fig4", f"--detunings={detunings}", "--out", str(out)], tmp_path) == 0
+        curves = json.loads((out / "fig4_manifest.json").read_text())["curves"]
+        assert tuple(c["bandwidth_over_omega_sql"] for c in curves.values()) == bandwidths
 
     def test_manifest_deterministic(self, tmp_path):
         # every file of every figure, in both formats, repeats byte for byte

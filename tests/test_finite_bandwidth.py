@@ -457,12 +457,11 @@ class TestBlocks:
             equivalent_input_noise(osc, cavity, off, grid)
         # both faults at once, the resonance in the first block or the last: the
         # coupling is checked for the whole call before any block runs
-        last_off = np.where(grid == grid[-1], 0.0, xi)  # a grid-shaped coupling, 0 at the end
         for at in (1, -2):
             osc = MechanicalOscillator(1.0, resonance_freq=float(grid[at]), damping=0.0)
             for call in (
                 lambda: noise_over_coupling(osc, cavity, psi, grid)(0.0),
-                lambda: noise_over_coupling(osc, cav(cavity.gamma), psi, grid)(last_off),
+                lambda: noise_over_coupling(osc, cav(cavity.gamma), psi, grid)(0.0),
                 lambda: spectrum(osc, cavity, off, grid),
                 lambda: equivalent_input_noise(osc, cavity, off, grid),
             ):
@@ -523,21 +522,23 @@ class TestBlocks:
         assert np.array_equal(sql, np.abs(mech_susceptibility(osc, omega)))
 
     @pytest.mark.parametrize("n", [BLOCK, 3 * BLOCK + 7])
-    def test_array_coupling_sliced_with_grid(self, n, monkeypatch):
+    def test_array_coupling_refused(self, n, monkeypatch):
+        # a grid takes one coupling: an array of them is refused before any block or
+        # coupling check runs, in one call or in blocks; any scalar type gives one result
         osc, cavity, wp = fig4_setup(5.0, 2.0)
         grid = np.geomspace(1e-2, 1e3, n)
-        xi = wp.coupling * np.geomspace(0.5, 2.0, n)
-        noise = noise_over_coupling(osc, cav(cavity.gamma, 1e-3), wp.detuning, grid)
-        # an array closure picks one call or blocks when it is called: the reference
-        # is called, with every coupling, while a block is as long as the grid
-        with monkeypatch.context() as one_call:
-            one_call.setattr(core, "BLOCK", n)
-            whole = noise_over_coupling(osc, cav(cavity.gamma, 1e-3), wp.detuning, grid)
-            whole = [whole(xi), whole(xi[-1])]
-        assert np.array_equal(noise(xi), whole[0])
-        assert np.array_equal(noise(xi[-1]), whole[1])
-        with pytest.raises(ValueError):  # a coupling array that is not the grid's shape
-            noise(xi[:-1])
+        xi = wp.coupling
+        for tau in (0.0, cavity.round_trip):
+            noise = noise_over_coupling(osc, cav(cavity.gamma, tau), wp.detuning, grid)
+            for block in (BLOCK, n):
+                with monkeypatch.context() as blocks:
+                    blocks.setattr(core, "BLOCK", block)
+                    for bad in (np.full(n, xi), np.zeros(n), np.array([xi]), [xi], [[xi]]):
+                        with pytest.raises(ValueError, match="a frequency grid takes one coupling"):
+                            noise(bad)
+            whole = noise(xi)
+            for same in (np.float64(xi), np.array(xi)):
+                assert noise(same).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("name", ["spectrum", "dip_analysis", "equivalent_input_noise"])
     def test_peak_memory_near_output_size(self, name):

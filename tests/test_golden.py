@@ -103,6 +103,47 @@ def test_default_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert not moved, "digests moved:\n" + "\n".join(moved)
 
 
+def readme_rows(first_cell: str) -> dict[str, str]:
+    """README's Output format table rows whose first cell starts with ``first_cell``."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(rf"^\| ({re.escape(first_cell)}[^|]*) \|(.*)\|$", readme, re.MULTILINE)
+    return dict(rows)
+
+
+def _keys(node) -> set[str]:
+    """Every key of a JSON report, nested ones included; a curve's letter is no key."""
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    if not isinstance(node, dict):
+        return set()
+    keys = set() if set(node) <= set("abcdefghijklmnopqrstuvwxyz") else set(node)
+    return keys.union(*map(_keys, node.values()))
+
+
+def test_readme_lists_every_column_and_key(tmp_path, monkeypatch):
+    # README's Output format tables name each kind's columns in order, and every report key
+    for key in [k for k in os.environ if k.startswith("OPTOSPRING_")]:
+        monkeypatch.delenv(key)
+    files = write_defaults(tmp_path)
+    columns = {}
+    for kinds, cells in readme_rows("`").items():
+        listed = re.findall(r"`([\w-]+)`", cells.rpartition("|")[2].partition(";")[0])
+        columns.update((kind, listed) for kind in re.findall(r"`([\w-]+)`", kinds))
+    reports = readme_rows("`<figure>") | readme_rows("`optimize`")
+    for name, data in files.items():
+        if name.endswith(".csv"):
+            lines = data.decode().splitlines()
+            header = next(line for line in lines if not line.startswith("#"))
+            assert header.split(",") == columns[lines[0].split()[2]], name
+        elif name.endswith("_manifest.json") or name.startswith("optimize-"):
+            row = "`<figure>_manifest.json`"
+            if name.startswith("optimize-"):
+                sweep = name == "optimize-uql-sweep.json"
+                row = "`optimize`, `uql-sweep`" if sweep else "`optimize`, `xi` and `detuning`"
+            named = set(re.findall(r"`([\w.]+)`", reports[row]))
+            assert _keys(json.loads(data)) <= named, name
+
+
 if __name__ == "__main__":  # rewrite the table from this tree's outputs
     for key in [k for k in os.environ if k.startswith("OPTOSPRING_")]:
         del os.environ[key]

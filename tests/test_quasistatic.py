@@ -98,7 +98,7 @@ class TestNoiseScalarArrayBitEqual:
                     for w in omega
                 ]
                 assert np.array_equal(batch, scalar)
-        # random models, scalar and grid-shaped couplings, signed frequencies and zeros:
+        # random models, two couplings per grid, signed frequencies and zeros:
         # each cell the bits of the float-omega closure at its frequency and coupling
         cells = 0
         for psi in [0.0, -0.0, math.pi, *rng.uniform(-3.14, 3.14, size=5)]:
@@ -110,10 +110,10 @@ class TestNoiseScalarArrayBitEqual:
             omega[rng.choice(omega.size, size=4, replace=False)] = [0.0, -0.0, 0.0, -0.0]
             for round_trip in (0.0, 10 ** rng.uniform(-3, 1) / osc.resonance_freq):
                 noise_at = noise_over_coupling(osc, cav(gamma, round_trip), psi, omega, constants)
-                for xi in (10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3, size=omega.size)):
+                for xi in (10 ** rng.uniform(-3, 3, size=2)).tolist():
                     scalar = [
-                        noise_over_coupling(osc, cav(gamma, round_trip), psi, w, constants)(x)
-                        for w, x in zip(omega.tolist(), np.broadcast_to(xi, omega.shape).tolist())
+                        noise_over_coupling(osc, cav(gamma, round_trip), psi, w, constants)(xi)
+                        for w in omega.tolist()
                     ]
                     assert noise_at(xi).tobytes() == np.array(scalar).tobytes()
                     cells += omega.size
@@ -174,13 +174,13 @@ class TestQuasistaticFold:
             psi = [0.0, -0.0, math.pi, *rng.uniform(-3.14, 3.14, size=3)]
             omega = osc.resonance_freq * rng.uniform(-3.0, 3.0, size=40)
             omega[:2] = [0.0, -0.0]
-            xi = 10 ** rng.uniform(-3, 3, size=omega.size)
             for p in psi:
+                xi = float(10 ** rng.uniform(-3, 3))
                 general = _unfolded_noise(osc, gamma, p, omega, xi, constants)
                 grid = noise_over_coupling(osc, cav(gamma), p, omega, constants)(xi)
                 points = [
-                    noise_over_coupling(osc, cav(gamma), p, w, constants)(x)
-                    for w, x in zip(omega.tolist(), xi.tolist())
+                    noise_over_coupling(osc, cav(gamma), p, w, constants)(xi)
+                    for w in omega.tolist()
                 ]
                 assert np.all(np.isfinite(general))
                 assert grid.tobytes() == general.tobytes() == np.array(points).tobytes()
@@ -417,10 +417,13 @@ class TestSql:
             sql_point(free, 1.0)
 
     @pytest.mark.parametrize(
-        "mass, damping, level", [(1e200, 1e200, "0.0"), (1e-310, 1e-3, "inf")], ids=["0", "inf"]
+        "mass, damping, level",
+        [(1e200, 1e200, "0.0"), (1e-310, 1e-3, "inf"), (1e-308, 1e-3, "1.3333330370371353e\\+308")],
+        ids=["0", "inf", "double-overflows"],
     )
     def test_level_out_of_float_range(self, mass, damping, level):
-        # M Gamma omega overflows, or a subnormal M leaves 1 / |M (...)| to overflow
+        # M Gamma omega overflows, or a subnormal M leaves 1 / |M (...)| to overflow, or
+        # the level is finite but 2 level is not, so 1 / sqrt(2 level) would be a 0 coupling
         error = pytest.raises(SingularPointError, match=f"SQL level hbar \\|chi\\| = {level} ")
         with np.errstate(over="ignore"), error:
             sql_point(MechanicalOscillator(mass, 1.0, damping), 0.5)
