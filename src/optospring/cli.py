@@ -310,14 +310,21 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
+def _converged(res: opt.OptimResult, omega: float, unconverged: str) -> opt.OptimResult:
+    """``res``, else exit 3 for a nan noise, as at every coupling, or 4 for no convergence."""
+    if math.isnan(res.level):  # a search ends unconverged on nan, so this is checked first
+        raise SingularPointError(f"non-finite noise {res.level!r} at omega={omega!r}")
+    if not res.converged:
+        raise ConvergenceError(unconverged)
+    return res
+
+
 def _detuning_optimum(cfg: RunConfig, omega: float, spec: opt.SearchSpec):
     """The closed-form UQL at one frequency, then the detuning search it checks."""
     osc, gamma = cfg.oscillator, cfg.cavity.gamma
     uql = qs.ultimate_quantum_limit(osc, omega, gamma, cfg.constants)
     res = opt.minimize_over_detuning(osc, gamma, omega, spec, cfg.constants)
-    if not res.converged:
-        raise ConvergenceError(f"detuning search did not converge at omega={omega!r}")
-    return uql, res
+    return uql, _converged(res, omega, f"detuning search did not converge at omega={omega!r}")
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
@@ -345,8 +352,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
             res = opt.minimize_xi_quasistatic(
                 osc, gamma, cfg.optimize_detuning, omega, spec, constants=cfg.constants
             )
-            if not res.converged:
-                raise ConvergenceError("coupling search did not converge")
+            res = _converged(res, omega, "coupling search did not converge")
             closed = qs.coupling_optimum(osc, omega, res.detuning, gamma, cfg.constants)
         else:
             closed, res = _detuning_optimum(cfg, omega, spec)

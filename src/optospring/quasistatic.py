@@ -77,21 +77,34 @@ def noise_over_coupling(
     """Equivalent-input noise of a cavity as a function of the coupling.
 
     Maps a coupling to the coherent-input noise (|c_q|^2 + |c_p|^2) / |c_sig|^2 at
-    omega tau = omega * ``cavity.round_trip``: the quasi-static noise on a cavity with
-    ``round_trip = 0``. Each output coefficient times chi_eff^-1 Delta / u^2 gives real cavity
-    factors, exactly 1 or 0 at omega tau = 0: the quasi-static |chi|^2 (|chi_eff^-1|^2 /
-    (4 xi^2) + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array give the same
-    bits, and the noise stays finite at a real pole of chi_eff. A zero coupling, scalar or in
+    x = omega tau = omega * ``cavity.round_trip``: the quasi-static noise on a cavity with
+    ``round_trip = 0``. With C = 1/chi = X - i Y, X = M (Omega^2 - omega^2), Y = M Gamma omega
+    and u^2 = gamma^2 + psi^2 for the detuning psi, the output coefficients are
+
+        c_q/c_sig = (C gamma (u^4 + x^2 (gamma^2 - psi^2)) + hbar psi xi^2 u^4)
+                    / (2 gamma xi C u^2 (u^2 - i gamma x)),
+        c_p/c_sig = (hbar xi^2 u^4 - gamma psi x^2 C) / (xi C u^2 (u^2 - i gamma x)),
+
+    so the noise is four real squares over a real denominator:
+
+        [(a X + b xi^2)^2 + (a Y)^2 + (hbar xi^2 - d X)^2 + (d Y)^2] / (xi^2 (X^2 + Y^2) g),
+
+    a = 1/2 + x^2 (gamma - psi)(gamma + psi) / (2 u^4), d = gamma psi x^2 / u^4,
+    g = 1 + gamma^2 x^2 / u^4, b = hbar psi / (2 gamma). Each u^4 enters as a product of
+    x gamma / u^2, x psi / u^2 or their like, never as u^4 itself. At omega tau = 0 (a = 1/2,
+    d = 0, g = 1) the kernel folds it to the quasi-static |chi|^2 (|chi_eff^-1|^2 / (4 xi^2)
+    + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array give the same bits,
+    and the noise stays finite at a real pole of chi_eff. A zero coupling, scalar or in
     an array, raises ``NoMeasurementError``; a gamma^2 + detuning^2 underflowing to 0 raises
     ``SingularPointError`` at the build. A float omega is set up and checked at the build and
     takes a coupling or an array of them. An array omega takes one coupling (a float, numpy
     scalar or 0-d array; an array raises ``ValueError``) and is checked at the call: first the
     coupling, then the noise denominator block by block (:func:`core.blockwise`); a blocked
-    and a single call raise the same error. A noise denominator of 0, at an undamped resonance
-    or by underflow, raises ``SingularPointError`` naming the first omega where it occurs. An
-    array detuning takes a float omega only (else ``ValueError``) and broadcasts against the
-    coupling, each cell the bits of its scalar detuning's closure: ``detuning[:, None]`` and a
-    coupling row give one scan per detuning.
+    and a single call raise the same error. A noise denominator of 0, where X^2 + Y^2 is 0 at
+    an undamped resonance or by underflow, raises ``SingularPointError`` naming the first
+    omega where it occurs. An array detuning takes a float omega only (else ``ValueError``)
+    and broadcasts against the coupling, each cell the bits of its scalar detuning's closure:
+    ``detuning[:, None]`` and a coupling row give one scan per detuning.
     """
     # a float detuning and omega stay Python floats for the scalar Brent polish; the type
     # tests first, since np.ndim of a float costs about 1 us on every build
@@ -124,61 +137,41 @@ def noise_over_coupling(
     return noise_at
 
 
-def _cavity_factors(gamma, psi, u2, hbar, w):
-    """The cavity factors of the noise at omega tau = ``w``, a float.
-
-    Floats, or arrays of the shape of an array ``psi``: (dr, di, a_q, a_p, lag, qr1, pr1,
-    dfac) of :func:`_noise_closure`, where ``dfac`` times 1/|chi|^2 is the noise denominator.
-    At ``w = 0.0`` they are exactly 1 or 0 factors: dr = 1, di = a_p = lag = 0.
-    """
-    gw = gamma * w / u2  # gain Delta / u^2 = 1 - i gw
-    # Delta / u^2 = dr + i di; dr in this form stays accurate where Delta is near 0
-    dr, di = (gamma * gamma + (psi - w) * (psi + w)) / u2, -2.0 * gw
-    a_q = dr + 2.0 * gw * gw  # a_q Delta / u^2
-    a_p = -gw * w * psi / (u2 * hbar)  # a_p Delta / (2 hbar u^2)
-    lag = 2.0 * hbar * psi * w / u2  # the phase-lag term of c_q, over xi^2
-    spring = hbar * psi / gamma
-    qr1, pr1 = a_q * spring - lag * gw, a_p * spring + (1.0 - gw * gw)
-    return dr, di, a_q, a_p, lag, qr1, pr1, (dr * dr + di * di) * (1.0 + gw * gw)
-
-
 def _noise_closure(osc, cavity, psi, u2, omega, constants):
     """The setup of :func:`noise_over_coupling` at a float omega, and its closure.
 
-    ``psi`` is a float, or an array of detunings. On a cavity with ``round_trip = 0`` the
-    closure is the fold of :func:`_noise_block`: the cavity factors are exactly 1 or 0, so
-    it returns ((qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2) / |chi|^-2 with
-    qr = re0 + qr1 xi^2, which for finite operands has the bits of the general formula.
+    ``psi`` is a float, or an array of detunings. At omega tau > 0 the closure sums the four
+    squares with the setup's a X, a Y, d X, d Y and (a Y)^2 + (d Y)^2; on a cavity with
+    ``round_trip = 0`` it returns their fold ((qr^2 + Y^2) / (4 xi^2) + hbar^2 xi^2) / |chi|^-2
+    with qr = X + 2 b xi^2, the real part of chi_eff^-1.
     """
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
-    mag2 = re0 * re0 + im0 * im0  # 1/|chi|^2
-    hbar = constants.hbar
-    hbar2 = hbar * hbar  # the same bits as hbar * hbar * xi2 per call
-    fold = not cavity.round_trip
-    w = 0.0 if fold else omega * cavity.round_trip
-    dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(cavity.gamma, psi, u2, hbar, w)
-    den = mag2 if fold else dfac * mag2
+    den = re0 * re0 + im0 * im0  # 1/|chi|^2
+    hbar, gamma, tau = constants.hbar, cavity.gamma, cavity.round_trip
+    if tau:
+        x = omega * tau
+        xg = x * (gamma / u2)
+        den = den * (1.0 + xg * xg)
+        d = xg * (x * (psi / u2))
+        a = 0.5 + (x * ((gamma - psi) / u2)) * (x * (0.5 * (gamma + psi) / u2))
+        ax, ay, dx, dy = a * re0, a * im0, d * re0, d * im0
+        y2, b = ay * ay + dy * dy, hbar * psi / (2.0 * gamma)
+    else:
+        spring, im2, hbar2 = hbar * psi / gamma, im0 * im0, hbar * hbar
     if not (den if type(den) is float else np.all(den)):  # a float skips numpy
         raise SingularPointError(f"noise denominator is 0 at omega={omega!r}")
-    if fold:
-        im2 = im0 * im0
-    else:
-        jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0  # Delta / (u^2 chi)
-        # qr + i qi = c_q chi_eff^-1 (Delta / u^2)^2, pr + i pi the same of c_p over 2 hbar xi^2
-        qr0, qi0, pr0, pi0 = a_q * jr0, a_q * ji, a_p * jr0, a_p * ji
 
     def noise_at(xi):
         xi2 = xi * xi
         # a Python float, as the scalar Brent polish passes, is checked without numpy
         if not (xi2 if type(xi2) is float else np.all(xi2)):
             raise NoMeasurementError(_NO_SIGNAL)
-        if fold:
-            qr = re0 + qr1 * xi2  # Re chi_eff^-1
+        if not tau:
+            qr = re0 + spring * xi2
             return ((qr * qr + im2) / (4.0 * xi2) + hbar2 * xi2) / den
-        qr, qi = qr0 + qr1 * xi2, qi0 - lag * xi2
-        pr, pi = pr0 / xi2 + pr1, pi0 / xi2 + di
-        return ((qr * qr + qi * qi) / (4.0 * xi2) + hbar2 * xi2 * (pr * pr + pi * pi)) / den
+        q, p = ax + b * xi2, hbar * xi2 - dx
+        return (y2 + q * q + p * p) / xi2 / den
 
     return noise_at
 
@@ -187,55 +180,46 @@ def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
     """The noise on a block ``w`` of an array omega at a scalar ``xi2`` = xi^2, for a float ``psi``.
 
     :func:`_noise_closure`'s IEEE operations on the same operands, each written into one
-    of the arrays in ``scratch`` instead of a fresh temporary. The first call makes them,
-    of its block's shape; later blocks, none longer, reuse their leading rows. Returns one.
-    At omega tau = 0 the cavity factors are exactly 1 or 0, so their products are dropped:
-    for finite operands jr0 = re0, qi^2 = im0^2, pr = 1, pi = 0 and den = mag2.
+    of the arrays in ``scratch`` instead of a fresh temporary: six at omega tau > 0, where
+    the four squares [(a X + b xi^2)^2 + (a Y)^2 + (hbar xi^2 - d X)^2 + (d Y)^2] / xi^2 over
+    (X^2 + Y^2) g of :func:`noise_over_coupling` take 33 passes over the block, four for
+    their quasi-static fold. The first call makes them, of its block's shape; later blocks,
+    none longer, reuse their leading rows. Returns one.
     """
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    hbar, gamma, tau = constants.hbar, cavity.gamma, cavity.round_trip
     if not scratch:
-        scratch += [np.empty(w.shape) for _ in range(12 if cavity.round_trip else 4)]
-    s = [a if len(a) == len(w) else a[: len(w)] for a in scratch]
-    m, om, hbar = osc.mass, osc.resonance_freq, constants.hbar
-    re0 = mul(m, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
-    im0 = mul(m * osc.damping, w, out=s[1])
-    den = mag2 = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
-    if cavity.round_trip:  # _cavity_factors at w = omega tau, in s[3:]
-        wt = mul(w, cavity.round_trip, out=s[5])
-        gw = div(mul(cavity.gamma, wt, out=s[3]), u2, out=s[3])
-        pw = mul(sub(psi, wt, out=s[6]), add(psi, wt, out=s[7]), out=s[6])
-        dr = div(add(cavity.gamma * cavity.gamma, pw, out=s[6]), u2, out=s[6])
-        di = mul(-2.0, gw, out=s[7])
-        a_q = add(dr, mul(mul(2.0, gw, out=s[8]), gw, out=s[8]), out=s[8])
-        a_p = mul(mul(np.negative(gw, out=s[9]), wt, out=s[9]), psi, out=s[9])
-        a_p = div(a_p, u2 * hbar, out=s[9])
-        lag = div(mul(2.0 * hbar * psi, wt, out=s[5]), u2, out=s[5])
-        dd = add(mul(dr, dr, out=s[4]), mul(di, di, out=s[10]), out=s[4])
-        dfac = mul(dd, add(1.0, mul(gw, gw, out=s[10]), out=s[10]), out=s[4])
-        spring = hbar * psi / cavity.gamma
-        qr1 = sub(mul(a_q, spring, out=s[10]), mul(lag, gw, out=s[11]), out=s[10])
-        g1 = sub(1.0, mul(gw, gw, out=s[3]), out=s[3])  # 1 - gw^2, written over gw: its last use
-        pr1 = add(mul(a_p, spring, out=s[11]), g1, out=s[11])
-        den = mul(dfac, mag2, out=s[2])
+        scratch += [np.empty(w.shape) for _ in range(6 if tau else 4)]
+    s = [buf if len(buf) == len(w) else buf[: len(w)] for buf in scratch]
+
+    def square(v):
+        return mul(v, v, out=v)
+
+    om = osc.resonance_freq
+    re0 = mul(osc.mass, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
+    im0 = mul(osc.mass * osc.damping, w, out=s[1])
+    den = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
+    if tau:
+        x = mul(w, tau, out=s[3])
+        xg = mul(x, gamma / u2, out=s[4])
+        den = mul(den, add(1.0, mul(xg, xg, out=s[5]), out=s[5]), out=s[2])
     if not np.all(den):
         bad = w[den == 0][0]
         raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
-    if not cavity.round_trip:  # (qr^2 + im0^2) / (4 xi^2) + hbar^2 xi^2 over mag2; s[3] = im0^2
-        qr1 = _cavity_factors(cavity.gamma, psi, u2, hbar, 0.0)[5]  # the other factors are 1 or 0
-        qr = add(re0, qr1 * xi2, out=s[0])
+    if not tau:  # s[3] = im0^2
+        qr = add(re0, hbar * psi / gamma * xi2, out=s[0])
         q2 = div(add(mul(qr, qr, out=s[0]), s[3], out=s[0]), 4.0 * xi2, out=s[0])
         return div(add(q2, hbar * hbar * xi2, out=s[0]), den, out=s[0])
-    jr0 = add(mul(dr, re0, out=s[3]), mul(di, im0, out=s[4]), out=s[3])
-    ji = sub(mul(di, re0, out=s[0]), mul(dr, im0, out=s[1]), out=s[0])
-    qr = add(mul(a_q, jr0, out=s[1]), mul(qr1, xi2, out=s[4]), out=s[1])
-    qi = sub(mul(a_q, ji, out=s[4]), mul(lag, xi2, out=s[5]), out=s[4])
-    q2 = add(mul(qr, qr, out=s[1]), mul(qi, qi, out=s[4]), out=s[1])
-    q2 = div(q2, 4.0 * xi2, out=s[1])
-    pr = add(div(mul(a_p, jr0, out=s[3]), xi2, out=s[3]), pr1, out=s[3])
-    pi = add(div(mul(a_p, ji, out=s[0]), xi2, out=s[0]), di, out=s[0])
-    p2 = add(mul(pr, pr, out=s[3]), mul(pi, pi, out=s[0]), out=s[3])
-    p2 = mul(hbar * hbar * xi2, p2, out=s[3])
-    return div(add(q2, p2, out=s[1]), den, out=s[1])
+    d = mul(xg, mul(x, psi / u2, out=s[5]), out=s[4])
+    am = mul(x, (gamma - psi) / u2, out=s[5])
+    a = add(0.5, mul(am, mul(x, 0.5 * (gamma + psi) / u2, out=s[3]), out=s[3]), out=s[3])
+    # summed in s[5] in the closure's order, (a Y)^2 + (d Y)^2 first
+    total = add(square(mul(a, im0, out=s[5])), square(mul(d, im0, out=s[1])), out=s[5])
+    q = add(mul(a, re0, out=s[1]), hbar * psi / (2.0 * gamma) * xi2, out=s[1])
+    total = add(total, square(q), out=s[5])
+    p = sub(hbar * xi2, mul(d, re0, out=s[0]), out=s[0])
+    total = add(total, square(p), out=s[5])
+    return div(div(total, xi2, out=s[5]), den, out=s[5])
 
 
 def equivalent_input_noise(

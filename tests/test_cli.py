@@ -190,7 +190,7 @@ class TestSpectrumCommand:
         assert text.endswith(
             "omega_norm,s_sig,s_sql,ratio\n"
             "# point detuning=0.0 coupling=0.7071067811865476 omega_sql=1.0\n"
-            "0.5,1.3879218142916074,1.3333330370371357,1.0409415920389824\n"
+            "0.5,1.3879218142916068,1.3333330370371357,1.040941592038982\n"
         )
 
     def test_grid_finer_than_floats_exit_2(self, tmp_path, capsys):
@@ -600,6 +600,11 @@ class TestBadInputsExit2:
         assert not out.exists() and not list(tmp_path.rglob(".optospring-*"))
 
 
+NAN_NOISE = (
+    "oscillator.mass = 1e300\noscillator.resonance_freq = 0.5\noscillator.damping = 0.0005\n"
+)
+
+
 class TestBadInputsExit3:
     @pytest.mark.parametrize(
         "args",
@@ -662,6 +667,10 @@ class TestBadInputsExit3:
             ("uql-sweep", "oscillator.mass = 1e-300\n", "at omega=0.3\n"),
             # M Gamma omega overflows: hbar |chi| = 0 has no balance coupling
             ("xi", "oscillator.mass = 1e200\noscillator.damping = 1e200\n", "= 0.0 at omega=0.5\n"),
+            # (M Gamma omega)^2 overflows, so the noise is inf / inf = nan at every coupling
+            ("xi", NAN_NOISE, "non-finite noise nan at omega=0.5\n"),
+            ("detuning", NAN_NOISE, "non-finite noise nan at omega=0.5\n"),
+            ("uql-sweep", NAN_NOISE, "non-finite noise nan at omega=0.15\n"),
         ],
         ids=[
             "detuning-infinite-level",
@@ -670,10 +679,14 @@ class TestBadInputsExit3:
             "detuning-tiny-mass",
             "uql-sweep-tiny-mass",
             "xi-zero-sql-level",
+            "xi-nan-noise",
+            "detuning-nan-noise",
+            "uql-sweep-nan-noise",
         ],
     )
     def test_optimize_singular(self, tmp_path, capsys, mode, config_text, named):
-        # an inf in the report, or a scalar noise whose denominator underflows to 0
+        # an inf in the report, a scalar noise whose denominator underflows to 0, or a
+        # noise that is nan at every coupling, which no search can minimize
         out = tmp_path / "report.json"
         assert run(["optimize", "--mode", mode, "--out", str(out)], tmp_path, config_text) == 3
         err = capsys.readouterr().err

@@ -560,7 +560,7 @@ class TestBlocks:
         assert peak <= 4 * grid.nbytes, peak / grid.nbytes
 
     # the noise at omega tau > 0, at omega tau = 0, or (None) the SQL
-    @pytest.mark.parametrize("lag, arrays", [(True, 12), (False, 4), (None, 4)])
+    @pytest.mark.parametrize("lag, arrays", [(True, 6), (False, 4), (None, 4)])
     def test_working_set_in_blocks(self, lag, arrays):
         # a tracemalloc count, not a timing: beyond the output, only the block-sized
         # buffers that the kernel reuses from block to block (a complex one counts 2)

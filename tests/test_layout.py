@@ -92,7 +92,6 @@ def test_checker_allows_public_and_own_names():
 SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
     ("quasistatic", "_noise_closure"),
-    ("quasistatic", "_cavity_factors"),
     ("quasistatic", "_noise_block"),
     ("quasistatic", "_sql_block"),
     ("quasistatic", "amplification_factor"),
@@ -439,7 +438,10 @@ INDEPENDENT_ROUTES = [
         ("stability", "stability_margins", "stability_map", "static_coupling2_bound"),
     ),
     ("equivalent_input_noise_closed_form", ("noise_over_coupling", "equivalent_input_noise")),
+    ("exact_noise", ("noise_over_coupling", "equivalent_input_noise", "spectrum")),
 ]
+# the exact rounding oracle lives beside its property, outside the package
+ORACLES = [Path(__file__).with_name("test_exact_noise.py")]
 
 
 def package_sources() -> list[str]:
@@ -448,7 +450,7 @@ def package_sources() -> list[str]:
 
 @pytest.mark.parametrize("checker, checked", INDEPENDENT_ROUTES)
 def test_routes_independent_of_what_they_check(checker, checked):
-    sources = package_sources()
+    sources = package_sources() + [path.read_text(encoding="utf-8") for path in ORACLES]
     graph, _ = call_graph(sources)
     assert {checker, *checked} <= graph.keys()
     assert shared_code(sources, checker, checked) == []

@@ -31,7 +31,6 @@ from optospring import (
     ultimate_quantum_limit,
 )
 from optospring.core import BLOCK, NORMALIZED
-from optospring.quasistatic import _cavity_factors
 
 SQRT26_M5 = 0.09901951359278449  # sqrt(26) - 5
 
@@ -134,7 +133,7 @@ class TestNoiseScalarArrayBitEqual:
 
     @pytest.mark.parametrize("psi", [-0.02, 0.03])
     def test_quasistatic_signed_frequencies(self, high_q_osc, psi):
-        # at omega tau = 0 the cavity factors are floats; negative frequencies, -0.0
+        # at omega tau = 0 the fold's factors are floats; negative frequencies, -0.0
         # and 0.0 in one array still give the bits of the per-element scalar calls
         up = np.geomspace(0.01, 10.0, 60)
         omega = np.concatenate([-up[::-1], [-0.0, 0.0], up, [-0.5, 0.0, -0.0, 0.5]])
@@ -144,11 +143,16 @@ class TestNoiseScalarArrayBitEqual:
 
 
 def _unfolded_noise(osc, gamma, psi, omega, xi, constants=NORMALIZED):
-    """The general noise formula at omega tau = 0: every product of the cavity factors
-    kept, as on a cavity with a round trip, where the kernel drops them."""
+    """The complex-product noise formula at omega tau = 0, every product of its cavity
+    factors (exactly 1 or 0 there) kept; the kernel's fold drops them."""
     u2 = gamma * gamma + psi * psi
-    hbar = constants.hbar
-    dr, di, a_q, a_p, lag, qr1, pr1, dfac = _cavity_factors(gamma, psi, u2, hbar, 0.0)
+    hbar, w = constants.hbar, 0.0
+    gw = gamma * w / u2  # Delta / u^2 = dr + i di, Delta = gamma^2 + psi^2 - w^2 - 2 i gamma w
+    dr, di = (gamma * gamma + (psi - w) * (psi + w)) / u2, -2.0 * gw
+    a_q, a_p = dr + 2.0 * gw * gw, -gw * w * psi / (u2 * hbar)
+    lag, spring = 2.0 * hbar * psi * w / u2, hbar * psi / gamma
+    qr1, pr1 = a_q * spring - lag * gw, a_p * spring + (1.0 - gw * gw)
+    dfac = (dr * dr + di * di) * (1.0 + gw * gw)
     re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
     im0 = osc.mass * osc.damping * omega
     jr0, ji = dr * re0 + di * im0, di * re0 - dr * im0
@@ -161,8 +165,9 @@ def _unfolded_noise(osc, gamma, psi, omega, xi, constants=NORMALIZED):
 
 
 class TestQuasistaticFold:
-    """At omega tau = 0 the float-omega closure and the grid kernel drop the cavity
-    factors, exactly 1 or 0; the general formula, computed here, keeps them."""
+    """At omega tau = 0 the float-omega closure and the grid kernel fold the noise; the
+    complex-product formula computed here keeps its factors, exactly 1 or 0 there, and
+    gives the same bits."""
 
     def test_fold_equals_general_formula(self, rng):
         cells = 0
