@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -80,10 +79,11 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-def _words(texts: list[str]) -> np.ndarray:
-    """ASCII texts as the rows of a NUL-padded byte matrix."""
-    words = np.array(texts, dtype="S")
-    return words.view(np.uint8).reshape(len(texts), words.itemsize)
+# a flag's two cells, false then true, as NUL-padded byte rows
+_FLAG_WORDS = {
+    fmt: np.array(words, dtype="S").view(np.uint8).reshape(2, -1)
+    for fmt, words in (("csv", ["0", "1"]), ("json", ["false", "true"]))
+}
 
 
 def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -102,37 +102,34 @@ def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return distinct.view(col.dtype), np.searchsorted(distinct, bits)
 
 
-def _columns(cols: list[np.ndarray], out_format: str) -> list[np.ndarray]:
-    """The cells of each column as a NUL-padded byte matrix, one row per cell.
+def _column_key(col: np.ndarray) -> tuple[str, bytes]:
+    """Equal keys are equal bits, so equal cells; -0.0 and 0.0 differ."""
+    return col.dtype.str, col.tobytes()
 
-    Each distinct value of a column is formatted once. A float is its
-    shortest round-trip ``repr``, and the floats of all the columns go to
-    :func:`floattext.reprs` in one call. Flags are 0/1 in CSV and
-    true/false in JSON; an integer is ``str(int)`` in CSV and a float in
-    JSON. JSON spells inf, -inf and nan as ``json.dumps`` does: Infinity,
-    -Infinity and NaN.
+
+def _cells(tables: list[np.ndarray], out_format: str) -> list[list[np.ndarray]]:
+    """The cells of every field of every table, each a NUL-padded byte matrix, one row per cell.
+
+    Columns with equal bits, in any tables, share one matrix, made once.
+    A float is its shortest round-trip ``repr``: each distinct value of
+    each distinct float column goes to one :func:`floattext.reprs` call.
+    A flag indexes two constant words, 0/1 in CSV and false/true in JSON.
     """
-    parts = [_distinct(col) for col in cols]
-    numeric = [
-        d.dtype.kind == "f" or out_format == "json" and d.dtype.kind != "b" for d, _ in parts
-    ]
-    values = np.concatenate([np.empty(0)] + [v for (v, _), n in zip(parts, numeric) if n])
-    text = floattext.reprs(values)
-    if out_format == "json":
-        for i in np.flatnonzero(~np.isfinite(values)):
-            word = json.dumps(float(values[i])).encode()
-            text[i] = 0
-            text[i, : len(word)] = list(word)
-    start, out = 0, []
-    for (distinct, index), number in zip(parts, numeric):
-        if number:
-            cells, start = text[start : start + len(distinct)], start + len(distinct)
-        elif out_format == "csv":
-            cells = _words(list(map(str, distinct.astype(int).tolist())))
+    keys = [[_column_key(t[name]) for name in t.dtype.names] for t in tables]
+    columns = {key: t[n] for t, row in zip(tables, keys) for key, n in zip(row, t.dtype.names)}
+    floats = {key: _distinct(col) for key, col in columns.items() if col.dtype.kind == "f"}
+    text = floattext.reprs(np.concatenate([np.empty(0)] + [v for v, _ in floats.values()]))
+    cells, start = {}, 0
+    for key, col in columns.items():
+        if key in floats:
+            values, index = floats[key]
+            part, start = text[start : start + len(values)], start + len(values)
+            cells[key] = part if index is None else part[index]
+        elif col.dtype.kind == "b":
+            cells[key] = _FLAG_WORDS[out_format][col.view(np.uint8)]
         else:
-            cells = _words([("false", "true")[v] for v in distinct.tolist()])
-        out.append(cells if index is None else cells[index])
-    return out
+            raise TypeError(f"a data column is float or bool, not {col.dtype}")
+    return [[cells[key] for key in row] for row in keys]
 
 
 def _joined(cells: list[np.ndarray], start: bytes, sep: bytes, end: bytes) -> str:
@@ -152,11 +149,6 @@ def _joined(cells: list[np.ndarray], start: bytes, sep: bytes, end: bytes) -> st
     return table[table != 0].tobytes().decode("ascii")
 
 
-def _column_key(col: np.ndarray) -> tuple[str, bytes]:
-    """Equal keys are equal bits, so equal cells; -0.0 and 0.0 differ."""
-    return col.dtype.str, col.tobytes()
-
-
 def write_table(
     path: str,
     kind: str,
@@ -164,35 +156,19 @@ def write_table(
     param_lines: list[str],
     columns: list[str],
     blocks: list[tuple[str, np.ndarray]],
-    memo: dict | None = None,
+    cells: list[list[np.ndarray]],
 ) -> None:
     """Emit a dataset as CSV (comment header + rows) or its JSON mirror.
 
     Each block is a ``(label, table)`` pair: ``table`` is a numpy
     structured array, one row per data row and one field per entry of
     ``columns``, in order, as built by ``np.rec.fromarrays(columns)``.
-    The fields of all the tables are turned into cells by one
-    :func:`_columns` call, which formats each distinct value of a column
-    once, and both formats are joined from those cells: a JSON number is
-    the CSV's ``repr`` cell, and only the text fields (schema, params,
+    ``cells`` holds each block's fields as :func:`_cells` formats them,
+    and both formats are joined from those cells: a JSON number is the
+    CSV's ``repr`` cell, and only the text fields (schema, params,
     columns, labels) go through ``json.dumps``, so the JSON equals
-    ``json.dumps(doc, sort_keys=True)`` of the same document. ``memo``
-    holds the cells of the columns to reuse, by :func:`_column_key`,
-    ``None`` until first formatted; any other column is formatted here.
+    ``json.dumps(doc, sort_keys=True)`` of the same document.
     """
-    memo = {} if memo is None else memo
-    keys = [[_column_key(table[name]) for name in table.dtype.names] for _, table in blocks]
-    known = {key: memo[key] for row in keys for key in row if memo.get(key) is not None}
-    todo = {
-        key: table[name]
-        for (_, table), row in zip(blocks, keys)
-        for key, name in zip(row, table.dtype.names)
-        if key not in known
-    }
-    known.update(zip(todo, _columns(list(todo.values()), out_format)))
-    memo.update((key, known[key]) for key in todo if key in memo)
-    cells = [[known[key] for key in row] for row in keys]
-
     if out_format == "csv":
         lines = [f"# optospring {kind} {SCHEMA_VERSION}"]
         lines += [f"# {p}" for p in param_lines]
@@ -224,9 +200,8 @@ def write_datasets(out_format: str, files: list[tuple]) -> None:
     Every float column of every file is checked first: a non-finite cell
     raises :class:`SingularPointError` naming the file, the column and
     the first such data row (counted from 1 over all blocks), and no file
-    is written. A column with the same bits in several places is
-    formatted once: the files share a ``write_table`` memo of those
-    columns.
+    is written. Then one :func:`_cells` call formats the columns of every
+    file, each distinct column once, and each file joins its rows.
     """
     for path, _, _, columns, blocks in files:
         row = 0
@@ -241,12 +216,10 @@ def write_datasets(out_format: str, files: list[tuple]) -> None:
                     f"column {floats[j][0]!r}, data row {row + first + 1}"
                 )
             row += len(table)
-    keys = (
-        _column_key(t[name]) for *_, blocks in files for _, t in blocks for name in t.dtype.names
-    )
-    memo = {key: None for key, uses in Counter(keys).items() if uses > 1}  # shared columns only
+    cells = iter(_cells([t for *_, blocks in files for _, t in blocks], out_format))
     for path, kind, param_lines, columns, blocks in files:
-        write_table(path, kind, out_format, param_lines, columns, blocks, memo)
+        file_cells = [next(cells) for _ in blocks]
+        write_table(path, kind, out_format, param_lines, columns, blocks, file_cells)
 
 
 def read_table(path: str):
@@ -310,10 +283,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _converged(res: opt.OptimResult, omega: float, unconverged: str) -> opt.OptimResult:
-    """``res``, else exit 3 for a nan noise, as at every coupling, or 4 for no convergence."""
-    if math.isnan(res.level):  # a search ends unconverged on nan, so this is checked first
-        raise SingularPointError(f"non-finite noise {res.level!r} at omega={omega!r}")
+def _converged(res: opt.OptimResult, unconverged: str) -> opt.OptimResult:
+    """``res`` if its search converged, else exit 4."""
     if not res.converged:
         raise ConvergenceError(unconverged)
     return res
@@ -324,7 +295,7 @@ def _detuning_optimum(cfg: RunConfig, omega: float, spec: opt.SearchSpec):
     osc, gamma = cfg.oscillator, cfg.cavity.gamma
     uql = qs.ultimate_quantum_limit(osc, omega, gamma, cfg.constants)
     res = opt.minimize_over_detuning(osc, gamma, omega, spec, cfg.constants)
-    return uql, _converged(res, omega, f"detuning search did not converge at omega={omega!r}")
+    return uql, _converged(res, f"detuning search did not converge at omega={omega!r}")
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
@@ -352,7 +323,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
             res = opt.minimize_xi_quasistatic(
                 osc, gamma, cfg.optimize_detuning, omega, spec, constants=cfg.constants
             )
-            res = _converged(res, omega, "coupling search did not converge")
+            res = _converged(res, "coupling search did not converge")
             closed = qs.coupling_optimum(osc, omega, res.detuning, gamma, cfg.constants)
         else:
             closed, res = _detuning_optimum(cfg, omega, spec)
@@ -406,11 +377,10 @@ def cmd_stability(cfg: RunConfig) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"stability.psi times cavity.gamma: {exc}") from None
-    # rows run over psi, then xi2; the flags are written as integers
-    flags = [grid.static_ok.astype(int), grid.dynamic_ok.astype(int)]
-    cells = [a.ravel() for a in (*flags, grid.static_margin, grid.dynamic_margin)]
+    # rows run over psi, then xi2; the flags stay bool, as in fig2
+    maps = (grid.static_ok, grid.dynamic_ok, grid.static_margin, grid.dynamic_margin)
     axes = [np.tile(xi2_norm, psi_norm.size), np.repeat(psi_norm, xi2_norm.size)]
-    table = np.rec.fromarrays(axes + cells)
+    table = np.rec.fromarrays(axes + [a.ravel() for a in maps])
     path = _out_path(cfg, "stability")
     params = cfg.param_lines() + [f"xi2_norm unit = {xi_sql2!r}", f"psi_norm unit = {gamma!r}"]
     columns = ["xi2_norm", "psi_norm", "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"]
@@ -475,10 +445,11 @@ def cmd_figure(
         flags = core.stability_map(osc, cfg.cavity, coupling2, psis, cfg.constants)
         sql_col = np.full(grid.shape, s_sql)
         quasi = replace(cfg.cavity, round_trip=0.0)
-        tables = []
-        for psi, static, dynamic in zip(psis.tolist(), flags.static_ok, flags.dynamic_ok):
-            s = qs.noise_over_coupling(osc, quasi, psi, 0.0, cfg.constants)(xi)
-            tables.append(np.rec.fromarrays([grid, s, sql_col, s / s_sql, static, dynamic]))
+        noise = qs.noise_over_coupling(osc, quasi, psis[:, None], 0.0, cfg.constants)(xi)
+        tables = [
+            np.rec.fromarrays([grid, s, sql_col, s / s_sql, static, dynamic])
+            for s, static, dynamic in zip(noise, flags.static_ok, flags.dynamic_ok)
+        ]
     else:
         omega_sql = 1.0
         xi = math.sqrt(0.5 / cfg.constants.hbar)  # makes omega_sql exactly 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import NORMALIZED, Constants, MechanicalOscillator, OpticalCavity, check_detuning
-from .errors import DegenerateDissipationError
+from .errors import DegenerateDissipationError, SingularPointError
 from .quasistatic import noise_over_coupling, sql_point
 
 # an optimum this close to an end of its search range, relative to the
@@ -266,11 +266,17 @@ def minimize_xi_quasistatic(
     spec: SearchSpec = SearchSpec(),
     constants: Constants = NORMALIZED,
 ) -> OptimResult:
-    """Numeric coupling optimum of the quasi-static noise (a cavity of ``round_trip = 0``)."""
+    """Numeric coupling optimum of the quasi-static noise (a cavity of ``round_trip = 0``).
+
+    An optimum whose level is nan, as where the noise is nan at every
+    coupling, raises :class:`SingularPointError` rather than ending unconverged.
+    """
     cavity = OpticalCavity(gamma, round_trip=0.0, wavevector=1.0)
     objective = noise_over_coupling(osc, cavity, detuning, omega, constants)
     res = minimize_over_xi(objective, spec)
     ratio = res.level / sql_point(osc, omega, constants).level
+    if math.isnan(res.level):
+        raise SingularPointError(f"non-finite noise nan at omega={omega!r}")
     return replace(res, detuning=detuning, ratio_to_sql=ratio)
 
 
@@ -286,7 +292,8 @@ def minimize_over_detuning(
     Nested search: an outer scan-plus-Brent over the detuning, each step
     minimizing over the coupling. Requires mechanical dissipation, since
     otherwise no finite optimum exists off resonance. ``at_bound`` flags
-    a detuning at either end of the searched detuning range.
+    a detuning at either end of the searched detuning range. A nan level
+    at the optimum raises :class:`SingularPointError`.
     """
     if osc.damping == 0:
         raise DegenerateDissipationError(

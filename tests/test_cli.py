@@ -21,7 +21,7 @@ from optospring import WorkingPoint, stability
 from optospring import cli as cli_module
 from optospring import floattext
 from optospring import optimize as opt
-from optospring.cli import main, read_table, write_datasets, write_table
+from optospring.cli import main, read_table, write_datasets
 from optospring.config import (
     apply_env_overrides,
     build_run_config,
@@ -1053,8 +1053,6 @@ def _per_row_cell(value) -> str:
     """The per-row CSV cell formatter the columnar writer replaced."""
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -1095,15 +1093,20 @@ def _table(rows, dtypes) -> np.ndarray:
 
 @pytest.fixture
 def format_calls(monkeypatch):
-    """The ``out_format`` of every column formatted by ``cli._columns``, one entry per column."""
+    """The ``out_format`` of every distinct column ``cli._cells`` formats, one entry per column.
+
+    Columns that share their cells share one matrix, so the distinct
+    matrices it returns are the columns it formatted.
+    """
     calls = []
-    columns = cli_module._columns
+    cells = cli_module._cells
 
-    def counting(cols, fmt):
-        calls.extend([fmt] * len(cols))
-        return columns(cols, fmt)
+    def counting(tables, fmt):
+        out = cells(tables, fmt)
+        calls.extend([fmt] * len({id(col) for row in out for col in row}))
+        return out
 
-    monkeypatch.setattr(cli_module, "_columns", counting)
+    monkeypatch.setattr(cli_module, "_cells", counting)
     return calls
 
 
@@ -1126,19 +1129,19 @@ def float_reprs(monkeypatch):
 
 
 class TestColumnarWriter:
-    SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e16, -2.5e-300)
-    COLUMNS = ["x", "flag", "count", "y"]
+    SPECIALS = (-0.0, 5e-324, 0.1, 1e16, -2.5e-300)
+    COLUMNS = ["x", "flag", "y"]
 
     def _blocks(self):
         rng = np.random.default_rng(7)
         specials = list(self.SPECIALS)
         first = [
-            (v, bool(i % 2), i, np.float64(-v))  # Python and numpy floats, bools, ints
+            (v, bool(i % 2), np.float64(-v))  # Python and numpy floats, bools
             for i, v in enumerate(specials)
         ]
         second = [
-            (np.float64(x), np.bool_(x > 0.5), np.int64(-i), float(x) * 1e-300)
-            for i, x in enumerate(rng.random(50))
+            (np.float64(x), np.bool_(x > 0.5), float(x) * 1e-300)
+            for x in rng.random(50)
         ]
         return [("", first), ("block two", second)]
 
@@ -1151,9 +1154,17 @@ class TestColumnarWriter:
         ]
         path = tmp_path / f"t.{out_format}"
         params = ["a = 1", "b = inf"]
-        write_table(str(path), "test", out_format, params, self.COLUMNS, tables)
+        write_datasets(out_format, [(str(path), "test", params, self.COLUMNS, tables)])
         expected = _per_row_table("test", out_format, params, self.COLUMNS, blocks)
         assert path.read_text() == expected
+
+    def test_integer_column_refused(self, tmp_path):
+        # a cell is a float or a flag: an integer column is refused before any write
+        table = np.rec.fromarrays([np.array([0.5, 1.5]), np.array([1, 0])])
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(TypeError, match="float or bool, not int64"):
+            write_datasets("csv", [(path, "test", [], ["x", "n"], [("", table)])])
+        assert list(tmp_path.iterdir()) == []
 
     def test_datasets_checked_before_any_write(self, tmp_path):
         # a non-finite cell in the last block of the last file: nothing is written
@@ -1213,19 +1224,18 @@ class TestColumnarWriter:
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_repeated_and_special_values(self, tmp_path, float_reprs, out_format):
-        # each distinct bit pattern is formatted once: -0.0 and 0.0, and nan and -nan, apart
-        specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, -math.nan]
-        rows = [(specials[i % 6], (3, -1, 3, 0)[i % 4], i % 3 == 0, 0.5 * i) for i in range(30)]
+        # each distinct bit pattern is formatted once: -0.0 and 0.0, and ±5e-324, apart
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -2.5e-300]
+        rows = [(specials[i % 6], i % 3 == 0, 0.5 * i) for i in range(30)]
         blocks = [("", rows), ("empty", []), ("one", rows[:1])]
-        tables = [(label, _table(r, [float, int, bool, float])) for label, r in blocks]
-        columns = ["special", "count", "flag", "x"]
+        tables = [(label, _table(r, [float, bool, float])) for label, r in blocks]
+        columns = ["special", "flag", "x"]
         path = tmp_path / f"t.{out_format}"
-        write_table(str(path), "test", out_format, [], columns, tables)
+        write_datasets(out_format, [(str(path), "test", [], columns, tables)])
         assert path.read_text() == _per_row_table("test", out_format, [], columns, blocks)
-        # 6 specials, 30 distinct x and the one-row block's 2 floats; JSON writes ints as
-        # floats, so it formats the 3 distinct counts and the one-row count as well
-        formatted = {"csv": 6 + 30 + 2, "json": 6 + 30 + 2 + 3 + 1}[out_format]
-        assert sum(map(len, float_reprs)) == formatted
+        # 6 specials, 30 distinct x and the one-row block's 2 floats, in one call;
+        # flags are never floats, in either format
+        assert [len(values) for values in float_reprs] == [6 + 30 + 2]
 
 
 class TestParser:
@@ -1270,7 +1280,7 @@ class TestParser:
     "argv, formatted",
     [
         (["spectrum"], 8004),
-        (["stability", "--format", "json"], 6956),
+        (["stability", "--format", "json"], 6952),
         (["stability"], 6952),
         (["figure", "fig2"], 3899),
         (["figure", "fig3"], 8010),
@@ -1279,7 +1289,9 @@ class TestParser:
     ids=["spectrum", "stability.json", "stability.csv", "fig2", "fig3", "fig4"],
 )
 def test_float_reprs_per_default_command(tmp_path, float_reprs, argv, formatted):
-    # a count of work, not of time: each distinct float of a command is formatted once
+    # a count of work, not of time: each distinct float of a command is formatted
+    # once, in one call however many files the command writes
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(float_reprs) == 1
     assert sum(map(len, float_reprs)) == formatted
     assert all(values.dtype == np.float64 for values in float_reprs)

@@ -17,6 +17,7 @@ from optospring import (
     MechanicalOscillator,
     OpticalCavity,
     SearchSpec,
+    SingularPointError,
     WorkingPoint,
     coupling_optimum,
     equivalent_input_noise,
@@ -399,6 +400,20 @@ class TestMinimizeOverDetuning:
         free = MechanicalOscillator(1.0, 1.0, 0.0)
         with pytest.raises(DegenerateDissipationError):
             minimize_over_detuning(free, GAMMA, 0.5)
+
+    @pytest.mark.parametrize("search", ["xi", "detuning"])
+    def test_nan_optimum_is_singular(self, search):
+        # (M Gamma omega)^2 overflows, so the noise is inf / inf = nan at every
+        # coupling: a singular point, not a search that failed to converge
+        nan_noise = MechanicalOscillator(1e300, 0.5, 0.0005)
+        with (
+            np.errstate(all="ignore"),
+            pytest.raises(SingularPointError, match=r"^non-finite noise nan at omega=0\.5$"),
+        ):
+            if search == "xi":
+                minimize_xi_quasistatic(nan_noise, GAMMA, -0.5, 0.5)
+            else:
+                minimize_over_detuning(nan_noise, GAMMA, 0.5)
 
     def test_sql_reference_computed_once(self, osc, monkeypatch):
         calls = []
