@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -58,8 +57,9 @@ CURVE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".optospring-")
-    try:
+    tmp = os.path.join(directory, f".optospring-{os.urandom(8).hex()}")
+    try:  # mode 0o666 less the umask, as a plain open gives; mkstemp would give 0o600
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -137,40 +137,59 @@ def noise_over_coupling(
     return noise_at
 
 
-def _noise_closure(osc, cavity, psi, u2, omega, constants):
-    """The setup of :func:`noise_over_coupling` at a float omega, and its closure.
+_FLOAT_OPS = (lambda p, q, _: p * q, lambda p, q, _: p + q, lambda p, q, _: p - q)
 
-    ``psi`` is a float, or an array of detunings. At omega tau > 0 the closure sums the four
-    squares with the setup's a X, a Y, d X, d Y and (a Y)^2 + (d Y)^2; on a cavity with
-    ``round_trip = 0`` it returns their fold ((qr^2 + Y^2) / (4 xi^2) + hbar^2 xi^2) / |chi|^-2
-    with qr = X + 2 b xi^2, the real part of chi_eff^-1.
+
+def _noise_setup(osc, cavity, psi, u2, w, mul, add, sub, s):
+    """The omega-dependent, coupling-free part of the noise of :func:`noise_over_coupling`.
+
+    One IEEE order for a float ``w``, with :data:`_FLOAT_OPS` (which ignore ``out``) and slots
+    of ``None``, and for a block, with the ufuncs and ``out`` buffers ``s``. Returns a X,
+    (a Y)^2 + (d Y)^2, d X and (X^2 + Y^2) g; at omega tau = 0, X, Y^2, None and X^2 + Y^2.
+    A noise denominator of 0 raises ``SingularPointError`` naming the first omega with it.
     """
-    re0 = osc.mass * (osc.resonance_freq * osc.resonance_freq - omega * omega)
-    im0 = osc.mass * osc.damping * omega  # 1/chi = re0 - i im0
-    den = re0 * re0 + im0 * im0  # 1/|chi|^2
-    hbar, gamma, tau = constants.hbar, cavity.gamma, cavity.round_trip
+    gamma, tau, om = cavity.gamma, cavity.round_trip, osc.resonance_freq
+    re0 = mul(osc.mass, sub(om * om, mul(w, w, s[0]), s[0]), s[0])
+    im0 = mul(osc.mass * osc.damping, w, s[1])  # 1/chi = re0 - i im0
+    y2 = mul(im0, im0, s[3])
+    den = add(mul(re0, re0, s[2]), y2, s[2])  # 1/|chi|^2
     if tau:
-        x = omega * tau
-        xg = x * (gamma / u2)
-        den = den * (1.0 + xg * xg)
-        d = xg * (x * (psi / u2))
-        a = 0.5 + (x * ((gamma - psi) / u2)) * (x * (0.5 * (gamma + psi) / u2))
-        ax, ay, dx, dy = a * re0, a * im0, d * re0, d * im0
-        y2, b = ay * ay + dy * dy, hbar * psi / (2.0 * gamma)
-    else:
-        spring, im2, hbar2 = hbar * psi / gamma, im0 * im0, hbar * hbar
+        x = mul(w, tau, s[3])
+        xg = mul(x, gamma / u2, s[4])
+        den = mul(den, add(1.0, mul(xg, xg, s[5]), s[5]), s[2])
     if not (den if type(den) is float else np.all(den)):  # a float skips numpy
-        raise SingularPointError(f"noise denominator is 0 at omega={omega!r}")
+        bad = w if type(w) is float else float(w[den == 0][0])
+        raise SingularPointError(f"noise denominator is 0 at omega={bad!r}")
+    if not tau:
+        return re0, y2, None, den
+    d = mul(xg, mul(x, psi / u2, s[5]), s[4])
+    am = mul(x, (gamma - psi) / u2, s[5])
+    a = add(0.5, mul(am, mul(x, 0.5 * (gamma + psi) / u2, s[3]), s[3]), s[3])
+    ay, dy = mul(a, im0, s[5]), mul(d, im0, s[1])
+    y2 = add(mul(ay, ay, s[5]), mul(dy, dy, s[1]), s[5])
+    return mul(a, re0, s[1]), y2, mul(d, re0, s[0]), den
+
+
+def _noise_closure(osc, cavity, psi, u2, omega, constants):
+    """:func:`_noise_setup` at a float omega, and the closure of :func:`noise_over_coupling`.
+
+    ``psi`` is a float, or an array of detunings. The closure sums the four squares; on a
+    cavity with ``round_trip = 0`` it returns their fold ((qr^2 + Y^2) / (4 xi^2) + hbar^2
+    xi^2) / |chi|^-2 with qr = X + 2 b xi^2, the real part of chi_eff^-1.
+    """
+    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, omega, *_FLOAT_OPS, (None,) * 6)
+    hbar, hbar2, gamma = constants.hbar, constants.hbar * constants.hbar, cavity.gamma
+    b = hbar * psi / gamma if dx is None else hbar * psi / (2.0 * gamma)  # 2 b at omega tau = 0
 
     def noise_at(xi):
         xi2 = xi * xi
         # a Python float, as the scalar Brent polish passes, is checked without numpy
         if not (xi2 if type(xi2) is float else np.all(xi2)):
             raise NoMeasurementError(_NO_SIGNAL)
-        if not tau:
-            qr = re0 + spring * xi2
-            return ((qr * qr + im2) / (4.0 * xi2) + hbar2 * xi2) / den
-        q, p = ax + b * xi2, hbar * xi2 - dx
+        if dx is None:
+            qr = x0 + b * xi2
+            return ((qr * qr + y2) / (4.0 * xi2) + hbar2 * xi2) / den
+        q, p = x0 + b * xi2, hbar * xi2 - dx
         return (y2 + q * q + p * p) / xi2 / den
 
     return noise_at
@@ -179,47 +198,27 @@ def _noise_closure(osc, cavity, psi, u2, omega, constants):
 def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
     """The noise on a block ``w`` of an array omega at a scalar ``xi2`` = xi^2, for a float ``psi``.
 
-    :func:`_noise_closure`'s IEEE operations on the same operands, each written into one
-    of the arrays in ``scratch`` instead of a fresh temporary: six at omega tau > 0, where
-    the four squares [(a X + b xi^2)^2 + (a Y)^2 + (hbar xi^2 - d X)^2 + (d Y)^2] / xi^2 over
-    (X^2 + Y^2) g of :func:`noise_over_coupling` take 33 passes over the block, four for
-    their quasi-static fold. The first call makes them, of its block's shape; later blocks,
-    none longer, reuse their leading rows. Returns one.
+    :func:`_noise_setup` and :func:`_noise_closure`'s tail, each operation written into one
+    of the arrays in ``scratch`` instead of a fresh temporary: six at omega tau > 0, where the
+    four squares take 33 passes over the block, four for their quasi-static fold. The first
+    call makes them, of its block's shape; later blocks, none longer, reuse their leading
+    rows. Returns one.
     """
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    hbar, gamma, tau = constants.hbar, cavity.gamma, cavity.round_trip
+    hbar, gamma = constants.hbar, cavity.gamma
     if not scratch:
-        scratch += [np.empty(w.shape) for _ in range(6 if tau else 4)]
+        scratch += [np.empty(w.shape) for _ in range(6 if cavity.round_trip else 4)]
     s = [buf if len(buf) == len(w) else buf[: len(w)] for buf in scratch]
-
-    def square(v):
-        return mul(v, v, out=v)
-
-    om = osc.resonance_freq
-    re0 = mul(osc.mass, sub(om * om, mul(w, w, out=s[0]), out=s[0]), out=s[0])
-    im0 = mul(osc.mass * osc.damping, w, out=s[1])
-    den = add(mul(re0, re0, out=s[2]), mul(im0, im0, out=s[3]), out=s[2])
-    if tau:
-        x = mul(w, tau, out=s[3])
-        xg = mul(x, gamma / u2, out=s[4])
-        den = mul(den, add(1.0, mul(xg, xg, out=s[5]), out=s[5]), out=s[2])
-    if not np.all(den):
-        bad = w[den == 0][0]
-        raise SingularPointError(f"noise denominator is 0 at omega={float(bad)!r}")
-    if not tau:  # s[3] = im0^2
-        qr = add(re0, hbar * psi / gamma * xi2, out=s[0])
-        q2 = div(add(mul(qr, qr, out=s[0]), s[3], out=s[0]), 4.0 * xi2, out=s[0])
-        return div(add(q2, hbar * hbar * xi2, out=s[0]), den, out=s[0])
-    d = mul(xg, mul(x, psi / u2, out=s[5]), out=s[4])
-    am = mul(x, (gamma - psi) / u2, out=s[5])
-    a = add(0.5, mul(am, mul(x, 0.5 * (gamma + psi) / u2, out=s[3]), out=s[3]), out=s[3])
-    # summed in s[5] in the closure's order, (a Y)^2 + (d Y)^2 first
-    total = add(square(mul(a, im0, out=s[5])), square(mul(d, im0, out=s[1])), out=s[5])
-    q = add(mul(a, re0, out=s[1]), hbar * psi / (2.0 * gamma) * xi2, out=s[1])
-    total = add(total, square(q), out=s[5])
-    p = sub(hbar * xi2, mul(d, re0, out=s[0]), out=s[0])
-    total = add(total, square(p), out=s[5])
-    return div(div(total, xi2, out=s[5]), den, out=s[5])
+    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, mul, add, sub, s)
+    if dx is None:
+        qr = add(x0, hbar * psi / gamma * xi2, x0)
+        q2 = div(add(mul(qr, qr, qr), y2, qr), 4.0 * xi2, qr)
+        return div(add(q2, hbar * hbar * xi2, q2), den, q2)
+    q = add(x0, hbar * psi / (2.0 * gamma) * xi2, x0)
+    total = add(y2, mul(q, q, q), y2)  # (a Y)^2 + (d Y)^2 first, as in the closure
+    p = sub(hbar * xi2, dx, dx)
+    total = add(total, mul(p, p, p), total)
+    return div(div(total, xi2, total), den, total)
 
 
 def equivalent_input_noise(

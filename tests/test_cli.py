@@ -1009,6 +1009,21 @@ class TestFigureCommand:
         assert_csv_equals_json(csv1 / "fig2_curve_a.csv", json1 / "fig2_curve_a.json")
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_modes_follow_the_umask(tmp_path, umask):
+    # a data file and a manifest get 0o666 less the umask, as any plainly opened file does
+    old = os.umask(umask)
+    try:
+        assert run(["stability", "--out", str(tmp_path / "stab.csv")], tmp_path) == 0
+        assert run(["figure", "fig2", "--out", str(tmp_path / "figs")], tmp_path) == 0
+    finally:
+        os.umask(old)
+    written = [tmp_path / "stab.csv", *sorted((tmp_path / "figs").iterdir())]
+    assert tmp_path / "figs" / "fig2_manifest.json" in written
+    for path in written:
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path.name
+
+
 class TestGridFlag:
     # 0.1..10 at 5 points per decade: 2 decades -> 11 points
     GOOD = "0.1:10:5"

@@ -450,6 +450,9 @@ class TestBlocks:
             with pytest.raises(SingularPointError) as blocked:
                 call()
             assert str(blocked.value) == str(whole.value)
+        with pytest.raises(SingularPointError) as point:  # a float omega raises at the build
+            noise_over_coupling(osc, cavity, psi, float(grid[-2]))
+        assert str(point.value) == str(whole.value)
         osc, off = quasi_free_oscillator(1.0), WorkingPoint(psi, 0.0)
         with pytest.raises(NoMeasurementError):
             spectrum(osc, cavity, off, grid)

@@ -5,7 +5,8 @@ no module forms a noise from the transfer coefficients, no module
 imports scipy or anything else beyond numpy and the standard library
 (numpy is the one dependency in pyproject.toml), one function checks
 the detuning range, no function takes a round trip beside a gamma, each
-checking route shares no code with what it checks, every public function
+checking route shares no code with what it checks, the float and block
+routes of the noise share one coupling-free setup, every public function
 and class is read in the package or ``bench/`` or shown in README,
 README's quick start runs, every config key is shown in README, and the
 names the benchmark harness reads still exist."""
@@ -93,6 +94,7 @@ SHARED_FORMULAS = [
     ("quasistatic", "noise_over_coupling"),
     ("quasistatic", "_noise_closure"),
     ("quasistatic", "_noise_block"),
+    ("quasistatic", "_noise_setup"),
     ("quasistatic", "_sql_block"),
     ("quasistatic", "amplification_factor"),
     ("quasistatic", "free_mass_sql_level"),
@@ -122,6 +124,68 @@ def test_shared_formulas_use_no_pow(module, name):
 def test_pow_checker_sees_nested_and_augmented_pow():
     source = "def f(x):\n    y = x\n    y **= 2\n    def g(z):\n        return z ** 2\n"
     assert pow_lines(source, "f") == [3, 5]
+
+
+# The noise kernel's coupling-free setup (X, Y, the omega tau factors a, d and g, and the
+# zero-denominator check) is written once, so a rounding change is made in one place.
+NOISE_ROUTES = ("_noise_closure", "_noise_block")
+NOISE_SETUP = "_noise_setup"
+
+
+def setup_leaks(source: str) -> list[str]:
+    """``route: fault`` for each of ``NOISE_ROUTES`` in ``source`` that computes its setup.
+
+    A route must call ``NOISE_SETUP``, read ``osc`` and ``u2`` only as arguments of that
+    call (X and Y need the oscillator, a, d and g need u^2) and neither name
+    ``SingularPointError`` nor hold the noise-denominator message.
+    """
+    tree = ast.parse(source)
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    hits = []
+    for route in NOISE_ROUTES:
+        calls = [
+            n for n in ast.walk(funcs[route])
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == NOISE_SETUP
+        ]
+        passed = {id(arg) for call in calls for arg in call.args}
+        hits += [] if calls else [f"{route}: no {NOISE_SETUP} call"]
+        for node in ast.walk(funcs[route]):
+            if (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id in ("osc", "u2", "SingularPointError")
+                and id(node) not in passed
+            ):
+                hits.append(f"{route}:{node.lineno}: {node.id}")
+            elif isinstance(node, ast.Constant) and "denominator" in str(node.value):
+                hits.append(f"{route}:{node.lineno}: denominator message")
+    return sorted(hits)
+
+
+def test_noise_routes_share_one_setup():
+    source = (PACKAGE / "quasistatic.py").read_text(encoding="utf-8")
+    assert setup_leaks(source) == []
+    # the setup itself reads the oscillator and holds the check
+    setup = [n for n in ast.parse(source).body if getattr(n, "name", None) == NOISE_SETUP]
+    read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(setup[0])}
+    assert {"resonance_freq", "damping", "mass", "SingularPointError"} <= read
+
+
+def test_setup_checker_flags_a_route_computing_its_own_setup():
+    source = (
+        "def _noise_closure(osc, cavity, psi, u2, w, c):\n"
+        "    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, *OPS, SLOTS)\n"
+        "    return x0 * osc.mass / u2\n"
+        "def _noise_block(osc, cavity, psi, u2, w, c, xi2, scratch):\n"
+        "    re0 = osc.mass * (w * w)\n"
+        "    if not re0.all():\n"
+        "        raise SingularPointError(f'noise denominator is 0 at omega={w!r}')\n"
+    )
+    assert setup_leaks(source) == [
+        "_noise_block: no _noise_setup call", "_noise_block:5: osc",
+        "_noise_block:7: SingularPointError", "_noise_block:7: denominator message",
+        "_noise_closure:3: osc", "_noise_closure:3: u2",
+    ]
 
 
 def call_lines(source: str, name: str) -> list[int]:
