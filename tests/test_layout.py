@@ -148,7 +148,8 @@ def setup_leaks(source: str) -> list[str]:
             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == NOISE_SETUP
         ]
         passed = {id(arg) for call in calls for arg in call.args}
-        hits += [] if calls else [f"{route}: no {NOISE_SETUP} call"]
+        if not calls:
+            hits.append(f"{route}: no {NOISE_SETUP} call")
         for node in ast.walk(funcs[route]):
             if (
                 isinstance(node, ast.Name)
