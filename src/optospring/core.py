@@ -30,8 +30,9 @@ from .errors import SingularPointError
 REAL_ROOT_TOL = 1e-10
 
 # Points per block of a long frequency array in :func:`blockwise`: a grid call
-# holds a few block-sized arrays instead of grid-sized temporaries. The noise and
-# SQL kernels write every operation into arrays they reuse from block to block.
+# holds its output and a few block-sized buffers instead of grid-sized temporaries.
+# The susceptibility, noise and SQL kernels write every operation into the block's
+# output slice or into buffers that blockwise reuses from block to block.
 BLOCK = 1 << 14
 
 
@@ -84,7 +85,7 @@ class MechanicalOscillator:
             raise ValueError(
                 f"resonance_freq must be positive, got {self.resonance_freq!r}"
             )
-        if self.damping < 0:
+        if not self.damping >= 0:
             raise ValueError(f"damping must be >= 0, got {self.damping!r}")
 
 
@@ -132,7 +133,7 @@ class WorkingPoint:
         object.__setattr__(self, "detuning", float(self.detuning))
         object.__setattr__(self, "coupling", float(self.coupling))
         check_detuning("detuning", self.detuning)
-        if self.coupling < 0:
+        if not self.coupling >= 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling!r}")
 
 
@@ -195,41 +196,62 @@ def _scalar(x):
     return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
 
 
-def blockwise(f, omega):
-    """``f(omega)`` for a real elementwise ``f``, in fixed blocks on long arrays.
+def blockwise(f, omega, buffers, dtype=float):
+    """``f`` over ``omega`` in fixed blocks: the one owner of grid memory.
 
-    A 1-d array of more than BLOCK points runs block by block into one
-    preallocated output, so the temporaries of ``f`` are block-sized; anything
-    else takes a single call. ``f`` acts elementwise, so the result bits, and
-    the frequency an error names, are those of the single call. A check that
-    does not depend on omega belongs to the caller, before this call: inside
-    ``f`` the first block would raise it ahead of an error the single call
-    raises first.
+    An array omega gets its output, of ``dtype``, and one buffer per dtype in ``buffers``,
+    allocated once. ``f(w, out, bufs)`` writes its elementwise result at ``w`` into ``out``,
+    with ``bufs`` as scratch, for blocks of at most BLOCK elements and their slices of the
+    output, so no result is copied. A float or 0-d omega runs ``f`` once on a numpy float,
+    with ``out`` and the buffers None, and returns its value. The bits, and the frequency an
+    error names, are those of a single call. A check that does not depend on omega belongs
+    to the caller, before this call: in ``f`` a block could raise it ahead of an error that
+    one call raises first.
     """
-    if np.ndim(omega) != 1 or len(omega) <= BLOCK:
-        return f(omega)
     omega = np.asarray(omega, dtype=float)
-    out = np.empty_like(omega)
-    for block in (slice(start, start + BLOCK) for start in range(0, omega.size, BLOCK)):
-        out[block] = f(omega[block])
+    if not omega.ndim:
+        return f(omega[()], None, (None,) * len(buffers))
+    out = np.empty(omega.shape, dtype)
+    flat, result = omega.reshape(-1), out.reshape(-1)
+    bufs = [np.empty(min(flat.size, BLOCK), kind) for kind in buffers]
+    for start in range(0, flat.size, BLOCK):
+        w = flat[start : start + BLOCK]
+        f(w, result[start : start + BLOCK], [buf[: w.size] for buf in bufs])
     return out
+
+
+# (mul, sub, div) of :func:`susceptibility_into` on numpy floats, ignoring the ufuncs' ``out``
+_SCALAR_OPS = (lambda p, q, _: p * q, lambda p, q, _: p - q, lambda p, q, _: p / q)
+
+
+def susceptibility_into(osc: MechanicalOscillator, omega, chi, real):
+    """The complex 1/chi arithmetic of :func:`mech_susceptibility`, written once.
+
+    An array ``omega`` writes each operation in place into the complex ``chi`` or the real
+    ``real``, and returns ``chi``; a numpy float, with both None, returns the value in numpy
+    scalar arithmetic, which rounds as the ufuncs do (Python's complex division does not).
+    An undamped resonance raises ``SingularPointError`` naming the first such omega.
+    """
+    mul, sub, div = _SCALAR_OPS if chi is None else (np.multiply, np.subtract, np.divide)
+    om = osc.resonance_freq
+    den = sub(om * om, mul(omega, omega, real), real)
+    den = mul(osc.mass, sub(den, mul(1j * osc.damping, omega, chi), chi), chi)
+    if not (den if chi is None else den.all()):
+        bad = omega if chi is None else omega[den == 0][0]
+        raise SingularPointError(
+            f"undamped oscillator driven exactly on resonance (omega={float(bad)!r})"
+        )
+    return div(1.0, den, chi)
 
 
 def mech_susceptibility(osc: MechanicalOscillator, omega):
     """Free mechanical susceptibility of the mirror at ``omega``.
 
-    Returns 1 / (M (Omega_M^2 - omega^2 - i Gamma omega)). Accepts a
-    scalar or an array of frequencies.
+    Returns 1 / (M (Omega_M^2 - omega^2 - i Gamma omega)), a complex for a scalar and an
+    array for an array: :func:`susceptibility_into` run by :func:`blockwise`.
     """
-    omega = np.asarray(omega, dtype=float)
-    om = osc.resonance_freq
-    den = osc.mass * (om * om - omega * omega - 1j * osc.damping * omega)
-    if np.any(den == 0):
-        bad = omega if omega.ndim == 0 else omega[np.nonzero(den == 0)][0]
-        raise SingularPointError(
-            f"undamped oscillator driven exactly on resonance (omega={float(bad)!r})"
-        )
-    return _scalar(1.0 / den)
+    kernel = lambda w, chi, s: susceptibility_into(osc, w, chi, s[0])
+    return _scalar(blockwise(kernel, omega, (float,), complex))
 
 
 def static_susceptibility(osc: MechanicalOscillator) -> float:
@@ -256,7 +278,7 @@ def steady_state(
     non-negative; for a lossless single-ended cavity the output magnitude
     equals the input magnitude and only the phases differ.
     """
-    if input_magnitude < 0:
+    if not input_magnitude >= 0:
         raise ValueError("input_magnitude must be >= 0")
     g = cavity.gamma
     norm = math.hypot(g, detuning)
@@ -298,7 +320,7 @@ def solve_self_consistent_detuning(
     count as real. One or three branches come back, sorted by detuning;
     with three, the middle branch fails the static test.
     """
-    if input_magnitude < 0:
+    if not input_magnitude >= 0:
         raise ValueError("input_magnitude must be >= 0")
     g = cavity.gamma
     chi0 = static_susceptibility(osc)
@@ -445,7 +467,7 @@ def stability_map(
     coupling2 = np.asarray(coupling2, dtype=float)
     detunings = np.asarray(detunings, dtype=float)
     check_detuning("detunings", detunings)
-    if np.any(coupling2 < 0):
+    if not np.all(coupling2 >= 0):
         raise ValueError("coupling2 must be >= 0")
     margins = stability_margins(osc, cavity, detunings[:, None], np.sqrt(coupling2), constants)
     return _stability_report(*margins)

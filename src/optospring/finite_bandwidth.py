@@ -177,7 +177,7 @@ def spectrum(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a 1-d array with at least 1 point")
-    if grid[0] <= 0 or np.any(grid[1:] <= grid[:-1]):
+    if not (grid[0] > 0 and np.all(grid[1:] > grid[:-1])):
         raise ValueError("grid must be strictly increasing and positive")
     s_sig = noise_over_coupling(osc, cavity, wp.detuning, grid, constants)(wp.coupling)
     return NoiseSpectrum(omega=grid, s_sig=s_sig, s_sql=sql_level(osc, grid, constants))
@@ -215,7 +215,7 @@ def dip_analysis(
     asymptotic predictions. Raises ``NoDipFoundError`` when the spectrum
     has no minima below the reference (e.g. at zero detuning).
     """
-    if wp.coupling <= 0:
+    if not wp.coupling > 0:
         raise ValueError("dip analysis needs a positive coupling")
     grid, s = np.asarray(noise_spectrum.omega), noise_spectrum.s_sig
     g, xi = cavity.gamma, wp.coupling

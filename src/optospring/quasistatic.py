@@ -129,10 +129,8 @@ def noise_over_coupling(
         xi2 = xi * xi
         if not xi2:  # before any block runs
             raise NoMeasurementError(_NO_SIGNAL)
-        scratch = []  # the kernel's buffers, made by the first block and reused by the rest
-        return core.blockwise(
-            lambda w: _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch), omega
-        )
+        kernel = lambda w, out, s: _noise_block(osc, cavity, psi, u2, w, constants, xi2, out, s)
+        return core.blockwise(kernel, omega, (float,) * (5 if cavity.round_trip else 3))
 
     return noise_at
 
@@ -195,29 +193,26 @@ def _noise_closure(osc, cavity, psi, u2, omega, constants):
     return noise_at
 
 
-def _noise_block(osc, cavity, psi, u2, w, constants, xi2, scratch):
+def _noise_block(osc, cavity, psi, u2, w, constants, xi2, out, s):
     """The noise on a block ``w`` of an array omega at a scalar ``xi2`` = xi^2, for a float ``psi``.
 
-    :func:`_noise_setup` and :func:`_noise_closure`'s tail, each operation written into one
-    of the arrays in ``scratch`` instead of a fresh temporary: six at omega tau > 0, where the
-    four squares take 33 passes over the block, four for their quasi-static fold. The first
-    call makes them, of its block's shape; later blocks, none longer, reuse their leading
-    rows. Returns one.
+    :func:`_noise_setup` and :func:`_noise_closure`'s tail, each operation written into the
+    block's output slice ``out`` or one of the buffers ``s`` instead of a fresh temporary:
+    five at omega tau > 0, where the four squares take 33 passes over the block, three for
+    their quasi-static fold. ``out`` is the setup's first slot, so the last operation of
+    either tail lands there.
     """
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     hbar, gamma = constants.hbar, cavity.gamma
-    if not scratch:
-        scratch += [np.empty(w.shape) for _ in range(6 if cavity.round_trip else 4)]
-    s = [buf if len(buf) == len(w) else buf[: len(w)] for buf in scratch]
-    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, mul, add, sub, s)
-    if dx is None:
+    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, mul, add, sub, (out, *s))
+    if dx is None:  # x0 in out
         qr = add(x0, hbar * psi / gamma * xi2, x0)
         q2 = div(add(mul(qr, qr, qr), y2, qr), 4.0 * xi2, qr)
         return div(add(q2, hbar * hbar * xi2, q2), den, q2)
+    p = sub(hbar * xi2, dx, dx)  # dx in out
     q = add(x0, hbar * psi / (2.0 * gamma) * xi2, x0)
     total = add(y2, mul(q, q, q), y2)  # (a Y)^2 + (d Y)^2 first, as in the closure
-    p = sub(hbar * xi2, dx, dx)
-    total = add(total, mul(p, p, p), total)
+    total = add(total, mul(p, p, p), p)
     return div(div(total, xi2, total), den, total)
 
 
@@ -270,36 +265,16 @@ def equivalent_input_noise_closed_form(
 def sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED):
     """SQL level hbar |chi| at ``omega``, a frequency or an array of them.
 
-    The one |chi| arithmetic, numpy's complex abs for a float and an array
-    alike, so a point and a grid give the same bits. An array runs through
-    :func:`_sql_block`, in blocks (:func:`core.blockwise`) when it is 1-d and
-    longer than ``core.BLOCK``.
+    The kernel of :func:`mech_susceptibility`, numpy's complex abs and the factor hbar,
+    run by :func:`core.blockwise` for a float and an array alike, so a point and a grid
+    give the same bits; chi takes one complex buffer, the level the output.
     """
-    if type(omega) is float or np.ndim(omega) == 0:
-        return float(constants.hbar * np.abs(mech_susceptibility(osc, omega)))
-    scratch = []  # the kernel's buffers, made by the first block and reused by the rest
-    return core.blockwise(lambda w: _sql_block(osc, constants.hbar, w, scratch), omega)
+    def level(w, out, s):  # out and s[0] are None for a float
+        chi = core.susceptibility_into(osc, w, s[0], out)
+        return np.multiply(constants.hbar, np.abs(chi, out=out), out=out)
 
-
-def _sql_block(osc, hbar, w, scratch):
-    """hbar |chi| on a block ``w`` of an array omega.
-
-    :func:`core.mech_susceptibility`'s complex operations in its order, numpy's complex
-    abs and the factor hbar, written into a complex and a real array in ``scratch``
-    instead of fresh temporaries; the first call makes them, as in :func:`_noise_block`.
-    Returns the real one.
-    """
-    mul, sub = np.multiply, np.subtract
-    w = np.asarray(w, dtype=float)
-    if not scratch:
-        scratch += [np.empty(w.shape, dtype=complex), np.empty(w.shape)]
-    c, r = (a if len(a) == len(w) else a[: len(w)] for a in scratch)
-    om = osc.resonance_freq
-    den = sub(om * om, mul(w, w, out=r), out=r)
-    den = mul(osc.mass, sub(den, mul(1j * osc.damping, w, out=c), out=c), out=c)
-    if not np.all(den):
-        mech_susceptibility(osc, w)  # raises its SingularPointError at the first zero
-    return mul(hbar, np.abs(np.divide(1.0, den, out=c), out=r), out=r)
+    out = core.blockwise(level, omega, (complex,))
+    return out if out.ndim else float(out)
 
 
 def free_mass_sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZED):
@@ -332,7 +307,7 @@ def sql_frequency(
     In the regime well above the mechanical resonance the balance
     condition picks the single frequency with M omega^2 = 2 hbar xi^2.
     """
-    if coupling <= 0:
+    if not coupling > 0:
         raise ValueError("coupling must be > 0")
     return math.sqrt(2.0 * constants.hbar * (coupling * coupling) / osc.mass)
 

@@ -153,6 +153,13 @@ class TestSpectrumCommand:
         assert sum(p.startswith("point ") for p in params) == 2
         assert len(rows) == 2 * 101
 
+    def test_reader_skips_blank_lines(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        run(["spectrum", "--out", str(out)], tmp_path, self.CFG)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(out.read_text().replace("\n", "\n\n"))
+        assert read_table(str(spaced)) == read_table(str(out))
+
     def test_ratio_column_consistent(self, tmp_path):
         out = tmp_path / "spec.csv"
         run(["spectrum", "--out", str(out)], tmp_path, self.CFG)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import optospring
 from optospring import core
 from optospring import (
+    Constants,
     MechanicalOscillator,
     OpticalCavity,
     SingularPointError,
@@ -21,12 +22,17 @@ from optospring import (
     kappa_for_coupling,
     mech_susceptibility,
     solve_self_consistent_detuning,
+    spectrum,
+    sql_frequency,
     stability,
     stability_map,
     static_coupling2_bound,
     steady_state,
 )
 from optospring.config import build_run_config
+
+OSC = MechanicalOscillator(mass=1.0, resonance_freq=1.0, damping=1e-3)
+CAVITY = OpticalCavity(gamma=0.01, round_trip=1e-3, wavevector=1.0)
 
 
 def _uniform(lo, hi):
@@ -45,6 +51,41 @@ class TestTypes:
             WorkingPoint(detuning=0.0, coupling=-1.0)
         with pytest.raises(ValueError):
             WorkingPoint(detuning=-3.5, coupling=1.0)
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            Constants(hbar=0.0)
+        with pytest.raises(ValueError, match="wavevector must be positive"):
+            OpticalCavity(gamma=0.01, round_trip=1e-3, wavevector=0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda bad: MechanicalOscillator(1.0, 1.0, damping=bad), "damping must be >= 0"),
+            (lambda bad: WorkingPoint(0.0, coupling=bad), "coupling must be >= 0"),
+            (lambda bad: steady_state(CAVITY, 0.01, bad), "input_magnitude must be >= 0"),
+            (
+                lambda bad: solve_self_consistent_detuning(CAVITY, OSC, 0.01, bad),
+                "input_magnitude must be >= 0",
+            ),
+            (
+                lambda bad: stability_map(OSC, CAVITY, np.array([1.0, bad]), np.zeros(1)),
+                "coupling2 must be >= 0",
+            ),
+            (
+                lambda bad: spectrum(OSC, CAVITY, WorkingPoint(0.0, 1.0), np.array([0.5, bad, 2])),
+                "grid must be strictly increasing and positive",
+            ),
+            (lambda bad: sql_frequency(OSC, bad), "coupling must be > 0"),
+        ],
+        ids=[
+            "damping", "coupling", "steady_state", "self_consistent", "coupling2", "grid",
+            "sql_frequency",
+        ],
+    )
+    def test_sign_checks_refuse_nan(self, refused, message, bad):
+        # each sign check is written in the positive form, so nan fails it as -1 does
+        with pytest.raises(ValueError, match=message):
+            refused(bad)
 
     def test_bandwidth(self, cavity):
         assert cavity.bandwidth == pytest.approx(10.0)
@@ -328,6 +369,8 @@ class TestStabilityMap:
             high_q_osc, cavity, np.geomspace(0.005, 50.0, 20), np.linspace(0.0, 0.1, 5)
         )
         assert m.static_ok.all()
+        for psi in (0.0, 0.1):  # and no static bound on the coupling there
+            assert static_coupling2_bound(high_q_osc, cavity.gamma, psi) == math.inf
 
     def test_boundary_location_on_a_row(self, high_q_osc, cavity):
         psi = -2.0 * cavity.gamma

@@ -95,7 +95,7 @@ SHARED_FORMULAS = [
     ("quasistatic", "_noise_closure"),
     ("quasistatic", "_noise_block"),
     ("quasistatic", "_noise_setup"),
-    ("quasistatic", "_sql_block"),
+    ("core", "susceptibility_into"),
     ("quasistatic", "amplification_factor"),
     ("quasistatic", "free_mass_sql_level"),
     ("core", "mech_susceptibility"),
@@ -177,7 +177,7 @@ def test_setup_checker_flags_a_route_computing_its_own_setup():
         "def _noise_closure(osc, cavity, psi, u2, w, c):\n"
         "    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, *OPS, SLOTS)\n"
         "    return x0 * osc.mass / u2\n"
-        "def _noise_block(osc, cavity, psi, u2, w, c, xi2, scratch):\n"
+        "def _noise_block(osc, cavity, psi, u2, w, c, xi2, out, s):\n"
         "    re0 = osc.mass * (w * w)\n"
         "    if not re0.all():\n"
         "        raise SingularPointError(f'noise denominator is 0 at omega={w!r}')\n"

@@ -322,6 +322,9 @@ class TestEquivalentInputNoise:
     def test_every_zero_coupling_raises(self, osc, cavity, xi, omega):
         with pytest.raises(NoMeasurementError):
             noise_over_coupling(osc, cav(cavity.gamma), 0.1, omega)(xi)
+        if np.ndim(xi) == 0:  # the closed form refuses a zero working-point coupling alike
+            with pytest.raises(NoMeasurementError):
+                equivalent_input_noise_closed_form(osc, cavity, WorkingPoint(0.1, xi), omega)
 
     def test_matches_closed_form(self, osc, cavity, rng):
         for _ in range(200):
