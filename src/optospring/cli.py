@@ -4,7 +4,8 @@ Subcommands: ``spectrum`` (equivalent-input noise tables), ``optimize``
 (numeric optima with closed-form comparisons), ``stability`` (working-
 point stability grid) and ``figure`` (named benchmark datasets fig2,
 fig3, fig4). Outputs are bit-stable: no timestamps, floats written with
-full round-trip precision, files written atomically.
+full round-trip precision, each file written atomically (``figure``
+writes its files one by one: a failed write keeps those written before).
 
 Exit codes: 0 success, 2 configuration error (or no dissipation to
 optimize against, or an output path that cannot be written), 3

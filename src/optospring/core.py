@@ -29,10 +29,9 @@ from .errors import SingularPointError
 # A cubic root is accepted as real when |Im| < REAL_ROOT_TOL * (1 + |Re|).
 REAL_ROOT_TOL = 1e-10
 
-# Points per block of a long frequency array in :func:`blockwise`: a grid call
-# holds its output and a few block-sized buffers instead of grid-sized temporaries.
-# The susceptibility, noise and SQL kernels write every operation into the block's
-# output slice or into buffers that blockwise reuses from block to block.
+# Points per block of a long frequency array in :func:`blockwise`: a grid call holds its
+# output and a few block-sized buffers instead of grid-sized temporaries, reused from
+# block to block: none for chi, one complex one for the SQL, three or five for the noise.
 BLOCK = 1 << 14
 
 
@@ -191,11 +190,6 @@ class QuadratureTransfer:
     c_sig: complex
 
 
-def _scalar(x):
-    """A 0-d result as a Python complex; arrays pass through."""
-    return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
-
-
 def blockwise(f, omega, buffers, dtype=float):
     """``f`` over ``omega`` in fixed blocks: the one owner of grid memory.
 
@@ -220,28 +214,43 @@ def blockwise(f, omega, buffers, dtype=float):
     return out
 
 
-# (mul, sub, div) of :func:`susceptibility_into` on numpy floats, ignoring the ufuncs' ``out``
-_SCALAR_OPS = (lambda p, q, _: p * q, lambda p, q, _: p - q, lambda p, q, _: p / q)
+# (mul, add, sub, div) for a float, ignoring the ufuncs' ``out``, and for an array
+SCALAR_OPS = (
+    lambda p, q, _: p * q, lambda p, q, _: p + q, lambda p, q, _: p - q, lambda p, q, _: p / q
+)
+ARRAY_OPS = (np.multiply, np.add, np.subtract, np.divide)
 
 
-def susceptibility_into(osc: MechanicalOscillator, omega, chi, real):
-    """The complex 1/chi arithmetic of :func:`mech_susceptibility`, written once.
+def inverse_susceptibility(osc: MechanicalOscillator, omega, ops, re, im):
+    """Re and Im of 1/chi, M (Omega^2 - omega^2) and -(M Gamma) omega, written once.
 
-    An array ``omega`` writes each operation in place into the complex ``chi`` or the real
-    ``real``, and returns ``chi``; a numpy float, with both None, returns the value in numpy
-    scalar arithmetic, which rounds as the ufuncs do (Python's complex division does not).
-    An undamped resonance raises ``SingularPointError`` naming the first such omega.
+    Run by the noise and :func:`susceptibility_into`; ``ops`` is :data:`ARRAY_OPS` with the
+    real arrays ``re`` and ``im`` to write, or :data:`SCALAR_OPS` with None for a float.
     """
-    mul, sub, div = _SCALAR_OPS if chi is None else (np.multiply, np.subtract, np.divide)
+    mul, _, sub, _ = ops
     om = osc.resonance_freq
-    den = sub(om * om, mul(omega, omega, real), real)
-    den = mul(osc.mass, sub(den, mul(1j * osc.damping, omega, chi), chi), chi)
+    x = mul(osc.mass, sub(om * om, mul(omega, omega, re), re), re)
+    return x, mul(-(osc.mass * osc.damping), omega, im)
+
+
+def susceptibility_into(osc: MechanicalOscillator, omega, chi):
+    """chi = 1 / (Re + i Im) of :func:`inverse_susceptibility`, the parts written into ``chi``.
+
+    An array ``omega`` fills the views ``chi.real`` and ``chi.imag`` and divides in place;
+    a numpy float, with ``chi`` None, divides a numpy complex, rounding as the ufuncs do
+    (not as Python's complex). Raises ``SingularPointError`` at the first undamped resonance.
+    """
+    if chi is None:
+        den = np.complex128(complex(*inverse_susceptibility(osc, omega, SCALAR_OPS, None, None)))
+    else:
+        den = chi
+        inverse_susceptibility(osc, omega, ARRAY_OPS, chi.real, chi.imag)
     if not (den if chi is None else den.all()):
         bad = omega if chi is None else omega[den == 0][0]
         raise SingularPointError(
             f"undamped oscillator driven exactly on resonance (omega={float(bad)!r})"
         )
-    return div(1.0, den, chi)
+    return 1.0 / den if chi is None else np.divide(1.0, chi, out=chi)
 
 
 def mech_susceptibility(osc: MechanicalOscillator, omega):
@@ -250,23 +259,13 @@ def mech_susceptibility(osc: MechanicalOscillator, omega):
     Returns 1 / (M (Omega_M^2 - omega^2 - i Gamma omega)), a complex for a scalar and an
     array for an array: :func:`susceptibility_into` run by :func:`blockwise`.
     """
-    kernel = lambda w, chi, s: susceptibility_into(osc, w, chi, s[0])
-    return _scalar(blockwise(kernel, omega, (float,), complex))
+    chi = blockwise(lambda w, chi, _: susceptibility_into(osc, w, chi), omega, (), complex)
+    return chi if isinstance(chi, np.ndarray) else complex(chi)
 
 
 def static_susceptibility(osc: MechanicalOscillator) -> float:
     """Static response chi(0) = 1 / (M Omega^2), the square written as a product."""
     return 1.0 / (osc.mass * (osc.resonance_freq * osc.resonance_freq))
-
-
-def invert_susceptibility(inv):
-    """``1 / inv`` of an inverse susceptibility; raises where it is 0, a stability boundary."""
-    inv = np.asarray(inv)
-    zero = inv == 0
-    if zero.any():
-        at = f" at grid index {int(np.argmax(zero))}" if inv.ndim else ""
-        raise SingularPointError(f"effective susceptibility diverges{at} (stability boundary)")
-    return _scalar(1.0 / inv)
 
 
 def steady_state(

@@ -26,7 +26,6 @@ from .core import (
     MechanicalOscillator,
     OpticalCavity,
     WorkingPoint,
-    invert_susceptibility,
     mech_susceptibility,
 )
 from .errors import (
@@ -135,20 +134,17 @@ def noise_over_coupling(
     return noise_at
 
 
-_FLOAT_OPS = (lambda p, q, _: p * q, lambda p, q, _: p + q, lambda p, q, _: p - q)
-
-
-def _noise_setup(osc, cavity, psi, u2, w, mul, add, sub, s):
+def _noise_setup(osc, cavity, psi, u2, w, ops, s):
     """The omega-dependent, coupling-free part of the noise of :func:`noise_over_coupling`.
 
-    One IEEE order for a float ``w``, with :data:`_FLOAT_OPS` (which ignore ``out``) and slots
-    of ``None``, and for a block, with the ufuncs and ``out`` buffers ``s``. Returns a X,
+    One IEEE order for a float ``w``, with :data:`core.SCALAR_OPS` and slots of ``None``,
+    and for a block, with :data:`core.ARRAY_OPS` and ``out`` buffers ``s``. Returns a X,
     (a Y)^2 + (d Y)^2, d X and (X^2 + Y^2) g; at omega tau = 0, X, Y^2, None and X^2 + Y^2.
     A noise denominator of 0 raises ``SingularPointError`` naming the first omega with it.
     """
-    gamma, tau, om = cavity.gamma, cavity.round_trip, osc.resonance_freq
-    re0 = mul(osc.mass, sub(om * om, mul(w, w, s[0]), s[0]), s[0])
-    im0 = mul(osc.mass * osc.damping, w, s[1])  # 1/chi = re0 - i im0
+    mul, add, _, _ = ops
+    gamma, tau = cavity.gamma, cavity.round_trip
+    re0, im0 = core.inverse_susceptibility(osc, w, ops, s[0], s[1])  # X and -Y
     y2 = mul(im0, im0, s[3])
     den = add(mul(re0, re0, s[2]), y2, s[2])  # 1/|chi|^2
     if tau:
@@ -175,7 +171,7 @@ def _noise_closure(osc, cavity, psi, u2, omega, constants):
     cavity with ``round_trip = 0`` it returns their fold ((qr^2 + Y^2) / (4 xi^2) + hbar^2
     xi^2) / |chi|^-2 with qr = X + 2 b xi^2, the real part of chi_eff^-1.
     """
-    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, omega, *_FLOAT_OPS, (None,) * 6)
+    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, omega, core.SCALAR_OPS, (None,) * 6)
     hbar, hbar2, gamma = constants.hbar, constants.hbar * constants.hbar, cavity.gamma
     b = hbar * psi / gamma if dx is None else hbar * psi / (2.0 * gamma)  # 2 b at omega tau = 0
 
@@ -202,9 +198,9 @@ def _noise_block(osc, cavity, psi, u2, w, constants, xi2, out, s):
     their quasi-static fold. ``out`` is the setup's first slot, so the last operation of
     either tail lands there.
     """
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    mul, add, sub, div = core.ARRAY_OPS
     hbar, gamma = constants.hbar, cavity.gamma
-    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, mul, add, sub, (out, *s))
+    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, core.ARRAY_OPS, (out, *s))
     if dx is None:  # x0 in out
         qr = add(x0, hbar * psi / gamma * xi2, x0)
         q2 = div(add(mul(qr, qr, qr), y2, qr), 4.0 * xi2, qr)
@@ -250,7 +246,11 @@ def equivalent_input_noise_closed_form(
     if wp.coupling == 0:
         raise NoMeasurementError(_NO_SIGNAL)
     chi, psi, xi = mech_susceptibility(osc, omega), wp.detuning, wp.coupling
-    chi_eff = invert_susceptibility(1.0 / chi + constants.hbar * xi**2 * psi / cavity.gamma)
+    inv = np.asarray(1.0 / chi + constants.hbar * xi**2 * psi / cavity.gamma)
+    if (inv == 0).any():
+        at = f" at grid index {int(np.argmax(inv == 0))}" if inv.ndim else ""
+        raise SingularPointError(f"effective susceptibility diverges{at} (stability boundary)")
+    chi_eff = 1.0 / inv if inv.ndim else complex(1.0 / inv)
     zeta = 2.0 * constants.hbar * wp.coupling**2 * np.abs(chi_eff)
     out = (
         constants.hbar
@@ -270,7 +270,7 @@ def sql_level(osc: MechanicalOscillator, omega, constants: Constants = NORMALIZE
     give the same bits; chi takes one complex buffer, the level the output.
     """
     def level(w, out, s):  # out and s[0] are None for a float
-        chi = core.susceptibility_into(osc, w, s[0], out)
+        chi = core.susceptibility_into(osc, w, s[0])
         return np.multiply(constants.hbar, np.abs(chi, out=out), out=out)
 
     out = core.blockwise(level, omega, (complex,))

@@ -14,8 +14,14 @@ closer in, the rounding of Omega^2 - omega^2 alone costs about (Omega^2 + omega^
 |Omega^2 - omega^2| ulp, a loss that the kernel does not yet avoid. At 10^-2 that
 factor is about 100, and where the optical spring cancels most of 1/chi it is
 amplified again, so the bound is over a hundred ulp; the median error is below 2 ulp.
+
+:func:`exact_sql` is the same check of the SQL level hbar |chi| = hbar / sqrt(X^2 + Y^2):
+X^2 + Y^2 exact, its root and the division in 50-digit decimal. The property bounds
+``sql_level`` at a float omega and on a grid by ``SQL_ULP_BOUND`` on the same kind of
+frequency sample, where |chi| carries the relative error of Omega^2 - omega^2.
 """
 
+import decimal
 import itertools
 import math
 
@@ -30,12 +36,19 @@ from optospring import (
     WorkingPoint,
     full_transfer_by_solve,
     noise_over_coupling,
+    sql_level,
 )
 
 # The worst of the sample below: 123.4 ulp at omega tau = 0, 84.7 at omega tau > 0
 # (median 0.66 and 1.35). The kernel before the four-squares form: 123.4 and 66.7
 # (median 0.66 and 1.81).
 ULP_BOUND = 160
+# Omega^2 and omega^2 each round by up to 2^-53 of themselves, and 1.001e-2 above the
+# resonance their difference is 1/100.5 of their sum, so X and |chi| can err by about
+# 100 ulp; the product by M, the division, the modulus and hbar add a few. The worst of
+# the SQL sample below is 48.8 ulp (median 0.67).
+SQL_ULP_BOUND = 110
+DECIMAL = decimal.Context(prec=50)
 
 
 class Dyadic:
@@ -97,6 +110,22 @@ def exact_noise(mass, resonance, damping, gamma, round_trip, psi, omega, hbar):
     return at
 
 
+def exact_sql(mass, resonance, damping, omega, hbar) -> decimal.Decimal:
+    """hbar |chi| = hbar / sqrt(X^2 + Y^2) of the float inputs to 50 digits, with X =
+    M (Omega^2 - omega^2) and Y = M Gamma omega exact."""
+    m, om, dmp, w = map(Dyadic.of, (mass, resonance, damping, omega))
+    big_x, big_y = m * (om * om - w * w), m * dmp * w
+    d = big_x * big_x + big_y * big_y
+    root = DECIMAL.sqrt(DECIMAL.multiply(d.n, DECIMAL.power(2, d.e)))
+    return DECIMAL.divide(decimal.Decimal(hbar), root)
+
+
+def sql_ulps(value: float, exact: decimal.Decimal) -> float:
+    """|value - exact| in units of the last place of exact rounded to a float."""
+    error = DECIMAL.subtract(decimal.Decimal(value), exact).copy_abs()
+    return float(DECIMAL.divide(error, decimal.Decimal(math.ulp(float(exact)))))
+
+
 def ulps(value: float, exact) -> float:
     """|value - num / den| in units of the last place of num / den rounded to a float."""
     num, den = exact
@@ -107,24 +136,43 @@ def log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
+# a frequency over the resonance: 1 + r above it, 1 - r below it, r from 1.001e-2 up
+NEAR_RESONANCE = st.one_of(
+    st.floats(math.log10(1.001e-2), 4.0).map(lambda e: 1.0 + 10.0**e),
+    st.floats(math.log10(1.001e-2), math.log10(0.999)).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+def oscillator(draw):
+    """An oscillator of Q from 1 to 10^8."""
+    resonance = draw(log_uniform(-1.0, 1.0))
+    return MechanicalOscillator(
+        draw(log_uniform(-2.0, 2.0)), resonance, resonance / draw(log_uniform(0.0, 8.0))
+    )
+
+
 @st.composite
 def models(draw):
     """An oscillator of Q from 1 to 10^8, a cavity, three detunings, three couplings and
     four frequencies at least 10^-2 relative away from the resonance."""
-    resonance = draw(log_uniform(-1.0, 1.0))
-    osc = MechanicalOscillator(
-        draw(log_uniform(-2.0, 2.0)), resonance, resonance / draw(log_uniform(0.0, 8.0))
-    )
+    osc = oscillator(draw)
+    resonance = osc.resonance_freq
     gamma = draw(log_uniform(-3.0, -0.1))
     round_trip = draw(log_uniform(-3.0, 1.0)) / resonance
     psis = draw(st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
     xis = draw(st.lists(log_uniform(-3.0, 3.0), min_size=3, max_size=3))
-    # 1 + r above the resonance, 1 - r below it, r from 1.001e-2 up
-    above = st.floats(math.log10(1.001e-2), 4.0).map(lambda e: 1.0 + 10.0**e)
-    below = st.floats(math.log10(1.001e-2), math.log10(0.999)).map(lambda e: 1.0 - 10.0**e)
-    ratios = draw(st.lists(st.one_of(above, below), min_size=4, max_size=4))
+    ratios = draw(st.lists(NEAR_RESONANCE, min_size=4, max_size=4))
     omegas = sorted(resonance * r for r in ratios)
     return osc, gamma, round_trip, psis, xis, omegas, draw(log_uniform(-2.0, 1.0))
+
+
+@st.composite
+def oscillators(draw):
+    """An oscillator, four frequencies of the noise sample's kind, and an hbar."""
+    osc = oscillator(draw)
+    ratios = draw(st.lists(NEAR_RESONANCE, min_size=4, max_size=4))
+    omegas = sorted(osc.resonance_freq * r for r in ratios)
+    return osc, omegas, draw(log_uniform(-2.0, 1.0))
 
 
 class TestExactOracle:
@@ -168,3 +216,22 @@ class TestExactOracle:
                 for k, xi in enumerate(xis):
                     for name, values in routes.items():
                         assert ulps(values[i, j, k], exact(xi)) <= ULP_BOUND, (name, args, xi)
+
+
+class TestExactSql:
+    def test_oracle_is_the_sql(self):
+        # X = 1 * (4 - 1) = 3 and Y = 1 * 4 * 1 = 4, so hbar |chi| = 1 / 5
+        exact = exact_sql(1.0, 2.0, 4.0, 1.0, 1.0)
+        assert exact == decimal.Decimal("0.2")
+        assert sql_ulps(sql_level(MechanicalOscillator(1.0, 2.0, 4.0), 1.0), exact) <= 1
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(oscillators())
+    def test_float_and_grid_within_bound(self, model):
+        osc, omegas, hbar = model
+        constants = Constants(hbar)
+        grid = sql_level(osc, np.array(omegas), constants).tolist()
+        for w, on_grid in zip(omegas, grid):
+            exact = exact_sql(osc.mass, osc.resonance_freq, osc.damping, w, hbar)
+            for name, value in (("float", sql_level(osc, w, constants)), ("grid", on_grid)):
+                assert sql_ulps(value, exact) <= SQL_ULP_BOUND, (name, osc, w, hbar)

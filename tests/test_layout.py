@@ -6,7 +6,8 @@ imports scipy or anything else beyond numpy and the standard library
 (numpy is the one dependency in pyproject.toml), one function checks
 the detuning range, no function takes a round trip beside a gamma, each
 checking route shares no code with what it checks, the float and block
-routes of the noise share one coupling-free setup, every public function
+routes of the noise share one coupling-free setup, that setup and chi's
+kernel run the one function that writes 1/chi, every public function
 and class is read in the package or ``bench/`` or shown in README,
 README's quick start runs, every config key is shown in README, and the
 names the benchmark harness reads still exist."""
@@ -96,6 +97,7 @@ SHARED_FORMULAS = [
     ("quasistatic", "_noise_block"),
     ("quasistatic", "_noise_setup"),
     ("core", "susceptibility_into"),
+    ("core", "inverse_susceptibility"),
     ("quasistatic", "amplification_factor"),
     ("quasistatic", "free_mass_sql_level"),
     ("core", "mech_susceptibility"),
@@ -163,13 +165,51 @@ def setup_leaks(source: str) -> list[str]:
     return sorted(hits)
 
 
+# 1/chi is written once, in core.inverse_susceptibility: the noise setup and chi's kernel
+# (and through it the SQL) run it and read no oscillator field themselves.
+INVERSE = "inverse_susceptibility"
+OSCILLATOR_FIELDS = ("mass", "resonance_freq", "damping")
+
+
+def inverse_leaks(source: str, name: str) -> list[str]:
+    """``name: fault`` where the top-level function ``name`` of ``source`` spells 1/chi
+    itself: it does not call ``INVERSE``, or it reads an oscillator field."""
+    (func,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == name]
+    hits = [] if call_lines(ast.unparse(func), INVERSE) else [f"{name}: no {INVERSE} call"]
+    return hits + [
+        f"{name}:{node.lineno}: {node.attr}"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr in OSCILLATOR_FIELDS
+    ]
+
+
 def test_noise_routes_share_one_setup():
     source = (PACKAGE / "quasistatic.py").read_text(encoding="utf-8")
     assert setup_leaks(source) == []
-    # the setup itself reads the oscillator and holds the check
+    # the setup holds the check, and takes 1/chi from the function that chi's kernel runs
     setup = [n for n in ast.parse(source).body if getattr(n, "name", None) == NOISE_SETUP]
-    read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(setup[0])}
-    assert {"resonance_freq", "damping", "mass", "SingularPointError"} <= read
+    assert "SingularPointError" in {getattr(n, "id", None) for n in ast.walk(setup[0])}
+    assert inverse_leaks(source, NOISE_SETUP) == []
+    core_source = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    assert inverse_leaks(core_source, "susceptibility_into") == []
+
+
+def test_inverse_checker_flags_a_setup_spelling_its_own_x():
+    source = (
+        "def _noise_setup(osc, cavity, psi, u2, w, ops, s):\n"
+        "    mul, add, sub, _ = ops\n"
+        "    om = osc.resonance_freq\n"
+        "    re0 = mul(osc.mass, sub(om * om, mul(w, w, s[0]), s[0]), s[0])\n"
+        "    _, im0 = core.inverse_susceptibility(osc, w, ops, s[0], s[1])\n"
+        "def susceptibility_into(osc, omega, chi):\n"
+        "    return 1.0 / (osc.mass * (1.0 - omega * omega))\n"
+    )
+    assert inverse_leaks(source, NOISE_SETUP) == [
+        "_noise_setup:3: resonance_freq", "_noise_setup:4: mass",
+    ]
+    assert inverse_leaks(source, "susceptibility_into") == [
+        "susceptibility_into: no inverse_susceptibility call", "susceptibility_into:7: mass",
+    ]
 
 
 def test_setup_checker_flags_a_route_computing_its_own_setup():
@@ -504,8 +544,9 @@ INDEPENDENT_ROUTES = [
     ),
     ("equivalent_input_noise_closed_form", ("noise_over_coupling", "equivalent_input_noise")),
     ("exact_noise", ("noise_over_coupling", "equivalent_input_noise", "spectrum")),
+    ("exact_sql", ("sql_level", "sql_point", "mech_susceptibility")),
 ]
-# the exact rounding oracle lives beside its property, outside the package
+# the exact rounding oracles live beside their properties, outside the package
 ORACLES = [Path(__file__).with_name("test_exact_noise.py")]
 
 
@@ -527,7 +568,7 @@ def test_routes_independent_of_what_they_check(checker, checked):
         "def minimize_over_detuning(osc, gamma, omega):\n    return coupling_optimum(osc, omega)\n",
         "def _polish(f):\n    return ultimate_quantum_limit(f)\n"
         "def minimize_over_xi(objective):\n    return opt._polish(objective)\n",
-        "def minimize_xi_quasistatic(osc, gamma):\n    return invert_susceptibility(osc)\n",
+        "def minimize_xi_quasistatic(osc, gamma):\n    return free_mass_sql_level(osc, gamma)\n",
     ],
     ids=["direct", "through-helper", "shared-helper"],
 )
