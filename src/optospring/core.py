@@ -30,8 +30,8 @@ from .errors import SingularPointError
 REAL_ROOT_TOL = 1e-10
 
 # Points per block of a long frequency array in :func:`blockwise`: a grid call holds its
-# output and a few block-sized buffers instead of grid-sized temporaries, reused from
-# block to block: none for chi, one complex one for the SQL, three or five for the noise.
+# output and a few block-sized buffers, reused from block to block, instead of grid-sized
+# temporaries: none for chi, one complex for the SQL, 3 or 5 for the noise setup and tail.
 BLOCK = 1 << 14
 
 

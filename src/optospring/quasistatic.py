@@ -93,17 +93,21 @@ def noise_over_coupling(
     x gamma / u^2, x psi / u^2 or their like, never as u^4 itself. At omega tau = 0 (a = 1/2,
     d = 0, g = 1) the kernel folds it to the quasi-static |chi|^2 (|chi_eff^-1|^2 / (4 xi^2)
     + hbar^2 xi^2). Only +, -, * and / enter, so a float and an array give the same bits,
-    and the noise stays finite at a real pole of chi_eff. A zero coupling, scalar or in
-    an array, raises ``NoMeasurementError``; a gamma^2 + detuning^2 underflowing to 0 raises
-    ``SingularPointError`` at the build. A float omega is set up and checked at the build and
-    takes a coupling or an array of them. An array omega takes one coupling (a float, numpy
-    scalar or 0-d array; an array raises ``ValueError``) and is checked at the call: first the
-    coupling, then the noise denominator block by block (:func:`core.blockwise`); a blocked
-    and a single call raise the same error. A noise denominator of 0, where X^2 + Y^2 is 0 at
-    an undamped resonance or by underflow, raises ``SingularPointError`` naming the first
-    omega where it occurs. An array detuning takes a float omega only (else ``ValueError``)
-    and broadcasts against the coupling, each cell the bits of its scalar detuning's closure:
-    ``detuning[:, None]`` and a coupling row give one scan per detuning.
+    and the noise stays finite at a real pole of chi_eff. At omega tau > 0 the square of
+    hbar xi^2 - d X overflows to inf once hbar xi^2 passes about 1.3e154, though the noise
+    is finite there. The coupling-free setup and the coupling tail are each written once;
+    the routes differ only in how they run them. A zero coupling, scalar or in an array,
+    raises ``NoMeasurementError``; a gamma^2 + detuning^2 underflowing to 0 raises
+    ``SingularPointError`` at the build. A float omega is set up and checked at the build,
+    and its closure runs the tail on a coupling or an array of them. An array omega takes
+    one coupling (a float, numpy scalar or 0-d array; an array raises ``ValueError``) and is
+    checked at the call: first the coupling, then setup and tail run block by block
+    (:func:`core.blockwise`); a blocked and a single call raise the same error. A noise
+    denominator of 0, where X^2 + Y^2 is 0 at an undamped resonance or by underflow, raises
+    ``SingularPointError`` naming the first omega where it occurs. An array detuning takes a
+    float omega only (else ``ValueError``) and broadcasts against the coupling, each cell
+    the bits of its scalar detuning's closure: ``detuning[:, None]`` and a coupling row give
+    one scan per detuning.
     """
     # a float detuning and omega stay Python floats for the scalar Brent polish; the type
     # tests first, since np.ndim of a float costs about 1 us on every build
@@ -115,23 +119,32 @@ def noise_over_coupling(
     else:
         raise ValueError("an array detuning needs a float omega")
     core.check_detuning("detuning", psi)
-    u2 = cavity.gamma * cavity.gamma + psi * psi
+    gamma, tau, hbar = cavity.gamma, cavity.round_trip, constants.hbar
+    u2 = gamma * gamma + psi * psi
     if not (u2 > 0 if type(u2) is float else np.all(u2 > 0)):
-        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={cavity.gamma!r})")
+        raise SingularPointError(f"gamma^2 + detuning^2 underflows to 0 (gamma={gamma!r})")
+    b = hbar * psi / (2.0 * gamma if tau else gamma)  # 2 b at omega tau = 0, where a = 1/2
     if float_omega:
-        return _noise_closure(osc, cavity, psi, u2, float(omega), constants)
+        return _noise_closure(osc, cavity, psi, u2, float(omega), b, hbar)
     omega = np.asarray(omega, dtype=float)
 
     def noise_at(xi):
         if np.ndim(xi):
             raise ValueError("a frequency grid takes one coupling, got an array")
-        xi2 = xi * xi
-        if not xi2:  # before any block runs
-            raise NoMeasurementError(_NO_SIGNAL)
-        kernel = lambda w, out, s: _noise_block(osc, cavity, psi, u2, w, constants, xi2, out, s)
-        return core.blockwise(kernel, omega, (float,) * (5 if cavity.round_trip else 3))
+        xi2 = _coupling_squared(xi)  # before any block runs
+        kernel = lambda w, out, s: _noise_block(osc, cavity, psi, u2, w, b, hbar, xi2, out, s)
+        return core.blockwise(kernel, omega, (float,) * (5 if tau else 3))
 
     return noise_at
+
+
+def _coupling_squared(xi):
+    """xi^2 for a coupling or an array of them; a zero raises ``NoMeasurementError``. A Python
+    float, as the scalar Brent polish passes, is checked without numpy."""
+    xi2 = xi * xi
+    if not (xi2 if type(xi2) is float else np.all(xi2)):
+        raise NoMeasurementError(_NO_SIGNAL)
+    return xi2
 
 
 def _noise_setup(osc, cavity, psi, u2, w, ops, s):
@@ -164,52 +177,38 @@ def _noise_setup(osc, cavity, psi, u2, w, ops, s):
     return mul(a, re0, s[1]), y2, mul(d, re0, s[0]), den
 
 
-def _noise_closure(osc, cavity, psi, u2, omega, constants):
-    """:func:`_noise_setup` at a float omega, and the closure of :func:`noise_over_coupling`.
+def _noise_tail(setup, b, hbar, xi2, ops):
+    """The coupling-dependent tail of the noise on :func:`_noise_setup`'s output, over ``ops``.
 
-    ``psi`` is a float, or an array of detunings. The closure sums the four squares; on a
-    cavity with ``round_trip = 0`` it returns their fold ((qr^2 + Y^2) / (4 xi^2) + hbar^2
-    xi^2) / |chi|^-2 with qr = X + 2 b xi^2, the real part of chi_eff^-1.
+    The four squares (y2 + q^2 + p^2) / xi^2 / den, q = a X + b xi^2, p = hbar xi^2 - d X, or at
+    omega tau = 0 (``dx`` None, ``b`` = 2 b) their fold ((qr^2 + Y^2) / (4 xi^2) + hbar^2 xi^2) /
+    den, qr = X + 2 b xi^2. Each operation writes into an operand, the ufunc ``out`` that
+    :data:`core.SCALAR_OPS` ignores, so a float closure never writes into its cached setup.
     """
-    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, omega, core.SCALAR_OPS, (None,) * 6)
-    hbar, hbar2, gamma = constants.hbar, constants.hbar * constants.hbar, cavity.gamma
-    b = hbar * psi / gamma if dx is None else hbar * psi / (2.0 * gamma)  # 2 b at omega tau = 0
-
-    def noise_at(xi):
-        xi2 = xi * xi
-        # a Python float, as the scalar Brent polish passes, is checked without numpy
-        if not (xi2 if type(xi2) is float else np.all(xi2)):
-            raise NoMeasurementError(_NO_SIGNAL)
-        if dx is None:
-            qr = x0 + b * xi2
-            return ((qr * qr + y2) / (4.0 * xi2) + hbar2 * xi2) / den
-        q, p = x0 + b * xi2, hbar * xi2 - dx
-        return (y2 + q * q + p * p) / xi2 / den
-
-    return noise_at
-
-
-def _noise_block(osc, cavity, psi, u2, w, constants, xi2, out, s):
-    """The noise on a block ``w`` of an array omega at a scalar ``xi2`` = xi^2, for a float ``psi``.
-
-    :func:`_noise_setup` and :func:`_noise_closure`'s tail, each operation written into the
-    block's output slice ``out`` or one of the buffers ``s`` instead of a fresh temporary:
-    five at omega tau > 0, where the four squares take 33 passes over the block, three for
-    their quasi-static fold. ``out`` is the setup's first slot, so the last operation of
-    either tail lands there.
-    """
-    mul, add, sub, div = core.ARRAY_OPS
-    hbar, gamma = constants.hbar, cavity.gamma
-    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, w, core.ARRAY_OPS, (out, *s))
-    if dx is None:  # x0 in out
-        qr = add(x0, hbar * psi / gamma * xi2, x0)
+    x0, y2, dx, den = setup
+    mul, add, sub, div = ops
+    if dx is None:
+        qr = add(x0, b * xi2, x0)
         q2 = div(add(mul(qr, qr, qr), y2, qr), 4.0 * xi2, qr)
         return div(add(q2, hbar * hbar * xi2, q2), den, q2)
-    p = sub(hbar * xi2, dx, dx)  # dx in out
-    q = add(x0, hbar * psi / (2.0 * gamma) * xi2, x0)
-    total = add(y2, mul(q, q, q), y2)  # (a Y)^2 + (d Y)^2 first, as in the closure
-    total = add(total, mul(p, p, p), p)
+    p = sub(hbar * xi2, dx, dx)
+    q = add(x0, b * xi2, x0)
+    total = add(add(y2, mul(q, q, q), y2), mul(p, p, p), p)  # (a Y)^2 + (d Y)^2 first
     return div(div(total, xi2, total), den, total)
+
+
+def _noise_closure(osc, cavity, psi, u2, omega, b, hbar):
+    """The float-omega route: :func:`_noise_setup` once, and a closure of :func:`_noise_tail`."""
+    ops = core.SCALAR_OPS
+    setup = _noise_setup(osc, cavity, psi, u2, omega, ops, (None,) * 6)
+    return lambda xi: _noise_tail(setup, b, hbar, _coupling_squared(xi), ops)
+
+
+def _noise_block(osc, cavity, psi, u2, w, b, hbar, xi2, out, s):
+    """The array-omega route on a block ``w``, into ``out`` (the setup's first slot) and ``s``:
+    five buffers at omega tau > 0, where the four squares take 33 passes, three at 0."""
+    setup = _noise_setup(osc, cavity, psi, u2, w, core.ARRAY_OPS, (out, *s))
+    return _noise_tail(setup, b, hbar, xi2, core.ARRAY_OPS)
 
 
 def equivalent_input_noise(

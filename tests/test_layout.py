@@ -6,11 +6,11 @@ imports scipy or anything else beyond numpy and the standard library
 (numpy is the one dependency in pyproject.toml), one function checks
 the detuning range, no function takes a round trip beside a gamma, each
 checking route shares no code with what it checks, the float and block
-routes of the noise share one coupling-free setup, that setup and chi's
-kernel run the one function that writes 1/chi, every public function
-and class is read in the package or ``bench/`` or shown in README,
-README's quick start runs, every config key is shown in README, and the
-names the benchmark harness reads still exist."""
+routes of the noise share one coupling-free setup and one coupling tail,
+that setup and chi's kernel run the one function that writes 1/chi,
+every public function and class is read in the package or ``bench/`` or
+shown in README, README's quick start runs, every config key is shown
+in README, and the names the benchmark harness reads still exist."""
 
 import ast
 import dataclasses
@@ -96,6 +96,7 @@ SHARED_FORMULAS = [
     ("quasistatic", "_noise_closure"),
     ("quasistatic", "_noise_block"),
     ("quasistatic", "_noise_setup"),
+    ("quasistatic", "_noise_tail"),
     ("core", "susceptibility_into"),
     ("core", "inverse_susceptibility"),
     ("quasistatic", "amplification_factor"),
@@ -129,9 +130,11 @@ def test_pow_checker_sees_nested_and_augmented_pow():
 
 
 # The noise kernel's coupling-free setup (X, Y, the omega tau factors a, d and g, and the
-# zero-denominator check) is written once, so a rounding change is made in one place.
+# zero-denominator check) and its coupling tail (the four squares and their quasi-static
+# fold) are each written once, so a rounding change is made in one place.
 NOISE_ROUTES = ("_noise_closure", "_noise_block")
 NOISE_SETUP = "_noise_setup"
+NOISE_TAIL = "_noise_tail"
 
 
 def setup_leaks(source: str) -> list[str]:
@@ -165,6 +168,51 @@ def setup_leaks(source: str) -> list[str]:
     return sorted(hits)
 
 
+def _callee(node) -> str | None:
+    return getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+
+
+def tail_leaks(source: str) -> list[str]:
+    """``route: fault`` for each of ``NOISE_ROUTES`` in ``source`` that spells its own tail.
+
+    A route must call ``NOISE_SETUP`` and ``NOISE_TAIL`` and may only pass what they return,
+    or a name bound from it, to ``NOISE_TAIL`` or return it: any other read, as in arithmetic
+    such as ``q * q + p * p`` on the setup's terms, is reported by the name or call read.
+    """
+    funcs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    kernel = {NOISE_SETUP, NOISE_TAIL}
+    hits = []
+    for route in NOISE_ROUTES:
+        nodes = list(ast.walk(funcs[route]))
+        missing = kernel - {_callee(n) for n in nodes}
+        hits += [f"{route}: no {name} call" for name in sorted(missing)]
+        outputs = set()  # names bound from the setup's or the tail's output, in source order
+        assigns = sorted((n for n in nodes if isinstance(n, ast.Assign)), key=lambda n: n.lineno)
+        for node in assigns:
+            values = ast.walk(node.value)
+            if any(_callee(n) in kernel or getattr(n, "id", None) in outputs for n in values):
+                targets = (t for target in node.targets for t in ast.walk(target))
+                outputs |= {t.id for t in targets if isinstance(t, ast.Name)}
+        passed = {  # into the tail, whole or unpacked, into a name, or out of the route
+            id(arg.value if isinstance(arg, ast.Starred) else arg)
+            for n in nodes if _callee(n) == NOISE_TAIL for arg in n.args
+        }
+        passed |= {id(n.value) for n in nodes if isinstance(n, (ast.Return, ast.Assign))}
+        passed |= {id(n.body) for n in nodes if isinstance(n, ast.Lambda)}
+        for node in nodes:
+            if isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) in outputs:
+                read = node.target.id
+            elif type(node) is ast.Name and node.id in outputs and type(node.ctx) is ast.Load:
+                read = node.id
+            elif _callee(node) in kernel:
+                read = f"{node.func.id} output"
+            else:
+                continue
+            if id(node) not in passed:
+                hits.append(f"{route}:{node.lineno}: {read}")
+    return sorted(set(hits))
+
+
 # 1/chi is written once, in core.inverse_susceptibility: the noise setup and chi's kernel
 # (and through it the SQL) run it and read no oscillator field themselves.
 INVERSE = "inverse_susceptibility"
@@ -192,6 +240,39 @@ def test_noise_routes_share_one_setup():
     assert inverse_leaks(source, NOISE_SETUP) == []
     core_source = (PACKAGE / "core.py").read_text(encoding="utf-8")
     assert inverse_leaks(core_source, "susceptibility_into") == []
+
+
+def test_noise_routes_share_one_tail():
+    assert tail_leaks((PACKAGE / "quasistatic.py").read_text(encoding="utf-8")) == []
+
+
+def test_tail_checker_flags_a_route_spelling_its_own_tail():
+    source = (
+        "def _noise_closure(osc, cavity, psi, u2, omega, b, hbar):\n"
+        "    x0, y2, dx, den = _noise_setup(osc, cavity, psi, u2, omega, OPS, SLOTS)\n"
+        "    def noise_at(xi):\n"
+        "        xi2 = _coupling_squared(xi)\n"
+        "        q, p = x0 + b * xi2, hbar * xi2 - dx\n"
+        "        return (y2 + q * q + p * p) / xi2 / den\n"
+        "    return noise_at\n"
+        "def _noise_block(osc, cavity, psi, u2, w, b, hbar, xi2, out, s):\n"
+        "    setup = _noise_setup(osc, cavity, psi, u2, w, OPS, (out, *s))\n"
+        "    total = _noise_tail(setup, b, hbar, xi2, OPS)\n"
+        "    total += 0.0\n"
+        "    return 2.0 * _noise_tail(*setup, b, hbar, xi2, OPS)\n"
+    )
+    assert tail_leaks(source) == [
+        "_noise_block:11: total", "_noise_block:12: _noise_tail output",
+        "_noise_closure: no _noise_tail call", "_noise_closure:5: dx", "_noise_closure:5: x0",
+        "_noise_closure:6: den", "_noise_closure:6: p", "_noise_closure:6: q",
+        "_noise_closure:6: y2",
+    ]
+    # passed on whole or unpacked, and returned, the outputs are no leak
+    assert tail_leaks(source.replace("    total += 0.0\n", "").replace("2.0 * ", "")) == [
+        "_noise_closure: no _noise_tail call", "_noise_closure:5: dx", "_noise_closure:5: x0",
+        "_noise_closure:6: den", "_noise_closure:6: p", "_noise_closure:6: q",
+        "_noise_closure:6: y2",
+    ]
 
 
 def test_inverse_checker_flags_a_setup_spelling_its_own_x():
