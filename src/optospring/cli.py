@@ -3,9 +3,10 @@
 Subcommands: ``spectrum`` (equivalent-input noise tables), ``optimize``
 (numeric optima with closed-form comparisons), ``stability`` (working-
 point stability grid) and ``figure`` (named benchmark datasets fig2,
-fig3, fig4). Outputs are bit-stable: no timestamps, floats written with
-full round-trip precision, each file written atomically (``figure``
-writes its files one by one: a failed write keeps those written before).
+fig3, fig4). A command only computes what it would write; :func:`main`
+writes it, datasets then documents, each file atomically (a failed write
+keeps the files written before it). Outputs are bit-stable: no
+timestamps, floats written with full round-trip precision.
 
 Exit codes: 0 success, 2 configuration error (or no dissipation to
 optimize against, or an output path that cannot be written), 3
@@ -241,33 +242,27 @@ def read_table(path: str):
     return params, columns, rows
 
 
-def _out_path(cfg: RunConfig, default_stem: str) -> str:
-    return cfg.output_path or f"{default_stem}.{cfg.output_format}"
-
-
 def _axis(key: str, build, *args) -> np.ndarray:
     """``build(*args)``, the axis that config ``key`` sizes, if allocatable and strictly increasing.
 
     A range finer than the floats repeats a value.
     """
-    try:
+    try:  # numpy refuses an axis past its index range with ValueError, before allocating
         axis = build(*args)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{key}: too many points: {exc}") from None
     if not np.all(axis[1:] > axis[:-1]):
         raise ConfigError(f"{key}: more points than floats in its range")
     return axis
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig) -> tuple[list, list]:
     """Equivalent-input noise tables, one block per working point."""
     blocks = []
     for wp in cfg.points:
         psi, xi = wp.detuning, wp.coupling
-        try:  # a zero coupling raises ValueError; one past ~1e154 gives omega_sql = inf
-            omega_sql = qs.sql_frequency(cfg.oscillator, xi, cfg.constants)
-        except ValueError:
-            omega_sql = math.nan
+        # a zero coupling raises NoMeasurementError; one past ~1e154 gives omega_sql = inf
+        omega_sql = qs.sql_frequency(cfg.oscillator, xi, cfg.constants)
         scale = omega_sql if cfg.grid_units == "omega_sql" else 1.0
         lo, hi = cfg.grid_lo * scale, cfg.grid_hi * scale
         if not (0 < omega_sql < math.inf and 0 < lo < hi < math.inf):
@@ -277,11 +272,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         table = np.rec.fromarrays([sp.omega / scale, sp.s_sig, sp.s_sql, sp.ratio])
         label = f"point detuning={psi!r} coupling={xi!r} omega_sql={omega_sql!r}"
         blocks.append((label, table))
-    path = _out_path(cfg, "spectrum")
     columns = ["omega_norm", "s_sig", "s_sql", "ratio"]
-    write_datasets(cfg.output_format, [(path, "spectrum", cfg.param_lines(), columns, blocks)])
-    print(path)
-    return 0
+    path = cfg.output_path or f"spectrum.{cfg.output_format}"
+    return [(path, "spectrum", cfg.param_lines(), columns, blocks)], []
 
 
 def _converged(res: opt.OptimResult, unconverged: str) -> opt.OptimResult:
@@ -299,7 +292,7 @@ def _detuning_optimum(cfg: RunConfig, omega: float, spec: opt.SearchSpec):
     return uql, _converged(res, f"detuning search did not converge at omega={omega!r}")
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
+def cmd_optimize(cfg: RunConfig) -> tuple[list, list]:
     """Numeric optimum report (JSON), with closed-form comparison."""
     osc, gamma, spec = cfg.oscillator, cfg.cavity.gamma, opt.SearchSpec()
     _static_sql(osc, cfg.constants)  # a static response outside float range is a config error
@@ -345,10 +338,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
             closed_form=closed_form,
             stability=asdict(stability(osc, cfg.cavity, wp_min, cfg.constants)),
         )
-    path = cfg.output_path or "optimize.json"
-    _write_json(path, report)
-    print(path)
-    return 0
+    return [], [(cfg.output_path or "optimize.json", report)]
 
 
 def _static_sql(osc, constants) -> tuple[float, float]:
@@ -366,7 +356,7 @@ def _static_sql(osc, constants) -> tuple[float, float]:
     )
 
 
-def cmd_stability(cfg: RunConfig) -> int:
+def cmd_stability(cfg: RunConfig) -> tuple[list, list]:
     """Stability grid over (coupling^2, detuning), normalized axes."""
     xi_sql2 = _static_sql(cfg.oscillator, cfg.constants)[1]
     gamma = cfg.cavity.gamma
@@ -382,12 +372,10 @@ def cmd_stability(cfg: RunConfig) -> int:
     maps = (grid.static_ok, grid.dynamic_ok, grid.static_margin, grid.dynamic_margin)
     axes = [np.tile(xi2_norm, psi_norm.size), np.repeat(psi_norm, xi2_norm.size)]
     table = np.rec.fromarrays(axes + [a.ravel() for a in maps])
-    path = _out_path(cfg, "stability")
     params = cfg.param_lines() + [f"xi2_norm unit = {xi_sql2!r}", f"psi_norm unit = {gamma!r}"]
     columns = ["xi2_norm", "psi_norm", "static_ok", "dynamic_ok", "static_margin", "dynamic_margin"]
-    write_datasets(cfg.output_format, [(path, "stability", params, columns, [("", table)])])
-    print(path)
-    return 0
+    path = cfg.output_path or f"stability.{cfg.output_format}"
+    return [(path, "stability", params, columns, [("", table)])], []
 
 
 def cmd_figure(
@@ -397,8 +385,8 @@ def cmd_figure(
     bandwidths: tuple[float, ...] | None,
     out_dir: str,
     grid_flag: str | None,
-) -> int:
-    """Emit one dataset file per curve of a named figure, plus a manifest."""
+) -> tuple[list, list]:
+    """The dataset files of a named figure, one per curve, and its manifest."""
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r} (expected fig2, fig3 or fig4)")
     if cfg.units != "normalized":
@@ -487,11 +475,7 @@ def cmd_figure(
         path = os.path.join(out_dir, entry["file"])
         files.append((path, f"{figure}-curve", [label], columns, [("", table)]))
         manifest["curves"][letter] = entry
-    write_datasets(cfg.output_format, files)
-    manifest_path = os.path.join(out_dir, f"{figure}_manifest.json")
-    _write_json(manifest_path, manifest)
-    print(manifest_path)
-    return 0
+    return files, [(os.path.join(out_dir, f"{figure}_manifest.json"), manifest)]
 
 
 def _parse_ratio(text: str) -> float:
@@ -558,23 +542,28 @@ def _config_overrides(args) -> dict[str, str]:
 
 
 def main(argv=None) -> int:
+    """Run a command; write its :func:`write_datasets` files, then its ``(path, doc)`` JSON."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # a non-finite cell is refused by name, not warned of
             cfg = load_run_config(args.config, _config_overrides(args))
-            if args.command == "spectrum":
-                return cmd_spectrum(cfg)
-            if args.command == "optimize":
-                return cmd_optimize(cfg)
-            if args.command == "stability":
-                return cmd_stability(cfg)
-            detunings, bandwidths = (  # a flag given empty is a bad ratio, not unset
-                None if text is None else tuple(_parse_ratio(x) for x in text.split(","))
-                for text in (args.detunings, args.bandwidths)
-            )
-            return cmd_figure(
-                cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
-            )
+            if args.command == "figure":
+                detunings, bandwidths = (  # a flag given empty is a bad ratio, not unset
+                    None if text is None else tuple(_parse_ratio(x) for x in text.split(","))
+                    for text in (args.detunings, args.bandwidths)
+                )
+                datasets, documents = cmd_figure(
+                    cfg, args.figure_id, detunings, bandwidths, args.out or "figures", args.grid
+                )
+            else:
+                cmd = dict(spectrum=cmd_spectrum, optimize=cmd_optimize, stability=cmd_stability)
+                datasets, documents = cmd[args.command](cfg)
+            if datasets:  # optimize writes none, and so never builds floattext's tables
+                write_datasets(cfg.output_format, datasets)
+            for path, doc in documents:
+                _write_json(path, doc)
+        print((datasets + documents)[-1][0])  # the path of the last file written
+        return 0
     # every array the CLI allocates scales with a config axis: too large a one is a config error
     except (ConfigError, DegenerateDissipationError, NoMeasurementError, MemoryError) as exc:
         print(f"optospring: config error: {exc}", file=sys.stderr)

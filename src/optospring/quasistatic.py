@@ -305,9 +305,10 @@ def sql_frequency(
 
     In the regime well above the mechanical resonance the balance
     condition picks the single frequency with M omega^2 = 2 hbar xi^2.
+    A zero coupling carries no signal and raises ``NoMeasurementError``.
     """
     if not coupling > 0:
-        raise ValueError("coupling must be > 0")
+        raise ValueError("coupling must be > 0") if coupling else NoMeasurementError(_NO_SIGNAL)
     return math.sqrt(2.0 * constants.hbar * (coupling * coupling) / osc.mass)
 
 

@@ -213,9 +213,13 @@ class TestSpectrumCommand:
         cfg = "points.detuning =\npoints.coupling =\n"
         assert run(["spectrum"], tmp_path, cfg) == 2
 
-    def test_zero_coupling_exit_2(self, tmp_path):
-        cfg = "points.detuning = 0.0\npoints.coupling = 0.0\n"
-        assert run(["spectrum"], tmp_path, cfg) == 2
+    def test_zero_coupling_exit_2(self, tmp_path, capsys):
+        # refused for its missing signal, not its balance frequency, which rad_s does not use
+        for units in ("omega_sql", "rad_s"):
+            cfg = f"points.detuning = 0.0\npoints.coupling = 0.0\ngrid.units = {units}\n"
+            assert run(["spectrum"], tmp_path, cfg) == 2
+            reason = "coupling is zero: the output carries no signal"
+            assert capsys.readouterr().err == f"optospring: config error: {reason}\n"
 
     def test_singular_point_exit_3(self, tmp_path, capsys):
         # undamped oscillator, grid starting exactly on resonance
@@ -510,11 +514,32 @@ class TestBadInputsExit2:
             (["figure", "fig3", "--grid", "1:10:1000000000000000"], None, "grid.points_per_decade"),
             (["stability"], {"OPTOSPRING_STABILITY_XI2": "0.01:100:1000000000000000"}, "stability.xi2"),
             (["stability"], {"OPTOSPRING_STABILITY_PSI": "-1:1:1000000000000000"}, "stability.psi"),
+            (["spectrum", "--grid", "1:10:100000000000000000000"], None, "grid.points_per_decade"),
+            (
+                ["figure", "fig4", "--grid", "1:10:100000000000000000000"],
+                None,
+                "grid.points_per_decade",
+            ),
+            (
+                ["stability"],
+                {"OPTOSPRING_STABILITY_XI2": "0.01:100:100000000000000000000000"},
+                "stability.xi2",
+            ),
+            (
+                ["stability"],
+                {"OPTOSPRING_STABILITY_PSI": "-12:2:100000000000000000000"},
+                "stability.psi",
+            ),
         ],
-        ids=["spectrum-grid", "fig3-grid", "stability-xi2", "stability-psi"],
+        ids=[
+            "spectrum-grid", "fig3-grid", "stability-xi2", "stability-psi",
+            "spectrum-grid-past-index", "fig4-grid-past-index", "stability-xi2-past-index",
+            "stability-psi-past-index",
+        ],
     )
     def test_unallocatable_axis_names_its_key(self, tmp_path, capsys, monkeypatch, args, env, key):
-        # numpy refuses the 7.11-PiB axis before touching any memory
+        # numpy refuses the 7.11-PiB axis with MemoryError, and one past its index range with
+        # ValueError, before touching any memory
         out = tmp_path / "out"
         assert run([*args, "--out", str(out)], tmp_path, None, env, monkeypatch) == 2
         err = capsys.readouterr().err
@@ -1258,6 +1283,37 @@ class TestColumnarWriter:
         # 6 specials, 30 distinct x and the one-row block's 2 floats, in one call;
         # flags are never floats, in either format
         assert [len(values) for values in float_reprs] == [6 + 30 + 2]
+
+
+class TestOutputStep:
+    """A ``cmd_*`` only computes; ``main`` writes what it returns and prints the last path."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum"], ["optimize"], ["stability"], ["figure", "fig2"], ["figure", "fig3"],
+         ["figure", "fig4"]],
+        ids=["spectrum", "optimize", "stability", "fig2", "fig3", "fig4"],
+    )
+    def test_commands_only_compute(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        cfg = build_run_config()
+        with np.errstate(all="ignore"):
+            if argv[0] == "figure":
+                outputs = cli_module.cmd_figure(cfg, argv[1], None, None, "figures", None)
+            else:
+                outputs = getattr(cli_module, f"cmd_{argv[0]}")(cfg)
+        assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
+        assert main(argv) == 0
+        datasets, documents = outputs
+        assert capsys.readouterr().out == f"{(datasets + documents)[-1][0]}\n"
+
+    def test_optimize_builds_no_float_tables(self, tmp_path, monkeypatch):
+        # the formatter's tables cost milliseconds on first use; a run with no dataset skips them
+        def refused():
+            raise AssertionError("floattext tables built for a run with no dataset")
+
+        monkeypatch.setattr(floattext, "_tables", refused)
+        assert main(["optimize", "--out", str(tmp_path / "opt.json")]) == 0
 
 
 class TestParser:

@@ -193,17 +193,17 @@ def environment(env):
 
 
 def run(argv, env):
-    """``(exit code, stderr text, warnings)`` of one in-process run."""
-    err = io.StringIO()
+    """``(exit code, stdout text, stderr text, warnings)`` of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
     with (
         environment(env),
         warnings.catch_warnings(record=True) as caught,
         contextlib.redirect_stderr(err),
-        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stdout(out),
     ):
         warnings.simplefilter("always")
         code = main(argv)
-    return code, err.getvalue(), [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
 def _floats(node):
@@ -249,14 +249,18 @@ class TestWholeInputSpace:
             for copy in ("first", "repeat"):
                 out = work / copy
                 target = out if argv[0] == "figure" else out / "out"
-                code, err, caught = run([*argv, f"--out={target}"], env)
+                code, printed, err, caught = run([*argv, f"--out={target}"], env)
                 assert caught == [] and code in (0, 2, 3, 4), (code, err, caught)
                 if code and copy == "first":
                     assert err.startswith("optospring: ") and err.count("\n") == 1, err
                     assert err.endswith("\n") and list(written(work)) == ["run.cfg"], err
+                    assert printed == ""
                     return
                 assert code == 0, err
                 assert err == ""
+                # one line: the path of the last file written, the manifest for a figure
+                last = target / f"{argv[1]}_manifest.json" if argv[0] == "figure" else target
+                assert printed == f"{last}\n"
                 outs.append(written(out))
         first, repeat = outs
         assert first and first == repeat

@@ -271,7 +271,9 @@ class TestEquivalentInputNoise:
             noise_over_coupling(osc, cav(cavity.gamma), 0.1, 0.5)(0.0)
         with pytest.raises(NoMeasurementError) as via_point:
             equivalent_input_noise(osc, cavity, WorkingPoint(0.1, 0.0), 0.5)
-        assert str(direct.value) == str(via_point.value)
+        with pytest.raises(NoMeasurementError) as balance:  # no signal, so no balance frequency
+            sql_frequency(osc, 0.0)
+        assert str(direct.value) == str(via_point.value) == str(balance.value)
 
     @pytest.mark.parametrize("omega", [0.5, np.array([0.3, 0.5])], ids=["float", "array"])
     @pytest.mark.parametrize("round_trip", [0.0, 1e-3])
